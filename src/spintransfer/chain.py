@@ -112,12 +112,24 @@ def chain_to_dict(chain: Chain) -> dict:
 
 
 def chain_from_dict(data: dict) -> Chain:
-    return Chain(
-        n=int(data["n"]),
-        couplings=np.asarray(data["couplings"], dtype=float),
-        fields=np.asarray(data["fields"], dtype=float),
-        label=str(data.get("label", "")),
-    )
+    """Inverse of chain_to_dict; malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"chain JSON must be an object, not {type(data).__name__}")
+    missing = [key for key in ("n", "couplings", "fields") if key not in data]
+    if missing:
+        raise ValueError(f"chain JSON lacks {', '.join(missing)}")
+    version = data.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported chain format_version {version!r}")
+    try:
+        return Chain(
+            n=int(data["n"]),
+            couplings=np.asarray(data["couplings"], dtype=float),
+            fields=np.asarray(data["fields"], dtype=float),
+            label=str(data.get("label", "")),
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed chain JSON: {exc}") from exc
 
 
 def save_chain(chain: Chain, path) -> None:

@@ -154,6 +154,8 @@ def cmd_optimize(args) -> int:
     if args.delta > 0:
         disorder = uniform_disorder(args.delta, 0.0, args.seed)
         metric = "quantile"
+    if args.landscape and not args.out:
+        raise ValueError("--landscape writes a CSV and needs --out")
     obj = Objective(n=args.n, window=args.window, disorder=disorder, metric=metric,
                     samples=args.samples, quantile=args.quantile)
     if args.landscape:

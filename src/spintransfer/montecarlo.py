@@ -1,11 +1,16 @@
 """Monte Carlo fidelity statistics over disorder ensembles.
 
 A run draws M disordered realizations of a base chain (sample indices
-0..M-1), recomputes each realization's eigensystem, rebuilds the windowed
-transfer block at the run's extraction time, and scores the best single-
-excitation encoding.  The summary keeps three numbers: the mean (what you
-expect on average), the minimum (the guarantee), and an upper quantile (what
-you get if you manufacture several chains and keep the best).
+0..M-1) and scores the best single-excitation encoding of each at the run's
+extraction time.  A bare end-to-end transfer (1x1 windows) is scored from
+the realization's eigenvalues alone (spectral.end_to_end_amplitude).  Larger
+windows, and realizations where that identity does not apply (a coupling
+exactly zero, a repeated eigenvalue, a non-finite result), recompute the
+full eigensystem, rebuild the windowed transfer block and take its top
+singular value.  The deterministic tuning objective uses the same per-chain
+scorer.  The summary keeps three numbers: the mean (what you expect on
+average), the minimum (the guarantee), and an upper quantile (what you get
+if you manufacture several chains and keep the best).
 
 Runs are embarrassingly parallel and bit-reproducible: the disorder stream is
 counter-based, per-sample results are stored by index, and reductions happen
@@ -24,7 +29,7 @@ from .chain import Chain
 from .disorder import DisorderSpec, Distribution, sample_disordered_chain
 from .encoding import fidelity_single, optimal_encoding, transfer_matrix
 from .models import auto_transfer_time, first_peak_time
-from .spectral import eigendecompose, end_windows
+from .spectral import eigendecompose, end_to_end_amplitude, end_windows
 
 FORMAT_VERSION = 1
 
@@ -109,13 +114,21 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     chain = sample_disordered_chain(base, spec, sample_index)
     if policy.per_sample_peak:
         time = first_peak_time(chain, search_hint=max(time, 1.0))[0]
-    eig = eigendecompose(chain)
-    window = end_windows(base.n, policy.window_in, policy.window_out, time)
-    block = transfer_matrix(eig, window)
-    if policy.window_in == 1 and policy.window_out == 1:
-        lam1 = abs(block.entries[0, 0])
-    else:
+    return _score_chain(chain, policy.window_in, policy.window_out, time)
+
+
+def _score_chain(chain: Chain, window_in: int, window_out: int, time: float) -> float:
+    """Best single-excitation fidelity of one chain between its end windows."""
+    window = end_windows(chain.n, window_in, window_out, time)
+    amp = end_to_end_amplitude(chain, time) if window_in == window_out == 1 else None
+    if amp is None:
+        block = transfer_matrix(eigendecompose(chain), window)
         lam1 = float(optimal_encoding(block).singular_values[0])
+    elif abs(amp) > 1.0 + 1e-10:
+        raise ValueError(f"window block has singular value {abs(amp)} > 1; "
+                         "inputs are inconsistent")
+    else:
+        lam1 = abs(amp)
     return fidelity_single(min(lam1, 1.0))
 
 
@@ -228,17 +241,6 @@ def grid_to_csv(grid: SweepGrid) -> str:
 def save_grid_csv(grid: SweepGrid, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(grid_to_csv(grid))
-
-
-def stats_to_dict(stats: FidelityStats) -> dict:
-    return {
-        "samples": stats.samples,
-        "mean": stats.mean,
-        "min": stats.minimum,
-        "quantile_level": stats.quantile_level,
-        "quantile": stats.quantile_value,
-        "seed": stats.seed,
-    }
 
 
 def save_grid_descriptor(grid: SweepGrid, path) -> None:

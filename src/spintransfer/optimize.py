@@ -23,10 +23,9 @@ from scipy.optimize import minimize
 
 from .chain import Chain, NumericalFailure
 from .disorder import DisorderSpec
-from .encoding import fidelity_single, optimal_encoding, transfer_matrix
 from .models import apollaro_chain, first_peak_time
-from .montecarlo import TransferPolicy, monte_carlo
-from .spectral import eigendecompose, end_windows, propagator_amplitude
+from .montecarlo import TransferPolicy, _score_chain, monte_carlo
+from .spectral import eigendecompose, propagator_amplitude
 
 BOX_LO = 1e-6
 BOX_HI = 1.2
@@ -84,14 +83,7 @@ def evaluate_objective(obj: Objective, x: float, y: float, threads: int = 1) -> 
         # score it at the fidelity floor instead of aborting the search
         return 0.5
     if obj.metric == "deterministic":
-        eig = eigendecompose(chain)
-        window = end_windows(obj.n, obj.window, obj.window, t0)
-        block = transfer_matrix(eig, window)
-        if obj.window == 1:
-            lam1 = abs(block.entries[0, 0])
-        else:
-            lam1 = float(optimal_encoding(block).singular_values[0])
-        return fidelity_single(min(lam1, 1.0))
+        return _score_chain(chain, obj.window, obj.window, t0)
     policy = TransferPolicy(window_in=obj.window, window_out=obj.window, time=t0)
     stats = monte_carlo(chain, obj.disorder, policy, samples=obj.samples,
                         quantile=obj.quantile, threads=threads)

@@ -1,12 +1,22 @@
 """Exact spectral decomposition and time evolution in the one-excitation sector.
 
-All propagators are built from the eigendecomposition of the tridiagonal
-matrix, never from series expansions, so they stay unitary to machine
-precision at arbitrarily large times.  Amplitudes follow
+Propagators are built from the spectrum of the tridiagonal matrix, never
+from series expansions, so they stay unitary to machine precision at
+arbitrarily large times.  In general amplitudes follow the eigendecomposition
 
     <j| e^{-iHt} |i> = sum_k v_k(j) e^{-i lambda_k t} v_k(i)
 
-with real orthonormal eigenvectors v_k.
+with real orthonormal eigenvectors v_k.  The end-to-end amplitude <N|U(t)|1>
+needs no eigenvectors: for a tridiagonal matrix with nonzero couplings J_i
+and simple eigenvalues
+
+    v_k(1) v_k(N) = prod_i J_i / prod_{j != k} (lambda_k - lambda_j)
+
+(the residues of the resolvent entry (z - H)^{-1}_{N1}; Kay, IJQI 8, 641
+(2010)), so end_to_end_amplitude scores it from the eigenvalues alone.  It
+returns None when a coupling is exactly zero, an eigenvalue repeats or the
+result is not finite; callers then fall back to eigendecompose, which stays
+the reference for every amplitude.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .chain import Chain, NumericalFailure, SingleExcitationMatrix, single_excitation_matrix
 
@@ -122,3 +132,30 @@ def window_amplitudes(eig: Eigensystem, window: TransferWindow) -> np.ndarray:
     cols = np.asarray(window.input_sites) - 1
     phases = np.exp(-1j * eig.eigenvalues * window.time)
     return (eig.eigenvectors[rows, :] * phases) @ eig.eigenvectors[cols, :].T
+
+
+def end_to_end_amplitude(chain: Chain, t: float) -> complex | None:
+    """<N| e^{-iHt} |1> from the eigenvalues alone, or None where that is unsafe.
+
+    The products in the end-weight identity are summed as logarithms with a
+    separate sign count: prod J_i alone leaves double range on long chains.
+    None (zero coupling, repeated eigenvalue, non-finite result) means the
+    caller must use the eigenvector path instead.
+    """
+    couplings = chain.couplings
+    if np.any(couplings == 0.0):
+        return None
+    try:
+        lam = eigvalsh_tridiagonal(chain.fields, couplings)  # ascending
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+    if np.any(np.diff(lam) <= 0.0):
+        return None
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    log_weights = np.sum(np.log(np.abs(couplings))) - np.sum(np.log(gaps), axis=1)
+    # prod_{j != k} (lambda_k - lambda_j) has n-1-k negative factors
+    flips = np.count_nonzero(couplings < 0.0) + np.arange(lam.size - 1, -1, -1)
+    weights = np.where(flips % 2 == 1, -1.0, 1.0) * np.exp(log_weights)
+    amp = complex(weights @ np.exp(-1j * lam * t))
+    return amp if np.isfinite(amp) else None

@@ -81,6 +81,31 @@ def test_fidelity_missing_file():
     assert run(["fidelity", "--chain", "/nonexistent/chain.json"]) == 2
 
 
+def test_fidelity_chain_missing_n(tmp_path, capsys):
+    path = tmp_path / "no_n.json"
+    path.write_text(json.dumps({"format_version": 1, "couplings": [1.0], "fields": [0.0, 0.0]}))
+    assert run(["fidelity", "--chain", str(path)]) == 2
+    assert "lacks n" in capsys.readouterr().err
+
+
+def test_fidelity_chain_json_array(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1.0, 2.0]\n")
+    assert run(["fidelity", "--chain", str(path)]) == 2
+    assert "must be an object" in capsys.readouterr().err
+
+
+def test_fidelity_chain_unknown_format_version(tmp_path, capsys):
+    path = tmp_path / "v2.json"
+    assert run(["build", "--model", "uniform", "--n", "5", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["format_version"] = 2
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["fidelity", "--chain", str(path)]) == 2
+    assert "format_version" in capsys.readouterr().err
+
+
 def test_fidelity_invalid_window():
     assert run(["fidelity", "--model", "uniform", "--n", "5", "--window", "9"]) == 2
 
@@ -127,6 +152,18 @@ def test_optimize_landscape_single_cell(tmp_path):
     x, y, value = (float(v) for v in lines[2].split(","))
     assert (x, y) == (0.5, 0.8)
     assert 0.5 <= value <= 1.0
+
+
+def test_optimize_landscape_requires_out(capsys, monkeypatch):
+    import spintransfer.cli as cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("landscape computed before the missing --out was caught")
+
+    monkeypatch.setattr(cli, "objective_landscape", no_scan)
+    assert run(["optimize", "--n", "15", "--landscape",
+                "--x-axis", "0.5", "--y-axis", "0.8"]) == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_optimize_deterministic_report(tmp_path, capsys):
