@@ -121,9 +121,12 @@ def chain_from_dict(data: dict) -> Chain:
     version = data.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported chain format_version {version!r}")
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"chain JSON n must be an integer, not {n!r}")
     try:
         return Chain(
-            n=int(data["n"]),
+            n=n,
             couplings=np.asarray(data["couplings"], dtype=float),
             fields=np.asarray(data["fields"], dtype=float),
             label=str(data.get("label", "")),

@@ -19,8 +19,8 @@ import numpy as np
 
 from .chain import NumericalFailure, load_chain, rescale_to_unit_max, save_chain
 from .disorder import uniform_disorder
-from .encoding import (best_excitation_count, encoding_to_dict, fidelity_haselgrove,
-                       fidelity_multi, fidelity_single, optimal_encoding, transfer_matrix)
+from .encoding import (best_excitation_count, fidelity_haselgrove, fidelity_multi,
+                       fidelity_single, optimal_encoding, save_encoding, transfer_matrix)
 from .fermion import free_fermion_report
 from .models import (apollaro_chain, auto_transfer_time, pst_chain, quadratic_chain,
                      quadratic_time_bound, uniform_chain)
@@ -122,10 +122,7 @@ def cmd_fidelity(args) -> int:
         "best_fidelity": f_opt,
     }
     if args.encoding_out:
-        data = encoding_to_dict(solution)
-        with open(args.encoding_out, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        save_encoding(solution, args.encoding_out)
     _emit(report, args.out)
     return 0
 

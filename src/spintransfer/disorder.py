@@ -6,6 +6,11 @@ uniform in (0, 1), and normal variates go through the inverse CDF.  There is
 no sequential generator state, so samples can be drawn in any order, from any
 number of threads, and always come out bit-identical.
 
+draw_realizations draws a whole range of sample indices at once: one
+broadcast hash over (sample, site) gives one row of couplings and one row of
+fields per realization.  sample_disordered_chain is row 0 of that same draw,
+so a chain drawn alone equals its row in any batch bit for bit.
+
 Coupling errors can be additive (J -> J + d) or multiplicative
 (J -> J(1 + d)); field errors are additive only, since scaling a zero field
 does nothing.  Both modes consume the same underlying draw for a given
@@ -44,11 +49,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def counter_uniform(seed: int, sample_index: int, sites: np.ndarray, kind: int) -> np.ndarray:
-    """Deterministic uniforms in (0, 1), one per site index."""
+def counter_uniform(seed: int, sample_index, sites: np.ndarray, kind: int) -> np.ndarray:
+    """Deterministic uniforms in (0, 1), one per (sample index, site index) pair.
+
+    sample_index is an int or a uint64 array that broadcasts against sites: a
+    column of M indices against N sites gives an M x N array whose row r
+    equals the draw for index r alone.
+    """
+    if np.ndim(sample_index) == 0:
+        sample_index = np.uint64(int(sample_index) % (1 << 64))
     with np.errstate(over="ignore"):
         h = _mix64(np.uint64(int(seed) % (1 << 64)))
-        h = _mix64(h ^ np.uint64(int(sample_index) % (1 << 64)))
+        h = _mix64(h ^ sample_index)
         h = _mix64(h ^ sites.astype(np.uint64))
         h = _mix64(h ^ np.uint64(kind))
     # top 53 bits, offset by half a step: never exactly 0 or 1
@@ -128,25 +140,39 @@ def uniform_disorder(delta_j: float, delta_b: float, seed: int,
     )
 
 
-def sample_disordered_chain(base: Chain, spec: DisorderSpec, sample_index: int) -> Chain:
-    """Draw one disordered realization of the chain.
+def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
+                      stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (M x n-1) and fields (M x n) of realizations start..stop-1.
 
-    Perturbed couplings may cross zero or change sign; they are passed through
+    Row r is the realization with sample index start + r.  Perturbed
+    couplings may cross zero or change sign; they are passed through
     unclamped, since large-disorder regimes need exactly that behaviour.
     """
-    couplings = base.couplings
-    fields = base.fields
+    if stop <= start:
+        raise ValueError("need at least one sample index")
+    count = stop - start
+    with np.errstate(over="ignore"):  # index arithmetic wraps modulo 2^64
+        indices = (np.uint64(int(start) % (1 << 64))
+                   + np.arange(count, dtype=np.uint64))[:, None]
+    couplings = np.tile(base.couplings, (count, 1))
+    fields = np.tile(base.fields, (count, 1))
     if spec.coupling_mode != "none" and spec.coupling_dist.param > 0:
         sites = np.arange(base.n - 1, dtype=np.uint64)
         d = spec.coupling_dist.draw(
-            counter_uniform(spec.master_seed, sample_index, sites, _KIND_COUPLING))
+            counter_uniform(spec.master_seed, indices, sites, _KIND_COUPLING))
         couplings = couplings + d if spec.coupling_mode == "additive" else couplings * (1.0 + d)
     if spec.field_mode != "none" and spec.field_dist.param > 0:
         sites = np.arange(base.n, dtype=np.uint64)
         d = spec.field_dist.draw(
-            counter_uniform(spec.master_seed, sample_index, sites, _KIND_FIELD))
+            counter_uniform(spec.master_seed, indices, sites, _KIND_FIELD))
         fields = fields + d
-    return replace(base, couplings=couplings, fields=fields,
+    return couplings, fields
+
+
+def sample_disordered_chain(base: Chain, spec: DisorderSpec, sample_index: int) -> Chain:
+    """Draw one disordered realization of the chain: row 0 of draw_realizations."""
+    couplings, fields = draw_realizations(base, spec, sample_index, sample_index + 1)
+    return replace(base, couplings=couplings[0], fields=fields[0],
                    label=f"{base.label}#r{sample_index}")
 
 

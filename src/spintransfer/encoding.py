@@ -91,15 +91,20 @@ def _check_lambdas(lambdas: Sequence[float]) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if lam.size == 0:
         raise ValueError("need at least one singular value")
-    if np.any(lam < -1e-15) or np.any(lam > 1.0 + 1e-10):
+    if (lam < -1e-15).any() or (lam > 1.0 + 1e-10).any():
         raise ValueError("singular values must lie in [0, 1]")
     return np.clip(lam, 0.0, 1.0)
 
 
-def fidelity_single(lambda1: float) -> float:
-    """State-averaged fidelity of a single-excitation encoding."""
-    lam = _check_lambdas([lambda1])[0]
-    return 1.0 / 3.0 + (1.0 + lam) ** 2 / 6.0
+def fidelity_single(lambda1):
+    """State-averaged fidelity of a single-excitation encoding.
+
+    An array of singular values gives the array of fidelities, each equal
+    bit for bit to the value for that singular value alone.
+    """
+    lam = _check_lambdas(lambda1)
+    fid = 1.0 / 3.0 + (1.0 + lam) ** 2 / 6.0
+    return fid if np.ndim(lambda1) else fid[0]
 
 
 def fidelity_haselgrove(lambdas: Sequence[float]) -> float:

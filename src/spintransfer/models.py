@@ -22,7 +22,7 @@ import numpy as np
 
 from .chain import Chain, NumericalFailure
 from .encoding import fidelity_single
-from .spectral import eigendecompose, propagator_amplitude
+from .spectral import Eigensystem, eigendecompose, propagator_amplitude
 
 
 @dataclass
@@ -114,7 +114,10 @@ def pst_transfer_time(chain: Chain, spacing_tol: float = 1e-8) -> float:
     time must achieve |<N|U(t0)|1>| >= 1 - 1e-9, otherwise the chain is not
     accepted as a perfect-transfer chain.
     """
-    eig = eigendecompose(chain)
+    return _pst_time(chain, eigendecompose(chain), spacing_tol)
+
+
+def _pst_time(chain: Chain, eig: Eigensystem, spacing_tol: float = 1e-8) -> float:
     gaps = np.diff(eig.eigenvalues)
     gap = float(np.mean(gaps))
     if gap <= 0 or np.max(np.abs(gaps - gap)) > spacing_tol * max(1.0, abs(gap)):
@@ -172,11 +175,17 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
     by golden-section search.  Returns (time, fidelity) where the
     fidelity is the state-averaged value 1/3 + (1+|f|)^2/6.
     """
+    return _first_peak(chain, eigendecompose(chain), search_hint, step, amp_threshold,
+                       time_tol)
+
+
+def _first_peak(chain: Chain, eig: Eigensystem, search_hint: float | None = None,
+                step: float = 0.05, amp_threshold: float = 0.01,
+                time_tol: float = 1e-8) -> tuple[float, float]:
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
     if search_hint <= 0:
         raise ValueError("search hint must be positive")
-    eig = eigendecompose(chain)
     prod = eig.eigenvectors[chain.n - 1, :] * eig.eigenvectors[0, :]
     lam = eig.eigenvalues
 
@@ -199,11 +208,15 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
 
 
 def auto_transfer_time(chain: Chain, search_hint: float | None = None) -> float:
-    """Perfect-transfer time when the spectrum is linear, else the first peak time."""
+    """Perfect-transfer time when the spectrum is linear, else the first peak time.
+
+    Both tests share one eigensystem of the chain.
+    """
+    eig = eigendecompose(chain)
     try:
-        return pst_transfer_time(chain)
+        return _pst_time(chain, eig)
     except NumericalFailure:
-        return first_peak_time(chain, search_hint)[0]
+        return _first_peak(chain, eig, search_hint)[0]
 
 
 # ---------------------------------------------------------------------------

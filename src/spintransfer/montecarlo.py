@@ -1,20 +1,30 @@
 """Monte Carlo fidelity statistics over disorder ensembles.
 
 A run draws M disordered realizations of a base chain (sample indices
-0..M-1) and scores the best single-excitation encoding of each at the run's
-extraction time.  A bare end-to-end transfer (1x1 windows) is scored from
-the realization's eigenvalues alone (spectral.end_to_end_amplitude).  Larger
-windows, and realizations where that identity does not apply (a coupling
-exactly zero, a repeated eigenvalue, a non-finite result), recompute the
-full eigensystem, rebuild the windowed transfer block and take its top
-singular value.  The deterministic tuning objective uses the same per-chain
-scorer.  The summary keeps three numbers: the mean (what you expect on
-average), the minimum (the guarantee), and an upper quantile (what you get
-if you manufacture several chains and keep the best).
+0..M-1) and scores the best single-excitation encoding of each at its
+extraction time (the run's time, or each realization's own first peak).
+One private kernel scores a stack of realizations: the draws for a range of
+sample indices come from one broadcast hash (disorder.draw_realizations),
+and the runs go through the kernel in chunks of a fixed number of samples.
+
+- A bare end-to-end transfer (1x1 windows) is scored from each
+  realization's eigenvalues alone (spectral.end_to_end_amplitude).  Where
+  that identity does not apply (a coupling exactly zero, a repeated
+  eigenvalue, a non-finite result) the full eigensystem gives the 1x1 block.
+- Larger windows take the eigenvalues and the end rows of the eigenvectors
+  from the tridiagonal eigensolver, stack the window blocks
+  (V_out e^{-i lam t}) V_in^T of the whole chunk, and read each block's top
+  singular value from a singular-values-only SVD.
+
+sample_fidelity and the deterministic tuning objective are the one-row case
+of the same kernel.  The summary keeps three numbers: the mean (what you
+expect on average), the minimum (the guarantee), and an upper quantile (what
+you get if you manufacture several chains and keep the best).
 
 Runs are embarrassingly parallel and bit-reproducible: the disorder stream is
-counter-based, per-sample results are stored by index, and reductions happen
-in index order, so the worker count never changes the output.
+counter-based, a sample's result does not depend on the chunk it is scored
+in, chunks are stored by index and reductions happen in index order, so the
+worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .chain import Chain
-from .disorder import DisorderSpec, Distribution, sample_disordered_chain
-from .encoding import fidelity_single, optimal_encoding, transfer_matrix
+from .chain import Chain, NumericalFailure
+from .disorder import DisorderSpec, Distribution, draw_realizations
+from .encoding import fidelity_single
 from .models import auto_transfer_time, first_peak_time
-from .spectral import eigendecompose, end_to_end_amplitude, end_windows
+from .spectral import eigendecompose, end_to_end_amplitude, end_windows, window_amplitudes
 
 FORMAT_VERSION = 1
 
@@ -102,6 +113,22 @@ class SweepGrid:
     descriptor: dict = field(default_factory=dict)
 
 
+# Realizations per kernel call.  It bounds the stacked draws, eigenvector end
+# rows and window blocks held at once, and is the unit of work handed to the
+# thread pool; it must not depend on the thread count.
+_CHUNK = 64
+
+
+def _check_ensemble_args(samples: int, quantile: float, threads: int = 1) -> None:
+    """Reject a sample count, quantile level or thread count no run can use."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if not (0.0 < quantile < 1.0):
+        raise ValueError("quantile level must be in (0, 1)")
+    if threads < 1:
+        raise ValueError("need at least one thread")
+
+
 def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
                     policy: TransferPolicy, time: float | None = None) -> float:
     """Best-encoding fidelity of one disordered realization.
@@ -111,25 +138,77 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     """
     if time is None:
         time = policy.resolve_time(base)
-    chain = sample_disordered_chain(base, spec, sample_index)
+    return _score_range(base, spec, policy, time, sample_index, sample_index + 1)[0]
+
+
+def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: float,
+                 start: int, stop: int) -> np.ndarray:
+    """Fidelities of the realizations with sample indices start..stop-1."""
+    couplings, fields = draw_realizations(base, spec, start, stop)
+    times = np.full(stop - start, float(time))
     if policy.per_sample_peak:
-        time = first_peak_time(chain, search_hint=max(time, 1.0))[0]
-    return _score_chain(chain, policy.window_in, policy.window_out, time)
+        hint = max(time, 1.0)
+        for r in range(times.size):
+            chain = Chain(n=base.n, couplings=couplings[r], fields=fields[r])
+            times[r] = first_peak_time(chain, search_hint=hint)[0]
+    return _score_rows(couplings, fields, policy.window_in, policy.window_out, times)
 
 
 def _score_chain(chain: Chain, window_in: int, window_out: int, time: float) -> float:
     """Best single-excitation fidelity of one chain between its end windows."""
-    window = end_windows(chain.n, window_in, window_out, time)
-    amp = end_to_end_amplitude(chain, time) if window_in == window_out == 1 else None
-    if amp is None:
-        block = transfer_matrix(eigendecompose(chain), window)
-        lam1 = float(optimal_encoding(block).singular_values[0])
-    elif abs(amp) > 1.0 + 1e-10:
-        raise ValueError(f"window block has singular value {abs(amp)} > 1; "
-                         "inputs are inconsistent")
+    return _score_rows(chain.couplings[None], chain.fields[None], window_in, window_out,
+                       np.array([float(time)]))[0]
+
+
+def _score_rows(couplings: np.ndarray, fields: np.ndarray, window_in: int, window_out: int,
+                times: np.ndarray) -> np.ndarray:
+    """Best single-excitation fidelity of each row's chain between its end windows.
+
+    Row r is the chain with couplings[r] and fields[r], extracted at times[r].
+    """
+    n = fields.shape[1]
+    end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
+    if window_in == window_out == 1:
+        top = np.array([_end_to_end_value(Chain(n=n, couplings=j, fields=b), t)
+                        for j, b, t in zip(couplings, fields, times)])
     else:
-        lam1 = abs(amp)
-    return fidelity_single(min(lam1, 1.0))
+        top = _window_top_values(couplings, fields, window_in, window_out, times)
+    if (top > 1.0 + 1e-10).any():
+        raise ValueError(f"window block has singular value {np.max(top)} > 1; "
+                         "inputs are inconsistent")
+    return fidelity_single(top)  # clips to [0, 1]
+
+
+def _end_to_end_value(chain: Chain, time: float) -> float:
+    """|<N|U(t)|1>|, the singular value of the 1x1 window block."""
+    amp = end_to_end_amplitude(chain, time)
+    if amp is not None:
+        return abs(amp)
+    block = window_amplitudes(eigendecompose(chain), end_windows(chain.n, 1, 1, time))
+    return np.linalg.svd(block, compute_uv=False)[0]
+
+
+def _window_top_values(couplings: np.ndarray, fields: np.ndarray, window_in: int,
+                       window_out: int, times: np.ndarray) -> np.ndarray:
+    """Top singular value of each row's window block, from stacked blocks.
+
+    Only the eigenvector rows of the window sites are kept; no sign gauge or
+    reordering is needed, since the block does not depend on either.
+    """
+    m, n = fields.shape
+    lam = np.empty((m, n))
+    v_out = np.empty((m, window_out, n))
+    v_in = np.empty((m, window_in, n))
+    for r in range(m):
+        try:
+            lam[r], vectors = eigh_tridiagonal(fields[r], couplings[r])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+            raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+        v_out[r] = vectors[n - window_out:]
+        v_in[r] = vectors[:window_in]
+    phases = np.exp(-1j * lam * times[:, None])
+    blocks = (v_out * phases[:, None, :]) @ v_in.transpose(0, 2, 1)
+    return np.linalg.svd(blocks, compute_uv=False)[:, 0]
 
 
 def quantile_interpolated(samples: np.ndarray, q: float) -> float:
@@ -144,21 +223,22 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
                 threads: int = 1) -> FidelityStats:
     """Seeded ensemble of sample_fidelity evaluations, summarized.
 
-    Output is identical for any thread count: samples are keyed by index and
-    the statistics are computed on the index-ordered array.
+    Samples are scored in chunks of _CHUNK indices, on `threads` workers when
+    threads > 1.  Output is identical for any thread count: chunks are keyed
+    by index and the statistics are computed on the index-ordered array.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _check_ensemble_args(samples, quantile, threads)
     time = policy.resolve_time(base)
 
-    def run(i: int) -> float:
-        return sample_fidelity(base, spec, i, policy, time=time)
+    def run(start: int) -> np.ndarray:
+        return _score_range(base, spec, policy, time, start, min(start + _CHUNK, samples))
 
+    starts = range(0, samples, _CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fids = np.fromiter(pool.map(run, range(samples)), dtype=float, count=samples)
+            fids = np.concatenate(list(pool.map(run, starts)))
     else:
-        fids = np.fromiter(map(run, range(samples)), dtype=float, count=samples)
+        fids = np.concatenate(list(map(run, starts)))
 
     return FidelityStats(
         samples=samples,
@@ -188,6 +268,7 @@ def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
     """Fill a 2-D disorder grid with monte_carlo statistics, cell by cell."""
     if coupling_axis.target != "coupling" or field_axis.target != "field":
         raise ValueError("first axis must be a coupling axis, second a field axis")
+    _check_ensemble_args(samples, quantile, threads)
     time = policy.resolve_time(base)
     fixed_policy = TransferPolicy(policy.window_in, policy.window_out, time,
                                   policy.per_sample_peak)

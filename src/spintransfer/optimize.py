@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 from .chain import Chain, NumericalFailure
 from .disorder import DisorderSpec
 from .models import apollaro_chain, first_peak_time
-from .montecarlo import TransferPolicy, _score_chain, monte_carlo
+from .montecarlo import TransferPolicy, _check_ensemble_args, _score_chain, monte_carlo
 from .spectral import eigendecompose, propagator_amplitude
 
 BOX_LO = 1e-6
@@ -53,6 +53,7 @@ class Objective:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.metric == "quantile" and self.disorder is None:
             raise ValueError("quantile metric needs a disorder spec")
+        _check_ensemble_args(self.samples, self.quantile)
 
 
 @dataclass
@@ -103,6 +104,7 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
     """
     if not (0 < x0 <= BOX_HI and 0 < y0 <= BOX_HI):
         raise ValueError(f"start must lie in (0, {BOX_HI}]^2")
+    _check_ensemble_args(obj.samples, obj.quantile, threads)
     trace: list[tuple[float, float, float]] = []
 
     def negated(p: np.ndarray) -> float:
@@ -140,6 +142,7 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
 
 def objective_landscape(obj: Objective, x_values, y_values, threads: int = 1) -> np.ndarray:
     """Objective on a grid; entry [i, j] pairs x_values[i] with y_values[j]."""
+    _check_ensemble_args(obj.samples, obj.quantile, threads)
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
     out = np.empty((x_values.size, y_values.size))

@@ -106,6 +106,34 @@ def test_fidelity_chain_unknown_format_version(tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [3.7, 3.0, "3", True], ids=["fraction", "float", "string", "bool"])
+def test_fidelity_chain_non_integer_n(n, tmp_path, capsys):
+    path = tmp_path / "bad_n.json"
+    path.write_text(json.dumps({"format_version": 1, "n": n, "couplings": [1.0, 1.0],
+                                "fields": [0.0, 0.0, 0.0]}))
+    assert run(["fidelity", "--chain", str(path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_fidelity_encoding_out_bytes(tmp_path):
+    # the file the command wrote inline before it called save_encoding
+    from spintransfer import (eigendecompose, encoding_to_dict, end_windows,
+                              optimal_encoding, pst_chain, pst_transfer_time,
+                              transfer_matrix)
+    chain = pst_chain(9)
+    t = pst_transfer_time(chain)
+    solution = optimal_encoding(transfer_matrix(eigendecompose(chain),
+                                                end_windows(9, 2, 3, t)))
+    want = tmp_path / "want.json"
+    with open(want, "w") as fh:
+        json.dump(encoding_to_dict(solution), fh, indent=2)
+        fh.write("\n")
+    got = tmp_path / "got.json"
+    assert run(["fidelity", "--model", "pst", "--n", "9", "--window-in", "2",
+                "--window-out", "3", "--encoding-out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_fidelity_invalid_window():
     assert run(["fidelity", "--model", "uniform", "--n", "5", "--window", "9"]) == 2
 
@@ -135,6 +163,39 @@ def test_sweep_csv_layout_and_descriptor(tmp_path):
     meta = json.loads(desc.read_text())
     assert meta["format_version"] == 1
     assert meta["descriptor"]["samples"] == 5
+
+
+RANGE_ERRORS = [["--quantile", "1.5"], ["--quantile", "0"], ["--samples", "0"],
+                ["--threads", "0"], ["--threads", "-3"]]
+
+
+@pytest.mark.parametrize("bad", RANGE_ERRORS, ids=" ".join)
+def test_sweep_rejects_argument_ranges_before_sampling(bad, tmp_path, capsys, monkeypatch):
+    import spintransfer.montecarlo as montecarlo
+
+    def no_draw(*args):
+        raise AssertionError("sampling started before the argument check")
+
+    monkeypatch.setattr(montecarlo, "draw_realizations", no_draw)
+    out = tmp_path / "x.csv"
+    assert run(["sweep", "--model", "uniform", "--n", "11", "--j-axis", "0.1",
+                "--b-axis", "0.1", "--samples", "4", "--out", str(out)] + bad) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "0.05"], ids=["deterministic", "quantile"])
+@pytest.mark.parametrize("bad", RANGE_ERRORS, ids=" ".join)
+def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, capsys, monkeypatch):
+    import spintransfer.optimize as optimize
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("objective evaluated before the argument check")
+
+    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    assert run(["optimize", "--n", "15", "--delta", delta, "--samples", "4",
+                "--restarts", "0"] + bad) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_axis(tmp_path):

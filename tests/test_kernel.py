@@ -109,10 +109,12 @@ def test_fallback_takes_the_eigenvector_path(name, monkeypatch):
 
 
 def test_window1_scorer_uses_no_eigenvectors(monkeypatch):
-    def forbidden(h):
-        raise AssertionError("eigendecompose called on the window-1 path")
+    def forbidden(*args):
+        raise AssertionError("eigenvectors computed on the window-1 path")
 
+    # eigendecompose is the 1x1 fallback, eigh_tridiagonal the larger windows
     monkeypatch.setattr(montecarlo, "eigendecompose", forbidden)
+    monkeypatch.setattr(montecarlo, "eigh_tridiagonal", forbidden)
     chain = sample_disordered_chain(uniform_chain(31), normal_disorder(0.1, 0.1, seed=2), 0)
     montecarlo._score_chain(chain, 1, 1, 15.0)
     with pytest.raises(AssertionError):
@@ -141,16 +143,17 @@ def test_sample_fidelity_is_the_ensemble_element(monkeypatch):
     policy = TransferPolicy(1, 1)
     t = auto_transfer_time(base)
     scored = {}
+    score_range = montecarlo._score_range
 
-    def recording(b, s, index, p, time=None):
-        scored[index] = sample_fidelity(b, s, index, p, time=time)
-        return scored[index]
+    def recording(b, s, p, time, start, stop):
+        scored[start] = score_range(b, s, p, time, start, stop)
+        return scored[start]
 
-    monkeypatch.setattr(montecarlo, "sample_fidelity", recording)
+    monkeypatch.setattr(montecarlo, "_score_range", recording)
     stats = monte_carlo(base, spec, policy, samples=50, quantile=0.75)
     monkeypatch.undo()
-    assert sorted(scored) == list(range(50))
-    ensemble = np.array([scored[i] for i in range(50)])
+    ensemble = np.concatenate([scored[start] for start in sorted(scored)])
+    assert ensemble.size == 50
     for i in range(50):
         assert sample_fidelity(base, spec, i, policy) == ensemble[i]
         assert sample_fidelity(base, spec, i, policy, time=t) == ensemble[i]

@@ -8,6 +8,7 @@ from spintransfer import (NumericalFailure, SpectrumTarget, apollaro_chain,
                           quadratic_chain, quadratic_spectrum, quadratic_time_bound,
                           rescale_to_unit_max, single_excitation_matrix,
                           swap_trace_first, swap_trace_second, uniform_chain)
+from spintransfer import models
 from spintransfer.models import auto_transfer_time, default_peak_hint
 
 
@@ -231,6 +232,25 @@ def test_auto_transfer_time_dispatch():
     t_peak, _ = first_peak_time(uniform_chain(21))
     assert t_auto == pytest.approx(t_peak)
     assert default_peak_hint(51) == pytest.approx((51 + 0.8 * 51 ** (1 / 3)) / 2)
+
+
+@pytest.mark.parametrize("chain", [uniform_chain(51), apollaro_chain(51, 0.43, 0.73),
+                                   pst_chain(51), quadratic_chain(21)],
+                         ids=["uniform", "apollaro", "pst", "quadratic"])
+def test_auto_transfer_time_solves_the_chain_once(chain, monkeypatch):
+    try:
+        want = pst_transfer_time(chain)
+    except NumericalFailure:
+        want = first_peak_time(chain)[0]
+    calls = []
+
+    def counting_eigendecompose(h):
+        calls.append(h)
+        return eigendecompose(h)
+
+    monkeypatch.setattr(models, "eigendecompose", counting_eigendecompose)
+    assert auto_transfer_time(chain) == want
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_objective_validation():
         Objective(metric="quantile")  # needs a disorder spec
     with pytest.raises(ValueError):
         Objective(metric="median")
+    for bad in ({"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0}):
+        with pytest.raises(ValueError):
+            Objective(**bad)
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            optimize_apollaro(Objective(n=15), 0.5, 0.8, threads=threads)
+        with pytest.raises(ValueError):
+            objective_landscape(Objective(n=15), [0.5], [0.8], threads=threads)
 
 
 def test_fold_into_box():
