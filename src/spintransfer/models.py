@@ -12,10 +12,22 @@ quadratic:  field-free mirror-symmetric chain whose spectrum is the signed
             squares +-1, +-4, ..., (plus 0 for odd N), built by inverse
             eigenvalue reconstruction.  Perfect transfer, but slow: the unit
             max-coupling transfer time grows like N^2.
+
+First peak
+----------
+Chains without a perfect-transfer time are extracted at the first arrival
+peak of |<N|U(t)|1>| = |sum_k v_k(N) v_k(1) e^{-i lam_k t}|.  The search
+scans the grid t = k step in chunks, factoring each phase as
+e^{-i lam (t_s + j step)} = e^{-i lam t_s} e^{-i lam j step}: one table of
+the in-chunk offsets j per search, one length-N exponential per chunk.  It
+stops at the first grid-local maximum and refines it by golden-section
+search on the unfactored amplitude, so the result depends only on which
+grid point wins.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +160,7 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
+        width = b - a
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -156,6 +169,8 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
+        if b - a >= width:
+            break  # a tolerance below the spacing of doubles at t: no step shrinks further
     return 0.5 * (a + b)
 
 
@@ -169,23 +184,54 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
                     time_tol: float = 1e-8) -> tuple[float, float]:
     """First local maximum of the end-to-end transfer fidelity.
 
-    Scans |<N|U(t)|1>| on a uniform grid from 0 through twice the hint, in
-    chunks of grid points so that the scan stops at the first grid-local
-    maximum whose amplitude exceeds amp_threshold, and refines that maximum
-    by golden-section search.  Returns (time, fidelity) where the
-    fidelity is the state-averaged value 1/3 + (1+|f|)^2/6.
+    Scans |<N|U(t)|1>| on the uniform grid t_k = k step from 0 through twice
+    the hint, in chunks of grid points, stops at the first grid-local maximum
+    whose amplitude exceeds amp_threshold, and refines that maximum by
+    golden-section search on [t_{k-1}, t_{k+1}].  The phases of a chunk come
+    from one table of e^{-i lam j step} for the in-chunk offsets j, built
+    once per search, times e^{-i lam t_s} at the chunk's first point t_s;
+    a chunk costs one length-N exponential and one matrix-vector product.
+    Returns (time, fidelity) where the fidelity is the state-averaged value
+    1/3 + (1+|f|)^2/6.
+
+    Raises ValueError, before the eigensolve, unless step and time_tol are
+    finite and positive and the hint (when given) is finite and positive.
     """
+    search_hint = _check_peak_args(chain, search_hint, step, time_tol)
     return _first_peak(chain, eigendecompose(chain), search_hint, step, amp_threshold,
                        time_tol)
 
 
-def _first_peak(chain: Chain, eig: Eigensystem, search_hint: float | None = None,
-                step: float = 0.05, amp_threshold: float = 0.01,
-                time_tol: float = 1e-8) -> tuple[float, float]:
+def _check_peak_args(chain: Chain, search_hint: float | None, step: float = 0.05,
+                     time_tol: float = 1e-8) -> float:
+    """The search hint to use (the default for None), after checking the arguments."""
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
-    if search_hint <= 0:
-        raise ValueError("search hint must be positive")
+    for name, value in (("search_hint", search_hint), ("step", step),
+                        ("time_tol", time_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return search_hint
+
+
+def _phase_offsets(lam: np.ndarray, step: float, rows: int) -> np.ndarray:
+    """Rows e^{-i lam j step}, j = 0 .. rows-1, as a coarse x fine outer product.
+
+    Offset j = j_c fine + j_f splits into e^{-i lam j_c fine step} times
+    e^{-i lam j_f step}, so the table costs about 2 sqrt(rows) N exponentials
+    instead of rows N.
+    """
+    fine = math.isqrt(rows - 1) + 1
+    coarse = -(-rows // fine)
+    fine_phases = np.exp(-1j * np.outer(np.arange(fine) * step, lam))
+    coarse_phases = np.exp(-1j * np.outer(np.arange(coarse) * (fine * step), lam))
+    table = coarse_phases[:, None, :] * fine_phases[None, :, :]
+    return table.reshape(coarse * fine, lam.size)[:rows]
+
+
+def _first_peak(chain: Chain, eig: Eigensystem, search_hint: float,
+                step: float = 0.05, amp_threshold: float = 0.01,
+                time_tol: float = 1e-8) -> tuple[float, float]:
     prod = eig.eigenvectors[chain.n - 1, :] * eig.eigenvectors[0, :]
     lam = eig.eigenvalues
 
@@ -193,11 +239,12 @@ def _first_peak(chain: Chain, eig: Eigensystem, search_hint: float | None = None
         return float(np.abs(np.sum(prod * np.exp(-1j * lam * t))))
 
     ts = np.arange(0.0, 2.0 * search_hint + step, step)
+    offsets = _phase_offsets(lam, step, min(_SCAN_ROWS + 2, ts.size))
     # Chunk c tests grid points start+1 .. start+_SCAN_ROWS against their
     # neighbours, so consecutive chunks overlap by two points.
     for start in range(0, ts.size - 2, _SCAN_ROWS):
         seg = ts[start:start + _SCAN_ROWS + 2]
-        mags = np.abs(np.exp(-1j * np.outer(seg, lam)) @ prod)
+        mags = np.abs(offsets[:seg.size] @ (prod * np.exp(-1j * lam * seg[0])))
         mid = mags[1:-1]
         peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > amp_threshold))
         if peaks.size:
@@ -216,7 +263,7 @@ def auto_transfer_time(chain: Chain, search_hint: float | None = None) -> float:
     try:
         return _pst_time(chain, eig)
     except NumericalFailure:
-        return _first_peak(chain, eig, search_hint)[0]
+        return _first_peak(chain, eig, _check_peak_args(chain, search_hint))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ the reference for every amplitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ class TransferWindow:
                 raise ValueError(f"{name} site set has duplicates")
             if min(sites) < 1:
                 raise ValueError(f"{name} sites must be >= 1")
+        if not math.isfinite(self.time):
+            raise ValueError(f"window time must be finite, got {self.time!r}")
         if self.time < 0:
             raise ValueError("window time must be >= 0")
 

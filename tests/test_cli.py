@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_fidelity_encoding_out_bytes(tmp_path):
 
 def test_fidelity_invalid_window():
     assert run(["fidelity", "--model", "uniform", "--n", "5", "--window", "9"]) == 2
+
+
+@pytest.mark.parametrize("time", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["fidelity", "sweep"])
+def test_non_finite_time_is_a_usage_error(command, time, tmp_path, capsys):
+    args = [command, "--model", "uniform", "--n", "11", "--time", time]
+    if command == "sweep":
+        args += ["--j-axis", "0.1", "--b-axis", "0.1", "--samples", "4",
+                 "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: window time must be finite, got {time}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_deterministic_across_threads(tmp_path):

@@ -1,22 +1,21 @@
-"""The chunked first-peak scan against the whole-grid scan it replaced."""
+"""The chunked, offset-table first-peak scan against the whole-grid scan it replaced."""
+
+import math
 
 import numpy as np
 import pytest
 
-from spintransfer import (NumericalFailure, apollaro_chain, eigendecompose, fidelity_single,
-                          first_peak_time, normal_disorder, sample_disordered_chain,
-                          uniform_chain)
+from spintransfer import (NumericalFailure, Objective, apollaro_chain, eigendecompose,
+                          fidelity_single, first_peak_time, normal_disorder,
+                          optimize_apollaro, sample_disordered_chain, uniform_chain)
 from spintransfer import models
 from spintransfer.models import _golden_section_max, default_peak_hint
 from spintransfer.optimize import BOX_HI, BOX_LO
 
 
-def dense_first_peak_time(chain, search_hint=None, step=0.05, amp_threshold=0.01,
-                          time_tol=1e-8):
+def dense_first_peak(chain, eig, search_hint, step=0.05, amp_threshold=0.01,
+                     time_tol=1e-8):
     """The whole-grid scan: every grid point's amplitude at once, then a loop."""
-    if search_hint is None:
-        search_hint = default_peak_hint(chain.n)
-    eig = eigendecompose(chain)
     prod = eig.eigenvectors[chain.n - 1, :] * eig.eigenvectors[0, :]
     lam = eig.eigenvalues
 
@@ -30,6 +29,12 @@ def dense_first_peak_time(chain, search_hint=None, step=0.05, amp_threshold=0.01
             t_peak = _golden_section_max(amp, ts[i - 1], ts[i + 1], time_tol)
             return t_peak, fidelity_single(min(amp(t_peak), 1.0))
     raise NumericalFailure("no transfer peak found in the search window")
+
+
+def dense_first_peak_time(chain, search_hint=None, **kwargs):
+    if search_hint is None:
+        search_hint = default_peak_hint(chain.n)
+    return dense_first_peak(chain, eigendecompose(chain), search_hint, **kwargs)
 
 
 def outcome(scan, chain, **kwargs):
@@ -65,7 +70,16 @@ def test_chunk_boundaries_do_not_move_the_peak(rows, monkeypatch):
     chain = apollaro_chain(51, 0.4322, 0.7338)
     want = dense_first_peak_time(chain)
     monkeypatch.setattr(models, "_SCAN_ROWS", rows)
+    phase_offsets = models._phase_offsets
+    table_rows = []
+
+    def recording_offsets(lam, step, count):
+        table_rows.append(count)
+        return phase_offsets(lam, step, count)
+
+    monkeypatch.setattr(models, "_phase_offsets", recording_offsets)
     assert first_peak_time(chain) == want
+    assert table_rows == [rows + 2]
 
 
 def test_chain_without_peak_still_raises():
@@ -77,3 +91,73 @@ def test_chain_without_peak_still_raises():
     # a grid too short to hold a local maximum
     with pytest.raises(NumericalFailure):
         first_peak_time(chain, search_hint=0.01)
+
+
+def box_grid(n, points):
+    for x in np.linspace(BOX_LO, BOX_HI, points):
+        for y in np.linspace(BOX_LO, BOX_HI, points):
+            yield apollaro_chain(n, x, y)
+
+
+@pytest.mark.parametrize("n", [51, 201])
+def test_offset_table_scan_on_the_apollaro_box_grid(n):
+    found = 0
+    for chain in box_grid(n, 9):
+        want = outcome(dense_first_peak_time, chain)
+        assert outcome(first_peak_time, chain) == want, chain.label
+        found += want != "no peak"
+    assert found >= 60
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 1.0])
+@pytest.mark.parametrize("n", [51, 201])
+def test_offset_table_scan_on_disordered_chains(n, sigma):
+    spec = normal_disorder(sigma, sigma, seed=47)
+    for i in range(6):
+        chain = sample_disordered_chain(uniform_chain(n), spec, i)
+        assert outcome(first_peak_time, chain) == outcome(dense_first_peak_time, chain), i
+
+
+@pytest.mark.parametrize("step", [0.01, 0.2])
+@pytest.mark.parametrize("hint_scale", [0.3, 1.0, 1.7])
+def test_offset_table_scan_at_other_steps_and_hints(step, hint_scale):
+    for chain in (uniform_chain(51), apollaro_chain(51, 0.4322, 0.7338),
+                  apollaro_chain(201, 0.25, 0.55)):
+        hint = hint_scale * default_peak_hint(chain.n)
+        want = outcome(dense_first_peak_time, chain, search_hint=hint, step=step)
+        assert outcome(first_peak_time, chain, search_hint=hint, step=step) == want
+
+
+def test_tuning_run_matches_the_dense_scan(monkeypatch):
+    obj = Objective(n=51, window=1)
+    result = optimize_apollaro(obj, 0.5, 0.8, restarts=1, max_iter=12)
+    dense_calls = []
+
+    def counting_dense_first_peak(*args):
+        dense_calls.append(args[0])
+        return dense_first_peak(*args)
+
+    monkeypatch.setattr(models, "_first_peak", counting_dense_first_peak)
+    assert optimize_apollaro(obj, 0.5, 0.8, restarts=1, max_iter=12) == result
+    assert len(dense_calls) == result.evaluations + 1 > 12  # + the final re-evaluation
+
+
+@pytest.mark.parametrize("name, value", [
+    ("time_tol", 0.0), ("time_tol", -1e-8), ("time_tol", math.nan),
+    ("step", 0.0), ("step", -0.05), ("step", math.nan), ("step", math.inf),
+    ("search_hint", 0.0), ("search_hint", math.nan), ("search_hint", math.inf)])
+def test_bad_search_arguments_raise_before_the_eigensolve(name, value, monkeypatch):
+    def no_eigensolve(chain):
+        raise AssertionError("eigensolve started before the argument check")
+
+    monkeypatch.setattr(models, "eigendecompose", no_eigensolve)
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        first_peak_time(uniform_chain(21), **{name: value})
+
+
+def test_tolerance_below_double_spacing_returns():
+    chain = uniform_chain(51)
+    t_fine, f_fine = first_peak_time(chain, time_tol=1e-20)
+    t, f = first_peak_time(chain)
+    assert abs(t_fine - t) < 1e-8
+    assert abs(f_fine - f) < 1e-12
