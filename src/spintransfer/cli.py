@@ -49,8 +49,15 @@ def _build_chain_from_flags(args) -> object:
     raise ValueError(f"unknown model {model!r}")
 
 
-def _parse_axis(name: str, text: str) -> SweepAxis:
-    parts = [float(p) for p in text.split(":")]
+def _finite(value: float, flag: str) -> float:
+    """value, or a usage error naming flag if it is NaN or infinite."""
+    if not np.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {value}")
+    return value
+
+
+def _parse_axis(name: str, text: str, flag: str) -> SweepAxis:
+    parts = [_finite(float(p), flag) for p in text.split(":")]
     if len(parts) == 1:
         values = np.array(parts)
     elif len(parts) == 3:
@@ -63,12 +70,6 @@ def _parse_axis(name: str, text: str) -> SweepAxis:
     else:
         raise ValueError(f"axis spec {text!r} must be VALUE or START:STOP:STEP")
     return SweepAxis(name=name, values=values)
-
-
-def _resolve_time(args, chain) -> float:
-    if args.time == "auto":
-        return auto_transfer_time(chain)
-    return float(args.time)
 
 
 def _emit(data: dict, path: str | None) -> None:
@@ -101,7 +102,7 @@ def cmd_build(args) -> int:
 
 def cmd_fidelity(args) -> int:
     chain = _build_chain_from_flags(args)
-    t = _resolve_time(args, chain)
+    t = auto_transfer_time(chain) if args.time == "auto" else float(args.time)
     window = end_windows(chain.n, args.window_in, args.window_out, t)
     eig = eigendecompose(chain)
     solution = optimal_encoding(transfer_matrix(eig, window))
@@ -132,8 +133,8 @@ def cmd_sweep(args) -> int:
     policy = TransferPolicy(window_in=args.window_in, window_out=args.window_out,
                             time=None if args.time == "auto" else float(args.time))
     grid = sweep(chain,
-                 _parse_axis(args.j_axis_name, args.j_axis),
-                 _parse_axis(args.b_axis_name, args.b_axis),
+                 _parse_axis(args.j_axis_name, args.j_axis, "--j-axis"),
+                 _parse_axis(args.b_axis_name, args.b_axis, "--b-axis"),
                  policy,
                  coupling_mode=args.coupling_mode,
                  samples=args.samples, quantile=args.quantile,
@@ -156,8 +157,8 @@ def cmd_optimize(args) -> int:
     obj = Objective(n=args.n, window=args.window, disorder=disorder, metric=metric,
                     samples=args.samples, quantile=args.quantile)
     if args.landscape:
-        xs = _parse_axis("sigma_J", args.x_axis).values  # name unused; reuse parser
-        ys = _parse_axis("sigma_J", args.y_axis).values
+        xs = _parse_axis("sigma_J", args.x_axis, "--x-axis").values  # name unused
+        ys = _parse_axis("sigma_J", args.y_axis, "--y-axis").values
         values = objective_landscape(obj, xs, ys, threads=args.threads)
         with open(args.out, "w", newline="") as fh:
             fh.write("# format=1\nx,y,value\n")
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
     if getattr(args, "window", None) is not None:
         args.window_in = args.window_out = args.window
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, "--" + name.replace("_", "-"))
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -30,41 +30,42 @@ from .chain import Chain
 
 FORMAT_VERSION = 1
 
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
 
-_KIND_COUPLING = np.uint64(0)
-_KIND_FIELD = np.uint64(1)
+_KIND_COUPLING = 0
+_KIND_FIELD = 1
 
 COUPLING_MODES = ("none", "additive", "multiplicative")
 FIELD_MODES = ("none", "additive")
 DIST_KINDS = ("uniform", "normal")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = z + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z):
+    """splitmix64 finalizer of a Python int in [0, 2^64) or of a uint64 array."""
+    z = (z + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
-def counter_uniform(seed: int, sample_index, sites: np.ndarray, kind: int) -> np.ndarray:
+def counter_uniform(seed: int, sample_index, sites: np.ndarray, kind) -> np.ndarray:
     """Deterministic uniforms in (0, 1), one per (sample index, site index) pair.
 
     sample_index is an int or a uint64 array that broadcasts against sites: a
     column of M indices against N sites gives an M x N array whose row r
-    equals the draw for index r alone.
+    equals the draw for index r alone.  kind is an int or an array of kinds
+    that broadcasts against that result.
     """
-    if np.ndim(sample_index) == 0:
-        sample_index = np.uint64(int(sample_index) % (1 << 64))
-    with np.errstate(over="ignore"):
-        h = _mix64(np.uint64(int(seed) % (1 << 64)))
-        h = _mix64(h ^ sample_index)
-        h = _mix64(h ^ sites.astype(np.uint64))
-        h = _mix64(h ^ np.uint64(kind))
+    if np.ndim(sample_index) == 0:  # hashed as a Python int, like the seed
+        sample_index = int(sample_index) & _MASK
+    h = _mix64(_mix64(int(seed) & _MASK) ^ sample_index)
+    h = _mix64(h ^ sites.astype(np.uint64))
+    h = _mix64(h ^ np.asarray(kind, dtype=np.uint64))
     # top 53 bits, offset by half a step: never exactly 0 or 1
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return ((h >> 11).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
 @dataclass
@@ -116,28 +117,26 @@ def zero_disorder(seed: int = 0) -> DisorderSpec:
     return DisorderSpec(master_seed=seed)
 
 
+def errors_disorder(coupling_dist: Distribution, field_dist: Distribution, seed: int,
+                    coupling_mode: str = "additive") -> DisorderSpec:
+    """Coupling and field errors from two distributions; a zero width turns a kind off."""
+    return DisorderSpec(coupling_mode=coupling_mode if coupling_dist.param > 0 else "none",
+                        field_mode="additive" if field_dist.param > 0 else "none",
+                        coupling_dist=coupling_dist, field_dist=field_dist, master_seed=seed)
+
+
 def normal_disorder(sigma_j: float, sigma_b: float, seed: int,
                     coupling_mode: str = "additive") -> DisorderSpec:
     """Normal coupling/field errors as used for the sweep grids."""
-    return DisorderSpec(
-        coupling_mode=coupling_mode if sigma_j > 0 else "none",
-        field_mode="additive" if sigma_b > 0 else "none",
-        coupling_dist=Distribution("normal", sigma_j),
-        field_dist=Distribution("normal", sigma_b),
-        master_seed=seed,
-    )
+    return errors_disorder(Distribution("normal", sigma_j), Distribution("normal", sigma_b),
+                           seed, coupling_mode)
 
 
 def uniform_disorder(delta_j: float, delta_b: float, seed: int,
                      coupling_mode: str = "additive") -> DisorderSpec:
     """Uniform +-delta coupling/field errors."""
-    return DisorderSpec(
-        coupling_mode=coupling_mode if delta_j > 0 else "none",
-        field_mode="additive" if delta_b > 0 else "none",
-        coupling_dist=Distribution("uniform", delta_j),
-        field_dist=Distribution("uniform", delta_b),
-        master_seed=seed,
-    )
+    return errors_disorder(Distribution("uniform", delta_j), Distribution("uniform", delta_b),
+                           seed, coupling_mode)
 
 
 def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
@@ -151,21 +150,21 @@ def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
     if stop <= start:
         raise ValueError("need at least one sample index")
     count = stop - start
-    with np.errstate(over="ignore"):  # index arithmetic wraps modulo 2^64
-        indices = (np.uint64(int(start) % (1 << 64))
-                   + np.arange(count, dtype=np.uint64))[:, None]
-    couplings = np.tile(base.couplings, (count, 1))
-    fields = np.tile(base.fields, (count, 1))
-    if spec.coupling_mode != "none" and spec.coupling_dist.param > 0:
-        sites = np.arange(base.n - 1, dtype=np.uint64)
-        d = spec.coupling_dist.draw(
-            counter_uniform(spec.master_seed, indices, sites, _KIND_COUPLING))
+    indices = start if count == 1 else (
+        np.uint64(start & _MASK) + np.arange(count, dtype=np.uint64))[:, None]
+    couplings = np.repeat(base.couplings[None], count, axis=0)
+    fields = np.repeat(base.fields[None], count, axis=0)
+    on_couplings = spec.coupling_mode != "none" and spec.coupling_dist.param > 0
+    on_fields = spec.field_mode != "none" and spec.field_dist.param > 0
+    # one hash over sites 0..n-1 for both kinds; couplings use sites 0..n-2
+    kinds = [_KIND_COUPLING] * on_couplings + [_KIND_FIELD] * on_fields
+    u = counter_uniform(spec.master_seed, indices, np.arange(base.n, dtype=np.uint64),
+                        np.array(kinds)[:, None, None])
+    if on_couplings:
+        d = spec.coupling_dist.draw(u[0, :, :-1])
         couplings = couplings + d if spec.coupling_mode == "additive" else couplings * (1.0 + d)
-    if spec.field_mode != "none" and spec.field_dist.param > 0:
-        sites = np.arange(base.n, dtype=np.uint64)
-        d = spec.field_dist.draw(
-            counter_uniform(spec.master_seed, indices, sites, _KIND_FIELD))
-        fields = fields + d
+    if on_fields:
+        fields = fields + spec.field_dist.draw(u[-1])
     return couplings, fields
 
 

@@ -3,44 +3,40 @@
 A run draws M disordered realizations of a base chain (sample indices
 0..M-1) and scores the best single-excitation encoding of each at its
 extraction time (the run's time, or each realization's own first peak).
-One private kernel scores a stack of realizations: the draws for a range of
-sample indices come from one broadcast hash (disorder.draw_realizations),
-and the runs go through the kernel in chunks of a fixed number of samples.
+One private kernel, _score_rows, scores a stack of realizations drawn by
+one broadcast hash (disorder.draw_realizations), in chunks of a fixed number
+of samples, in one thread (a thread pool measured slower).
 
-- A bare end-to-end transfer (1x1 windows) is scored from each
-  realization's eigenvalues alone (spectral.end_to_end_amplitude).  Where
-  that identity does not apply (a coupling exactly zero, a repeated
-  eigenvalue, a non-finite result) the full eigensystem gives the 1x1 block.
-- Larger windows take the eigenvalues and the end rows of the eigenvectors
-  from the tridiagonal eigensolver, stack the window blocks
-  (V_out e^{-i lam t}) V_in^T of the whole chunk, and read each block's top
-  singular value from a singular-values-only SVD.
+The kernel computes no eigenvectors.  Each chain gets its eigenvalues and
+end weights w_k = v_k(1) v_k(N) from spectral.end_spectrum; the window rows
+follow from the three-term recurrence, run from site 1 (r_i) and from site
+N (s_j), and the blocks U_ji(t) = sum_k s_j w_k e^{-i lam_k t} r_i of the
+whole chunk are one stacked product, scored by the top singular value.  The
+full eigensystem scores a chain the identity cannot take (zero coupling,
+repeated eigenvalue) or whose block is not finite, and every chain once the
+two recurrences would share a site (window_in + window_out > N, both windows
+above 1), where they lose accuracy.
 
 sample_fidelity and the deterministic tuning objective are the one-row case
 of the same kernel.  The summary keeps three numbers: the mean (what you
 expect on average), the minimum (the guarantee), and an upper quantile (what
-you get if you manufacture several chains and keep the best).
-
-Runs are embarrassingly parallel and bit-reproducible: the disorder stream is
-counter-based, a sample's result does not depend on the chunk it is scored
-in, chunks are stored by index and reductions happen in index order, so the
-worker count never changes the output.
+you get if you manufacture several chains and keep the best).  Runs are
+bit-reproducible: draws are counter-based, a sample's result does not depend
+on its chunk, and reductions happen in index order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .chain import Chain, NumericalFailure
-from .disorder import DisorderSpec, Distribution, draw_realizations
+from .chain import Chain
+from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import fidelity_single
 from .models import auto_transfer_time, first_peak_time
-from .spectral import eigendecompose, end_to_end_amplitude, end_windows, window_amplitudes
+from .spectral import eigendecompose, end_spectrum, end_windows, window_amplitudes
 
 FORMAT_VERSION = 1
 
@@ -113,9 +109,7 @@ class SweepGrid:
     descriptor: dict = field(default_factory=dict)
 
 
-# Realizations per kernel call.  It bounds the stacked draws, eigenvector end
-# rows and window blocks held at once, and is the unit of work handed to the
-# thread pool; it must not depend on the thread count.
+# Realizations per kernel call: it bounds the stacks the kernel holds at once.
 _CHUNK = 64
 
 
@@ -166,49 +160,58 @@ def _score_rows(couplings: np.ndarray, fields: np.ndarray, window_in: int, windo
 
     Row r is the chain with couplings[r] and fields[r], extracted at times[r].
     """
-    n = fields.shape[1]
+    m, n = fields.shape
     end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
-    if window_in == window_out == 1:
-        top = np.array([_end_to_end_value(Chain(n=n, couplings=j, fields=b), t)
-                        for j, b, t in zip(couplings, fields, times)])
-    else:
-        top = _window_top_values(couplings, fields, window_in, window_out, times)
+    top = np.full(m, np.nan)  # NaN: not scored yet
+    if min(window_in, window_out) == 1 or window_in + window_out <= n:
+        lam, log_weights, signs, ok = end_spectrum(fields, couplings)
+        # rows that are not ok, or overflow, stay NaN in top: eigensystem below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ins, outs, log_scale = _window_rows(lam, fields, couplings, window_in, window_out)
+            weights = signs * np.exp(log_weights + log_scale)
+            phases = np.exp(-1j * lam * times[:, None])
+            blocks = ((outs.transpose(1, 0, 2) * weights[:, None, :])
+                      @ (ins.transpose(1, 2, 0) * phases[:, :, None]))
+        good = ok & np.isfinite(blocks).all(axis=(1, 2))
+        blocks = blocks[good]
+        top[good] = (np.abs(blocks[:, 0, 0]) if window_in == window_out == 1
+                     else np.linalg.svd(blocks, compute_uv=False)[:, 0])
+    for r in np.flatnonzero(np.isnan(top)):
+        eig = eigendecompose(Chain(n=n, couplings=couplings[r], fields=fields[r]))
+        block = window_amplitudes(eig, end_windows(n, window_in, window_out, times[r]))
+        top[r] = np.linalg.svd(block, compute_uv=False)[0]
     if (top > 1.0 + 1e-10).any():
         raise ValueError(f"window block has singular value {np.max(top)} > 1; "
                          "inputs are inconsistent")
     return fidelity_single(top)  # clips to [0, 1]
 
 
-def _end_to_end_value(chain: Chain, time: float) -> float:
-    """|<N|U(t)|1>|, the singular value of the 1x1 window block."""
-    amp = end_to_end_amplitude(chain, time)
-    if amp is not None:
-        return abs(amp)
-    block = window_amplitudes(eigendecompose(chain), end_windows(chain.n, 1, 1, time))
-    return np.linalg.svd(block, compute_uv=False)[0]
+def _window_rows(lam: np.ndarray, fields: np.ndarray, couplings: np.ndarray,
+                 window_in: int, window_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows r_i = v(i)/v(1) and s_j = v(j)/v(N) of the window sites, and log scale.
 
-
-def _window_top_values(couplings: np.ndarray, fields: np.ndarray, window_in: int,
-                       window_out: int, times: np.ndarray) -> np.ndarray:
-    """Top singular value of each row's window block, from stacked blocks.
-
-    Only the eigenvector rows of the window sites are kept; no sign gauge or
-    reordering is needed, since the block does not depend on either.
+    r_1 = 1, r_2 = (lam - B_1)/J_1, r_{i+1} = ((lam - B_i) r_i - J_{i-1} r_{i-1})/J_i
+    on the chain, and s the same on its mirror image.  Each side is divided by
+    its largest entry per eigenvalue, the logs summed: a weight far below the
+    smallest double can meet rows far above 1.
     """
-    m, n = fields.shape
-    lam = np.empty((m, n))
-    v_out = np.empty((m, window_out, n))
-    v_in = np.empty((m, window_in, n))
-    for r in range(m):
-        try:
-            lam[r], vectors = eigh_tridiagonal(fields[r], couplings[r])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-            raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-        v_out[r] = vectors[n - window_out:]
-        v_in[r] = vectors[:window_in]
-    phases = np.exp(-1j * lam * times[:, None])
-    blocks = (v_out * phases[:, None, :]) @ v_in.transpose(0, 2, 1)
-    return np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    m = lam.shape[0]
+    size = max(window_in, window_out)
+    rows = np.empty((size, 2 * m, lam.shape[1]))
+    rows[0] = 1.0
+    ins, outs = rows[:window_in, :m], rows[window_out - 1::-1, m:]
+    if size == 1:
+        return ins, outs, 0.0
+    b = np.concatenate([fields, fields[:, ::-1]]).T[:size - 1, :, None]
+    j = np.concatenate([couplings, couplings[:, ::-1]]).T[:size - 1, :, None]
+    shift = np.concatenate([lam, lam]) - b
+    for i in range(size - 1):
+        step = shift[i] * rows[i]
+        if i:
+            step -= j[i - 1] * rows[i - 1]
+        np.divide(step, j[i], out=rows[i + 1])
+    in_max, out_max = np.abs(ins).max(axis=0), np.abs(outs).max(axis=0)
+    return ins / in_max, outs / out_max, np.log(in_max) + np.log(out_max)
 
 
 def quantile_interpolated(samples: np.ndarray, q: float) -> float:
@@ -223,22 +226,14 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
                 threads: int = 1) -> FidelityStats:
     """Seeded ensemble of sample_fidelity evaluations, summarized.
 
-    Samples are scored in chunks of _CHUNK indices, on `threads` workers when
-    threads > 1.  Output is identical for any thread count: chunks are keyed
-    by index and the statistics are computed on the index-ordered array.
+    Samples are scored in chunks of _CHUNK indices, in index order.  threads
+    must be >= 1 and does not change the work or the output.
     """
     _check_ensemble_args(samples, quantile, threads)
     time = policy.resolve_time(base)
-
-    def run(start: int) -> np.ndarray:
-        return _score_range(base, spec, policy, time, start, min(start + _CHUNK, samples))
-
-    starts = range(0, samples, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fids = np.concatenate(list(pool.map(run, starts)))
-    else:
-        fids = np.concatenate(list(map(run, starts)))
+    fids = np.concatenate([_score_range(base, spec, policy, time, start,
+                                        min(start + _CHUNK, samples))
+                           for start in range(0, samples, _CHUNK)])
 
     return FidelityStats(
         samples=samples,
@@ -250,17 +245,6 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
     )
 
 
-def _cell_spec(coupling_axis: SweepAxis, field_axis: SweepAxis,
-               jval: float, bval: float, coupling_mode: str, seed: int) -> DisorderSpec:
-    return DisorderSpec(
-        coupling_mode=coupling_mode if jval > 0 else "none",
-        field_mode="additive" if bval > 0 else "none",
-        coupling_dist=Distribution(coupling_axis.kind, jval),
-        field_dist=Distribution(field_axis.kind, bval),
-        master_seed=seed,
-    )
-
-
 def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
           policy: TransferPolicy, coupling_mode: str = "additive",
           samples: int = 1000, quantile: float = 0.75, seed: int = 0,
@@ -269,15 +253,14 @@ def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
     if coupling_axis.target != "coupling" or field_axis.target != "field":
         raise ValueError("first axis must be a coupling axis, second a field axis")
     _check_ensemble_args(samples, quantile, threads)
-    time = policy.resolve_time(base)
-    fixed_policy = TransferPolicy(policy.window_in, policy.window_out, time,
-                                  policy.per_sample_peak)
+    fixed_policy = replace(policy, time=policy.resolve_time(base))
     cells = []
     for jval in coupling_axis.values:
         row = []
         for bval in field_axis.values:
-            spec = _cell_spec(coupling_axis, field_axis, float(jval), float(bval),
-                              coupling_mode, seed)
+            spec = errors_disorder(Distribution(coupling_axis.kind, float(jval)),
+                                   Distribution(field_axis.kind, float(bval)), seed,
+                                   coupling_mode)
             row.append(monte_carlo(base, spec, fixed_policy, samples, quantile, threads))
         cells.append(row)
     descriptor = {
@@ -285,7 +268,7 @@ def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
         "n": base.n,
         "window_in": policy.window_in,
         "window_out": policy.window_out,
-        "time": time,
+        "time": fixed_policy.time,
         "coupling_mode": coupling_mode,
         "samples": samples,
         "quantile": quantile,

@@ -6,17 +6,15 @@ arbitrarily large times.  In general amplitudes follow the eigendecomposition
 
     <j| e^{-iHt} |i> = sum_k v_k(j) e^{-i lambda_k t} v_k(i)
 
-with real orthonormal eigenvectors v_k.  The end-to-end amplitude <N|U(t)|1>
-needs no eigenvectors: for a tridiagonal matrix with nonzero couplings J_i
-and simple eigenvalues
+with real orthonormal eigenvectors v_k.  The end weights need no
+eigenvectors: for a tridiagonal matrix with nonzero couplings J_i and simple
+eigenvalues
 
     v_k(1) v_k(N) = prod_i J_i / prod_{j != k} (lambda_k - lambda_j)
 
 (the residues of the resolvent entry (z - H)^{-1}_{N1}; Kay, IJQI 8, 641
-(2010)), so end_to_end_amplitude scores it from the eigenvalues alone.  It
-returns None when a coupling is exactly zero, an eigenvalue repeats or the
-result is not finite; callers then fall back to eigendecompose, which stays
-the reference for every amplitude.
+(2010)).  end_spectrum computes them for a stack of chains (end_to_end_amplitude
+is its 1x1 case); eigendecompose stays the reference for every amplitude.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 from .chain import Chain, NumericalFailure, SingleExcitationMatrix, single_excitation_matrix
 
@@ -137,28 +136,43 @@ def window_amplitudes(eig: Eigensystem, window: TransferWindow) -> np.ndarray:
     return (eig.eigenvectors[rows, :] * phases) @ eig.eigenvectors[cols, :].T
 
 
+def end_spectrum(fields: np.ndarray, couplings: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, log_weights, signs, ok) of the chains with fields[r], couplings[r].
+
+    Eigenvalues ascend (LAPACK dstevd, no vectors).  Weight v_k(1) v_k(N) =
+    signs * exp(log_weights), summed as logarithms: prod J_i alone leaves
+    double range on long chains.  ok[r] is False, and row r's weights are
+    meaningless, where a coupling is zero or an eigenvalue repeats.
+    """
+    m, n = fields.shape
+    lam = np.empty((m, n))
+    for r in range(m):
+        lam[r], _, info = dstevd(fields[r], couplings[r], compute_v=0)
+        if info:  # pragma: no cover - LAPACK failure is pathological
+            raise NumericalFailure(f"tridiagonal eigensolver failed (info={info})")
+    ok = (couplings != 0.0).all(axis=1) & (lam[:, 1:] > lam[:, :-1]).all(axis=1)
+    log_gaps = np.empty((m, n))
+    step = max(1, (1 << 16) // n ** 2)  # slices of about 2^16 gaps (0.5 MB), or one chain
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) on rows that are not ok
+        for s in range(0, m, step):
+            gaps = np.abs(lam[s:s + step, :, None] - lam[s:s + step, None, :])
+            gaps.reshape(-1, n * n)[:, ::n + 1] = 1.0
+            log_gaps[s:s + step] = np.sum(np.log(gaps), axis=2)
+        log_weights = np.sum(np.log(np.abs(couplings)), axis=1, keepdims=True) - log_gaps
+    # prod_{j != k} (lambda_k - lambda_j) has n-1-k negative factors
+    signs = np.sign(couplings).prod(axis=1, keepdims=True) * (-1.0) ** np.arange(n - 1, -1, -1)
+    return lam, log_weights, signs, ok
+
+
 def end_to_end_amplitude(chain: Chain, t: float) -> complex | None:
     """<N| e^{-iHt} |1> from the eigenvalues alone, or None where that is unsafe.
 
-    The products in the end-weight identity are summed as logarithms with a
-    separate sign count: prod J_i alone leaves double range on long chains.
     None (zero coupling, repeated eigenvalue, non-finite result) means the
     caller must use the eigenvector path instead.
     """
-    couplings = chain.couplings
-    if np.any(couplings == 0.0):
+    (lam,), (log_w,), (signs,), (ok,) = end_spectrum(chain.fields[None], chain.couplings[None])
+    if not ok:
         return None
-    try:
-        lam = eigvalsh_tridiagonal(chain.fields, couplings)  # ascending
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    if np.any(np.diff(lam) <= 0.0):
-        return None
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    log_weights = np.sum(np.log(np.abs(couplings))) - np.sum(np.log(gaps), axis=1)
-    # prod_{j != k} (lambda_k - lambda_j) has n-1-k negative factors
-    flips = np.count_nonzero(couplings < 0.0) + np.arange(lam.size - 1, -1, -1)
-    weights = np.where(flips % 2 == 1, -1.0, 1.0) * np.exp(log_weights)
-    amp = complex(weights @ np.exp(-1j * lam * t))
+    amp = complex((signs * np.exp(log_w)) @ np.exp(-1j * lam * t))
     return amp if np.isfinite(amp) else None

@@ -154,6 +154,33 @@ def test_non_finite_time_is_a_usage_error(command, time, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+NON_FINITE_FLAGS = {
+    # each ran and exited 0 before: a passed fermion check on a NaN time, a NaN
+    # disorder width scored as none, a NaN delta written into the JSON report
+    "oracle-t": (["oracle", "--n", "6", "--t", "nan"], "--t", "nan"),
+    "sweep-j-axis": (["sweep", "--j-axis", "nan", "--b-axis", "0", "--samples", "3"],
+                     "--j-axis", "nan"),
+    "optimize-delta": (["optimize", "--delta", "nan", "--restarts", "0", "--samples", "3"],
+                       "--delta", "nan"),
+    "sweep-axis-stop": (["sweep", "--j-axis", "0:inf:0.1", "--samples", "3"], "--j-axis", "inf"),
+    "apollaro-x": (["fidelity", "--model", "apollaro", "--x", "1e999", "--y", "0.7"],
+                   "--x", "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FLAGS))
+def test_non_finite_number_flag_is_a_usage_error(case, tmp_path, capsys):
+    args, flag, value = NON_FINITE_FLAGS[case]
+    out = tmp_path / "x.out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be a finite number, got {value}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_deterministic_across_threads(tmp_path):
     common = ["sweep", "--model", "uniform", "--n", "15", "--window", "1",
               "--j-axis", "0:0.1:0.05", "--b-axis", "0.05",

@@ -4,12 +4,13 @@ References: a per-sample draw written with scalar counter_uniform calls, and
 the full N x N propagator with the gauged SVD of optimal_encoding.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spintransfer import (DisorderSpec, Distribution, TransferPolicy, TransferMatrix,
+from spintransfer import (Chain, DisorderSpec, Distribution, TransferPolicy, TransferMatrix,
                           apollaro_chain, counter_uniform, eigendecompose, end_windows,
                           fidelity_single, first_peak_time, full_propagator, monte_carlo,
                           normal_disorder, optimal_encoding, pst_chain,
@@ -161,6 +162,96 @@ def test_kernel_matches_full_propagator_oracle(window_in, window_out):
                                        abs=1e-12)
 
 
+def counted_eigendecompose(monkeypatch) -> list:
+    """Patch the kernel's eigenvector fallback to record each chain it solves."""
+    calls = []
+
+    def counting(chain):
+        calls.append(chain)
+        return eigendecompose(chain)
+
+    monkeypatch.setattr(montecarlo, "eigendecompose", counting)
+    return calls
+
+
+def assert_kernel_matches_oracle(couplings, fields, window_in, window_out, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = montecarlo._score_rows(couplings, fields, window_in, window_out,
+                                     np.full(fields.shape[0], t))
+    n = fields.shape[1]
+    for r in range(fields.shape[0]):
+        chain = Chain(n=n, couplings=couplings[r], fields=fields[r])
+        assert got[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
+                                       abs=1e-12)
+
+
+@pytest.mark.parametrize("window_in, window_out", [(3, 3), (5, 5), (2, 4)])
+def test_kernel_matches_oracle_when_couplings_cross_zero(window_in, window_out, monkeypatch):
+    base = pst_chain(41)
+    couplings, fields = draw_realizations(base, uniform_disorder(1.5, 0.1, seed=46), 0, 64)
+    assert (couplings < 0).any()
+    calls = counted_eigendecompose(monkeypatch)
+    assert_kernel_matches_oracle(couplings, fields, window_in, window_out, 33.7)
+    assert not calls
+
+
+@pytest.mark.parametrize("weak", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("n", [20, 21])
+def test_kernel_matches_oracle_on_near_degenerate_mirror_chains(n, weak):
+    # mirror halves joined by weak centre bonds: eigenvalues come in pairs
+    # split by about weak (one bond, even n) or far less (two bonds, odd n)
+    couplings = uniform_chain(n).couplings.copy()
+    couplings[(n - 1) // 2] = couplings[n // 2 - 1] = weak
+    chain = Chain(n=n, couplings=couplings, fields=np.zeros(n))
+    assert np.min(np.diff(eigendecompose(chain).eigenvalues)) <= weak
+    for window_in, window_out in [(1, 1), (3, 3), (5, 5), (2, 4)]:
+        for t in (7.3, 311.0):
+            assert_kernel_matches_oracle(couplings[None], chain.fields[None],
+                                         window_in, window_out, t)
+
+
+@pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4)])
+def test_kernel_matches_oracle_on_strongly_localized_chains(window_in, window_out,
+                                                           monkeypatch):
+    base = uniform_chain(201)
+    couplings, fields = draw_realizations(base, normal_disorder(1.0, 1.0, seed=47), 0, 24)
+    t = 100.5
+    u = full_propagator(eigendecompose(Chain(n=201, couplings=couplings[0],
+                                             fields=fields[0])), t)
+    assert abs(u[200, 0]) < 1e-20  # nothing arrives: amplitudes near 1e-30
+    calls = counted_eigendecompose(monkeypatch)
+    assert_kernel_matches_oracle(couplings, fields, window_in, window_out, t)
+    assert not calls
+
+
+def test_kernel_keeps_weights_below_the_double_range(monkeypatch):
+    # half-chain windows on a strongly disordered N=401 chain: the end weights
+    # of states in the middle lie below the smallest double while their window
+    # rows are huge, so each side's rows are scaled and the scales folded in
+    base = uniform_chain(401)
+    couplings, fields = draw_realizations(base, normal_disorder(1.0, 2.0, seed=18), 0, 16)
+    _, log_weights, _, ok = montecarlo.end_spectrum(fields, couplings)
+    assert ok.all() and (log_weights < np.log(np.finfo(float).tiny)).any()
+    calls = counted_eigendecompose(monkeypatch)
+    assert_kernel_matches_oracle(couplings, fields, 199, 199, 240.6)
+    assert not calls
+
+
+@pytest.mark.parametrize("window_in, window_out, recurrence", [
+    (25, 26, True), (1, 51, True), (51, 1, True), (26, 26, False), (28, 28, False),
+    (2, 50, False)])
+def test_overlapping_windows_take_the_eigenvector_path(window_in, window_out, recurrence,
+                                                       monkeypatch):
+    # the recurrences from the two ends share a site once window_in +
+    # window_out > n with both windows larger than 1
+    base = uniform_chain(51)
+    couplings, fields = draw_realizations(base, normal_disorder(0.2, 2.0, seed=48), 0, 16)
+    calls = counted_eigendecompose(monkeypatch)
+    assert_kernel_matches_oracle(couplings, fields, window_in, window_out, 30.0)
+    assert len(calls) == (0 if recurrence else 16)
+
+
 def test_per_sample_peak_scores_each_realization_at_its_own_peak():
     base, spec, policy = CASES["w2_peak"]
     fids = [sample_fidelity(base, spec, i, policy) for i in range(12)]
@@ -172,13 +263,13 @@ def test_per_sample_peak_scores_each_realization_at_its_own_peak():
 
 
 def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
-    eigh_tridiagonal = montecarlo.eigh_tridiagonal
+    end_spectrum = montecarlo.end_spectrum
 
-    def inflated(d, e):
-        w, v = eigh_tridiagonal(d, e)
-        return w, 2.0 * v
+    def inflated(fields, couplings):
+        lam, log_weights, signs, ok = end_spectrum(fields, couplings)
+        return lam, log_weights + np.log(4.0), signs, ok
 
-    monkeypatch.setattr(montecarlo, "eigh_tridiagonal", inflated)
+    monkeypatch.setattr(montecarlo, "end_spectrum", inflated)
     with pytest.raises(ValueError, match="window block has singular value"):
         montecarlo._score_chain(uniform_chain(9), 3, 3, 4.0)
 

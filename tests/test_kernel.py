@@ -30,9 +30,9 @@ def oracle_amplitude(chain: Chain, t: float) -> complex:
     return complex(full_propagator(eigendecompose(chain), t)[chain.n - 1, 0])
 
 
-def eigenvector_fidelity(chain: Chain, t: float) -> float:
+def eigenvector_fidelity(chain: Chain, t: float, window_in: int = 1, window_out: int = 1) -> float:
     """The eigenvector path of the scorer, called directly."""
-    block = transfer_matrix(eigendecompose(chain), end_windows(chain.n, 1, 1, t))
+    block = transfer_matrix(eigendecompose(chain), end_windows(chain.n, window_in, window_out, t))
     return fidelity_single(min(float(optimal_encoding(block).singular_values[0]), 1.0))
 
 
@@ -84,6 +84,9 @@ FALLBACK_CHAINS = {
     # two mirror blocks joined by a bond far below rounding: the computed
     # spectrum is -1, -1, 1, 1 although every coupling is nonzero
     "repeated_eigenvalue": Chain(n=4, couplings=[1.0, 1e-200, 1.0], fields=np.zeros(4)),
+    # both at once: log|J| and a gap logarithm are each -inf
+    "zero_coupling_and_repeated_eigenvalue": Chain(n=4, couplings=[1.0, 0.0, 1.0],
+                                                   fields=np.zeros(4)),
 }
 
 
@@ -91,9 +94,6 @@ FALLBACK_CHAINS = {
 def test_fallback_takes_the_eigenvector_path(name, monkeypatch):
     chain = FALLBACK_CHAINS[name]
     t = 2.1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # decided before any log(0) or 1/0
-        assert end_to_end_amplitude(chain, t) is None
     calls = []
 
     def counting_eigendecompose(h):
@@ -101,29 +101,63 @@ def test_fallback_takes_the_eigenvector_path(name, monkeypatch):
         return eigendecompose(h)
 
     monkeypatch.setattr(montecarlo, "eigendecompose", counting_eigendecompose)
-    score = montecarlo._score_chain(chain, 1, 1, t)
-    assert len(calls) == 1
-    assert score == eigenvector_fidelity(chain, t)
+    for window_in, window_out in ((1, 1), (2, 1)):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # decided before any log(0) or 1/0
+            assert end_to_end_amplitude(chain, t) is None
+            score = montecarlo._score_chain(chain, window_in, window_out, t)
+        assert len(calls) == 1
+        assert score == eigenvector_fidelity(chain, t, window_in, window_out)
     want = fidelity_single(min(abs(oracle_amplitude(chain, t)), 1.0))
-    assert score == pytest.approx(want, abs=TOL)
+    assert montecarlo._score_chain(chain, 1, 1, t) == pytest.approx(want, abs=TOL)
+
+
+def test_overflowing_recurrence_takes_the_eigenvector_path(monkeypatch):
+    # two bonds of 1e-170 push r_4 past the double range; the spectrum is simple
+    chain = Chain(n=8, couplings=[1.0, 1e-170, 1e-170, 1.0, 0.8, 1.1, 0.9],
+                  fields=np.linspace(0.1, 0.8, 8))
+    calls = []
+
+    def counting_eigendecompose(h):
+        calls.append(h)
+        return eigendecompose(h)
+
+    monkeypatch.setattr(montecarlo, "eigendecompose", counting_eigendecompose)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert end_to_end_amplitude(chain, 3.0) is not None
+        score = montecarlo._score_chain(chain, 4, 1, 3.0)
+    assert len(calls) == 1
+    assert score == eigenvector_fidelity(chain, 3.0, 4, 1)
 
 
 def test_window1_scorer_uses_no_eigenvectors(monkeypatch):
     def forbidden(*args):
         raise AssertionError("eigenvectors computed on the window-1 path")
 
-    # eigendecompose is the 1x1 fallback, eigh_tridiagonal the larger windows
+    # eigendecompose is the only eigenvector path: a fallback row, or windows
+    # whose recurrences would share a site (16 + 16 > 31)
     monkeypatch.setattr(montecarlo, "eigendecompose", forbidden)
-    monkeypatch.setattr(montecarlo, "eigh_tridiagonal", forbidden)
     chain = sample_disordered_chain(uniform_chain(31), normal_disorder(0.1, 0.1, seed=2), 0)
-    montecarlo._score_chain(chain, 1, 1, 15.0)
+    for window in (1, 2, 5, 15):
+        montecarlo._score_chain(chain, window, window, 15.0)
     with pytest.raises(AssertionError):
-        montecarlo._score_chain(chain, 2, 2, 15.0)
+        montecarlo._score_chain(chain, 16, 16, 15.0)
 
 
 def test_scorer_keeps_the_singular_value_guard(monkeypatch):
-    # an end-to-end amplitude beyond 1 cannot come from a unitary evolution
-    monkeypatch.setattr(montecarlo, "end_to_end_amplitude", lambda h, t: 1.0 + 1e-9)
+    # an end-to-end amplitude beyond 1 cannot come from a unitary evolution:
+    # all weight 1 + 1e-9 on one eigenvalue
+    end_spectrum = montecarlo.end_spectrum
+
+    def beyond_unitary(fields, couplings):
+        lam, log_weights, signs, ok = end_spectrum(fields, couplings)
+        log_weights[:] = -np.inf
+        log_weights[:, 0] = np.log1p(1e-9)
+        return lam, log_weights, signs, ok
+
+    monkeypatch.setattr(montecarlo, "end_spectrum", beyond_unitary)
     with pytest.raises(ValueError, match="singular value"):
         montecarlo._score_chain(uniform_chain(5), 1, 1, 3.0)
 
