@@ -147,6 +147,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.delta < 0:
+        raise ValueError(f"--delta must be >= 0, got {args.delta}")
     disorder = None
     metric = "deterministic"
     if args.delta > 0:

@@ -16,13 +16,13 @@ quadratic:  field-free mirror-symmetric chain whose spectrum is the signed
 First peak
 ----------
 Chains without a perfect-transfer time are extracted at the first arrival
-peak of |<N|U(t)|1>| = |sum_k v_k(N) v_k(1) e^{-i lam_k t}|.  The search
-scans the grid t = k step in chunks, factoring each phase as
+peak of |f(t)| = |<N|U(t)|1>| = |sum_k w_k e^{-i lam_k t}|, with lam and
+w_k = v_k(1) v_k(N) from one spectral.end_spectrum solve.  The search scans
+the grid t = k step in chunks, factoring each phase as
 e^{-i lam (t_s + j step)} = e^{-i lam t_s} e^{-i lam j step}: one table of
 the in-chunk offsets j per search, one length-N exponential per chunk.  It
-stops at the first grid-local maximum and refines it by golden-section
-search on the unfactored amplitude, so the result depends only on which
-grid point wins.
+stops at the first grid-local maximum and refines it by safeguarded Newton
+steps on |f|^2, so the result depends only on which grid point wins.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .chain import Chain, NumericalFailure
 from .encoding import fidelity_single
-from .spectral import Eigensystem, eigendecompose, propagator_amplitude
+from .spectral import _end_weights, eigendecompose
 
 
 @dataclass
@@ -126,16 +126,16 @@ def pst_transfer_time(chain: Chain, spacing_tol: float = 1e-8) -> float:
     time must achieve |<N|U(t0)|1>| >= 1 - 1e-9, otherwise the chain is not
     accepted as a perfect-transfer chain.
     """
-    return _pst_time(chain, eigendecompose(chain), spacing_tol)
+    return _pst_time(*_end_weights(chain)[:2], spacing_tol)
 
 
-def _pst_time(chain: Chain, eig: Eigensystem, spacing_tol: float = 1e-8) -> float:
-    gaps = np.diff(eig.eigenvalues)
+def _pst_time(lam: np.ndarray, w: np.ndarray, spacing_tol: float = 1e-8) -> float:
+    gaps = np.diff(lam)
     gap = float(np.mean(gaps))
     if gap <= 0 or np.max(np.abs(gaps - gap)) > spacing_tol * max(1.0, abs(gap)):
         raise NumericalFailure("not a linear-spectrum PST chain (spectrum not equally spaced)")
     t0 = float(np.pi / gap)
-    if abs(propagator_amplitude(eig, 1, chain.n, t0)) < 1.0 - 1e-9:
+    if abs(w @ np.exp(-1j * lam * t0)) < 1.0 - 1e-9:
         raise NumericalFailure("equally spaced spectrum but end-to-end transfer is not perfect")
     return t0
 
@@ -184,13 +184,9 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
                     time_tol: float = 1e-8) -> tuple[float, float]:
     """First local maximum of the end-to-end transfer fidelity.
 
-    Scans |<N|U(t)|1>| on the uniform grid t_k = k step from 0 through twice
-    the hint, in chunks of grid points, stops at the first grid-local maximum
-    whose amplitude exceeds amp_threshold, and refines that maximum by
-    golden-section search on [t_{k-1}, t_{k+1}].  The phases of a chunk come
-    from one table of e^{-i lam j step} for the in-chunk offsets j, built
-    once per search, times e^{-i lam t_s} at the chunk's first point t_s;
-    a chunk costs one length-N exponential and one matrix-vector product.
+    Scans |<N|U(t)|1>| on the grid t_k = k step from 0 through twice the
+    hint, stops at the first grid-local maximum above amp_threshold and
+    refines it within time_tol on [t_{k-1}, t_{k+1}] (module docstring).
     Returns (time, fidelity) where the fidelity is the state-averaged value
     1/3 + (1+|f|)^2/6.
 
@@ -198,8 +194,9 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
     finite and positive and the hint (when given) is finite and positive.
     """
     search_hint = _check_peak_args(chain, search_hint, step, time_tol)
-    return _first_peak(chain, eigendecompose(chain), search_hint, step, amp_threshold,
-                       time_tol)
+    lam, w, _ = _end_weights(chain)
+    t = _first_peak(lam, w, search_hint, step, amp_threshold, time_tol)
+    return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
 
 def _check_peak_args(chain: Chain, search_hint: float | None, step: float = 0.05,
@@ -229,41 +226,60 @@ def _phase_offsets(lam: np.ndarray, step: float, rows: int) -> np.ndarray:
     return table.reshape(coarse * fine, lam.size)[:rows]
 
 
-def _first_peak(chain: Chain, eig: Eigensystem, search_hint: float,
+def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float,
                 step: float = 0.05, amp_threshold: float = 0.01,
-                time_tol: float = 1e-8) -> tuple[float, float]:
-    prod = eig.eigenvectors[chain.n - 1, :] * eig.eigenvectors[0, :]
-    lam = eig.eigenvalues
-
-    def amp(t: float) -> float:
-        return float(np.abs(np.sum(prod * np.exp(-1j * lam * t))))
-
+                time_tol: float = 1e-8) -> float:
     ts = np.arange(0.0, 2.0 * search_hint + step, step)
     offsets = _phase_offsets(lam, step, min(_SCAN_ROWS + 2, ts.size))
     # Chunk c tests grid points start+1 .. start+_SCAN_ROWS against their
     # neighbours, so consecutive chunks overlap by two points.
     for start in range(0, ts.size - 2, _SCAN_ROWS):
         seg = ts[start:start + _SCAN_ROWS + 2]
-        mags = np.abs(offsets[:seg.size] @ (prod * np.exp(-1j * lam * seg[0])))
+        mags = np.abs(offsets[:seg.size] @ (w * np.exp(-1j * lam * seg[0])))
         mid = mags[1:-1]
         peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > amp_threshold))
         if peaks.size:
             i = start + 1 + int(peaks[0])
-            t_peak = _golden_section_max(amp, ts[i - 1], ts[i + 1], time_tol)
-            return t_peak, fidelity_single(min(amp(t_peak), 1.0))
+            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1], time_tol)
     raise NumericalFailure("no transfer peak found in the search window")
+
+
+def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float,
+                 time_tol: float) -> float:
+    """Maximum of |f| = |sum_k w_k e^{-i lam_k t}| in [lo, hi] by Newton on g = |f|^2 from t.
+
+    [w, -i lam w, -lam^2 w] @ e^{-i lam t} gives f, f', f'': g' = 2 Re(conj(f) f'),
+    g'' = 2 (|f'|^2 + Re(conj(f) f'')).  Stops once a step is at most time_tol or
+    no longer shrinks (the rounding floor); golden-section search on |f| takes
+    over where g'' >= 0 or a step would leave [lo, hi].
+    """
+    phase = -1j * lam
+    moments = np.stack([w, phase * w, -lam * lam * w])
+    t, last = float(t), math.inf
+    while True:
+        f, df, d2f = (moments @ np.exp(phase * t)).tolist()
+        g2 = abs(df) ** 2 + (f.conjugate() * d2f).real
+        move = -(f.conjugate() * df).real / g2 if g2 < 0 else math.nan  # factors 2 cancel
+        if not lo <= t + move <= hi:
+            return _golden_section_max(lambda s: abs(w @ np.exp(phase * s)), lo, hi, time_tol)
+        if abs(move) >= last:
+            return t
+        t += move
+        if abs(move) <= time_tol:
+            return t
+        last = abs(move)
 
 
 def auto_transfer_time(chain: Chain, search_hint: float | None = None) -> float:
     """Perfect-transfer time when the spectrum is linear, else the first peak time.
 
-    Both tests share one eigensystem of the chain.
+    Both tests share one end_spectrum solve of the chain.
     """
-    eig = eigendecompose(chain)
+    lam, w, _ = _end_weights(chain)
     try:
-        return _pst_time(chain, eig)
+        return _pst_time(lam, w)
     except NumericalFailure:
-        return _first_peak(chain, eig, _check_peak_args(chain, search_hint))[0]
+        return _first_peak(lam, w, _check_peak_args(chain, search_hint))
 
 
 # ---------------------------------------------------------------------------

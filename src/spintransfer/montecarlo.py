@@ -5,7 +5,10 @@ A run draws M disordered realizations of a base chain (sample indices
 extraction time (the run's time, or each realization's own first peak).
 One private kernel, _score_rows, scores a stack of realizations drawn by
 one broadcast hash (disorder.draw_realizations), in chunks of a fixed number
-of samples, in one thread (a thread pool measured slower).
+of samples, in one thread (a thread pool measured slower).  It is a thin
+wrapper: end_spectrum solves the stack, and _score_spectrum scores it, so a
+caller that already holds the spectrum (the tuning objective, per-sample
+peaks) solves each chain once.
 
 The kernel computes no eigenvectors.  Each chain gets its eigenvalues and
 end weights w_k = v_k(1) v_k(N) from spectral.end_spectrum; the window rows
@@ -35,8 +38,9 @@ import numpy as np
 from .chain import Chain
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import fidelity_single
-from .models import auto_transfer_time, first_peak_time
-from .spectral import eigendecompose, end_spectrum, end_windows, window_amplitudes
+from .models import _check_peak_args, _first_peak, auto_transfer_time
+from .spectral import (_row_weights, eigendecompose, end_spectrum, end_windows,
+                       window_amplitudes)
 
 FORMAT_VERSION = 1
 
@@ -140,12 +144,14 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
     """Fidelities of the realizations with sample indices start..stop-1."""
     couplings, fields = draw_realizations(base, spec, start, stop)
     times = np.full(stop - start, float(time))
+    spectrum = end_spectrum(fields, couplings)
     if policy.per_sample_peak:
-        hint = max(time, 1.0)
-        for r in range(times.size):
+        hint = _check_peak_args(base, max(time, 1.0))
+        for r, row in enumerate(zip(*spectrum)):
             chain = Chain(n=base.n, couplings=couplings[r], fields=fields[r])
-            times[r] = first_peak_time(chain, search_hint=hint)[0]
-    return _score_rows(couplings, fields, policy.window_in, policy.window_out, times)
+            times[r] = _first_peak(*_row_weights(chain, *row), hint)
+    return _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
+                           times)
 
 
 def _score_chain(chain: Chain, window_in: int, window_out: int, time: float) -> float:
@@ -160,11 +166,18 @@ def _score_rows(couplings: np.ndarray, fields: np.ndarray, window_in: int, windo
 
     Row r is the chain with couplings[r] and fields[r], extracted at times[r].
     """
+    return _score_spectrum(couplings, fields, end_spectrum(fields, couplings),
+                           window_in, window_out, times)
+
+
+def _score_spectrum(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
+                    window_in: int, window_out: int, times: np.ndarray) -> np.ndarray:
+    """_score_rows for chains already solved: spectrum is their end_spectrum."""
     m, n = fields.shape
     end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
     top = np.full(m, np.nan)  # NaN: not scored yet
     if min(window_in, window_out) == 1 or window_in + window_out <= n:
-        lam, log_weights, signs, ok = end_spectrum(fields, couplings)
+        lam, log_weights, signs, ok = spectrum
         # rows that are not ok, or overflow, stay NaN in top: eigensystem below
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ins, outs, log_scale = _window_rows(lam, fields, couplings, window_in, window_out)

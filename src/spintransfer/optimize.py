@@ -7,11 +7,11 @@ objectives reuse one fixed set of disorder draws for every candidate (common
 random numbers), which makes the objective deterministic and lets a simplex
 search make progress despite the sampling.
 
-first_order_response measures dF/d(eps) of the end-to-end transfer
-probability F = |<N|U(t0)|1>|^2 under a chain perturbation, by central
-differences with one Richardson step.  Perfect-transfer chains sit at
-stationary points of F, so their response is zero to first order; imperfect
-chains generically are not.
+first_order_response gives dF/d(eps) of the end-to-end transfer
+probability F = |<N|U(t0)|1>|^2 under a chain perturbation, exactly, from
+one eigendecomposition (the Daleckii-Krein derivative of the propagator).
+Perfect-transfer chains sit at stationary points of F, so their response is
+zero to first order; imperfect chains generically are not.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from scipy.optimize import minimize
 
 from .chain import Chain, NumericalFailure
 from .disorder import DisorderSpec
-from .models import apollaro_chain, first_peak_time
-from .montecarlo import TransferPolicy, _check_ensemble_args, _score_chain, monte_carlo
-from .spectral import eigendecompose, propagator_amplitude
+from .models import _first_peak, apollaro_chain, default_peak_hint
+from .montecarlo import TransferPolicy, _check_ensemble_args, _score_spectrum, monte_carlo
+from .spectral import _end_weights, eigendecompose
 
 BOX_LO = 1e-6
 BOX_HI = 1.2
@@ -77,14 +77,16 @@ def evaluate_objective(obj: Objective, x: float, y: float, threads: int = 1) -> 
     x = _fold_into_box(float(x))
     y = _fold_into_box(float(y))
     chain = apollaro_chain(obj.n, x, y)
+    lam, w, spectrum = _end_weights(chain)
     try:
-        t0, _ = first_peak_time(chain)
+        t0 = _first_peak(lam, w, default_peak_hint(obj.n))
     except NumericalFailure:
         # no arrival inside the search window (extreme end couplings):
         # score it at the fidelity floor instead of aborting the search
         return 0.5
     if obj.metric == "deterministic":
-        return _score_chain(chain, obj.window, obj.window, t0)
+        return _score_spectrum(chain.couplings[None], chain.fields[None], spectrum,
+                               obj.window, obj.window, np.array([t0]))[0]
     policy = TransferPolicy(window_in=obj.window, window_out=obj.window, time=t0)
     stats = monte_carlo(chain, obj.disorder, policy, samples=obj.samples,
                         quantile=obj.quantile, threads=threads)
@@ -152,14 +154,14 @@ def objective_landscape(obj: Objective, x_values, y_values, threads: int = 1) ->
     return out
 
 
-def first_order_response(chain: Chain, t0: float,
-                         couplings_delta, fields_delta,
-                         steps: tuple[float, float] = (1e-3, 5e-4)) -> float:
+def first_order_response(chain: Chain, t0: float, couplings_delta, fields_delta) -> float:
     """dF/d(eps) at eps = 0 for F(eps) = |<N|U(t0)|1>|^2 of chain + eps*direction.
 
-    The direction is scaled to unit maximum entry (an all-zero direction
-    returns 0).  Central differences at the two steps are combined by
-    Richardson extrapolation, cancelling the leading quadratic error.
+    The direction dH is scaled to unit maximum entry (an all-zero direction
+    returns 0).  dU = V (D o (V^T dH V)) V^T (Daleckii-Krein; Higham, Functions
+    of Matrices, Thm 3.11) with D_kl = (e^{-i lam_k t0} - e^{-i lam_l t0}) /
+    (lam_k - lam_l), D_kk = -i t0 e^{-i lam_k t0}, computed without cancellation
+    as -i t0 e^{-i (lam_k + lam_l) t0 / 2} sinc((lam_k - lam_l) t0 / 2).
     """
     dj = np.asarray(couplings_delta, dtype=float)
     db = np.asarray(fields_delta, dtype=float)
@@ -168,17 +170,14 @@ def first_order_response(chain: Chain, t0: float,
     scale = max(np.max(np.abs(dj)), np.max(np.abs(db)))
     if scale == 0.0:
         return 0.0
-    dj = dj / scale
-    db = db / scale
-
-    def prob(eps: float) -> float:
-        perturbed = Chain(n=chain.n, couplings=chain.couplings + eps * dj,
-                          fields=chain.fields + eps * db, label=chain.label)
-        amp = propagator_amplitude(eigendecompose(perturbed), 1, chain.n, t0)
-        return abs(amp) ** 2
-
-    h_big, h_small = steps
-    d_big = (prob(h_big) - prob(-h_big)) / (2.0 * h_big)
-    d_small = (prob(h_small) - prob(-h_small)) / (2.0 * h_small)
-    weight = (h_big / h_small) ** 2
-    return float((weight * d_small - d_big) / (weight - 1.0))
+    eig = eigendecompose(chain)
+    lam, v = eig.eigenvalues, eig.eigenvectors
+    dh_v = db[:, None] * v  # dH V for the tridiagonal direction
+    dh_v[:-1] += dj[:, None] * v[1:]
+    dh_v[1:] += dj[:, None] * v[:-1]
+    mid = 0.5 * (lam[:, None] + lam[None, :])
+    half_gap = 0.5 * (lam[:, None] - lam[None, :]) * t0
+    divided = -1j * t0 * np.exp(-1j * mid * t0) * np.sinc(half_gap / np.pi)
+    amp = v[-1] @ (np.exp(-1j * lam * t0) * v[0])
+    d_amp = v[-1] @ (divided * (v.T @ dh_v)) @ v[0] / scale
+    return float(2.0 * np.real(np.conj(amp) * d_amp))

@@ -165,14 +165,27 @@ def end_spectrum(fields: np.ndarray, couplings: np.ndarray
     return lam, log_weights, signs, ok
 
 
-def end_to_end_amplitude(chain: Chain, t: float) -> complex | None:
-    """<N| e^{-iHt} |1> from the eigenvalues alone, or None where that is unsafe.
+def _row_weights(chain: Chain, lam: np.ndarray, log_weights: np.ndarray, signs: np.ndarray,
+                 ok: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, w_k = v_k(1) v_k(N)) from the chain's end_spectrum row, or from
+    eigendecompose where the row is not ok or w is not finite (the kernel's fallback)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = signs * np.exp(log_weights)
+    if ok and np.isfinite(w).all():
+        return lam, w
+    eig = eigendecompose(chain)
+    return eig.eigenvalues, eig.eigenvectors[-1] * eig.eigenvectors[0]
 
-    None (zero coupling, repeated eigenvalue, non-finite result) means the
-    caller must use the eigenvector path instead.
-    """
-    (lam,), (log_w,), (signs,), (ok,) = end_spectrum(chain.fields[None], chain.couplings[None])
-    if not ok:
-        return None
-    amp = complex((signs * np.exp(log_w)) @ np.exp(-1j * lam * t))
-    return amp if np.isfinite(amp) else None
+
+def _end_weights(chain: Chain) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(lam, w, spectrum) of the chain from one end_spectrum solve (see _row_weights)."""
+    spectrum = end_spectrum(chain.fields[None], chain.couplings[None])
+    return (*_row_weights(chain, *(part[0] for part in spectrum)), spectrum)
+
+
+def end_to_end_amplitude(chain: Chain, t: float) -> complex | None:
+    """<N| e^{-iHt} |1> from the eigenvalues alone, or None where that is unsafe
+    (zero coupling, repeated eigenvalue, non-finite result)."""
+    lam, w, (*_, ok) = _end_weights(chain)
+    amp = complex(w @ np.exp(-1j * lam * t))
+    return amp if ok[0] and np.isfinite(amp) else None

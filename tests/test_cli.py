@@ -241,6 +241,22 @@ def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, capsys, mo
     assert "error:" in capsys.readouterr().err
 
 
+def test_optimize_rejects_a_negative_delta(tmp_path, capsys, monkeypatch):
+    import spintransfer.optimize as optimize
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("objective evaluated for a negative --delta")
+
+    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    out = tmp_path / "x.json"
+    assert run(["optimize", "--delta", "-0.1", "--restarts", "0", "--samples", "3",
+                "--n", "15", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --delta must be >= 0, got -0.1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_axis(tmp_path):
     assert run(["sweep", "--model", "uniform", "--n", "11",
                 "--j-axis", "0:0.1", "--out", str(tmp_path / "x.csv")]) == 2

@@ -262,6 +262,28 @@ def test_per_sample_peak_scores_each_realization_at_its_own_peak():
         assert got == pytest.approx(oracle_fidelity(chain, 2, 2, t_peak), abs=1e-12)
 
 
+def test_per_sample_peak_solves_each_chunk_once(monkeypatch):
+    base, spec, policy = CASES["w2_peak"]
+    samples = montecarlo._CHUNK + 1
+    hint = max(policy.resolve_time(base), 1.0)
+    want = []
+    for i in range(samples):
+        chain = sample_disordered_chain(base, spec, i)
+        want.append(montecarlo._score_chain(chain, 2, 2,
+                                            first_peak_time(chain, search_hint=hint)[0]))
+    solves = []
+    end_spectrum = montecarlo.end_spectrum
+
+    def counting(fields, couplings):
+        solves.append(fields.shape[0])
+        return end_spectrum(fields, couplings)
+
+    monkeypatch.setattr(montecarlo, "end_spectrum", counting)
+    _, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
+    assert solves == [montecarlo._CHUNK, 1]
+    assert ensemble.tobytes() == np.array(want).tobytes()
+
+
 def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
     end_spectrum = montecarlo.end_spectrum
 

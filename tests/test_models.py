@@ -8,7 +8,7 @@ from spintransfer import (NumericalFailure, SpectrumTarget, apollaro_chain,
                           quadratic_chain, quadratic_spectrum, quadratic_time_bound,
                           rescale_to_unit_max, single_excitation_matrix,
                           swap_trace_first, swap_trace_second, uniform_chain)
-from spintransfer import models
+from spintransfer import models, spectral
 from spintransfer.models import auto_transfer_time, default_peak_hint
 
 
@@ -242,15 +242,23 @@ def test_auto_transfer_time_solves_the_chain_once(chain, monkeypatch):
         want = pst_transfer_time(chain)
     except NumericalFailure:
         want = first_peak_time(chain)[0]
-    calls = []
+    solves, eigensystems = [], []
+    end_spectrum = spectral.end_spectrum
 
-    def counting_eigendecompose(h):
-        calls.append(h)
+    def counting_end_spectrum(fields, couplings):
+        solves.append(fields)
+        return end_spectrum(fields, couplings)
+
+    def no_eigensystem(h):
+        eigensystems.append(h)
         return eigendecompose(h)
 
-    monkeypatch.setattr(models, "eigendecompose", counting_eigendecompose)
+    monkeypatch.setattr(spectral, "end_spectrum", counting_end_spectrum)
+    for module in (models, spectral):
+        monkeypatch.setattr(module, "eigendecompose", no_eigensystem)
     assert auto_transfer_time(chain) == want
-    assert len(calls) == 1
+    assert len(solves) == 1
+    assert eigensystems == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,41 @@
-"""The chunked, offset-table first-peak scan against the whole-grid scan it replaced."""
+"""The chunked, offset-table first-peak scan against the whole-grid scan it replaced,
+and its Newton refinement against an independent root of g' = d|f|^2/dt."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from spintransfer import (NumericalFailure, Objective, apollaro_chain, eigendecompose,
                           fidelity_single, first_peak_time, normal_disorder,
                           optimize_apollaro, sample_disordered_chain, uniform_chain)
-from spintransfer import models
-from spintransfer.models import _golden_section_max, default_peak_hint
+from spintransfer import models, optimize, spectral
+from spintransfer.models import _golden_section_max, _refine_peak, default_peak_hint
 from spintransfer.optimize import BOX_HI, BOX_LO
 
 
-def dense_first_peak(chain, eig, search_hint, step=0.05, amp_threshold=0.01,
-                     time_tol=1e-8):
-    """The whole-grid scan: every grid point's amplitude at once, then a loop."""
-    prod = eig.eigenvectors[chain.n - 1, :] * eig.eigenvectors[0, :]
-    lam = eig.eigenvalues
+def dense_first_peak(lam, w, search_hint, step=0.05, amp_threshold=0.01, time_tol=1e-8):
+    """The whole-grid scan: every grid point's amplitude at once, then a loop.
 
-    def amp(t):
-        return float(np.abs(np.sum(prod * np.exp(-1j * lam * t))))
-
+    It takes the same spectrum (lam, w) and the same refinement as the
+    chunked scan, so the two agree exactly when they pick the same grid point.
+    Returns the refined time, as models._first_peak does.
+    """
     ts = np.arange(0.0, 2.0 * search_hint + step, step)
-    mags = np.abs(np.exp(-1j * np.outer(ts, lam)) @ prod)
+    mags = np.abs(np.exp(-1j * np.outer(ts, lam)) @ w)
     for i in range(1, ts.size - 1):
         if mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1] and mags[i] > amp_threshold:
-            t_peak = _golden_section_max(amp, ts[i - 1], ts[i + 1], time_tol)
-            return t_peak, fidelity_single(min(amp(t_peak), 1.0))
+            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1], time_tol)
     raise NumericalFailure("no transfer peak found in the search window")
 
 
 def dense_first_peak_time(chain, search_hint=None, **kwargs):
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
-    return dense_first_peak(chain, eigendecompose(chain), search_hint, **kwargs)
+    lam, w, _ = spectral._end_weights(chain)
+    t = dense_first_peak(lam, w, search_hint, **kwargs)
+    return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
 
 def outcome(scan, chain, **kwargs):
@@ -137,7 +138,7 @@ def test_tuning_run_matches_the_dense_scan(monkeypatch):
         dense_calls.append(args[0])
         return dense_first_peak(*args)
 
-    monkeypatch.setattr(models, "_first_peak", counting_dense_first_peak)
+    monkeypatch.setattr(optimize, "_first_peak", counting_dense_first_peak)
     assert optimize_apollaro(obj, 0.5, 0.8, restarts=1, max_iter=12) == result
     assert len(dense_calls) == result.evaluations + 1 > 12  # + the final re-evaluation
 
@@ -147,17 +148,85 @@ def test_tuning_run_matches_the_dense_scan(monkeypatch):
     ("step", 0.0), ("step", -0.05), ("step", math.nan), ("step", math.inf),
     ("search_hint", 0.0), ("search_hint", math.nan), ("search_hint", math.inf)])
 def test_bad_search_arguments_raise_before_the_eigensolve(name, value, monkeypatch):
-    def no_eigensolve(chain):
+    def no_eigensolve(*args):
         raise AssertionError("eigensolve started before the argument check")
 
-    monkeypatch.setattr(models, "eigendecompose", no_eigensolve)
+    for module in (models, spectral):
+        monkeypatch.setattr(module, "eigendecompose", no_eigensolve)
+    monkeypatch.setattr(spectral, "end_spectrum", no_eigensolve)
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         first_peak_time(uniform_chain(21), **{name: value})
 
 
-def test_tolerance_below_double_spacing_returns():
+def test_tolerance_below_double_spacing_returns(monkeypatch):
     chain = uniform_chain(51)
-    t_fine, f_fine = first_peak_time(chain, time_tol=1e-20)
     t, f = first_peak_time(chain)
+
+    def no_golden(*args):
+        raise AssertionError("golden-section fallback taken")
+
+    # the Newton steps stop shrinking at the rounding level: no fallback needed
+    monkeypatch.setattr(models, "_golden_section_max", no_golden)
+    t_fine, f_fine = first_peak_time(chain, time_tol=1e-20)
     assert abs(t_fine - t) < 1e-8
     assert abs(f_fine - f) < 1e-12
+
+
+def derivative_root_peak(chain, t):
+    """Oracle: the root of g'(s) = 2 Re(conj(f) f') next to t, on eigenvector weights."""
+    eig = eigendecompose(chain)
+    lam, prod = eig.eigenvalues, eig.eigenvectors[-1] * eig.eigenvectors[0]
+
+    def slope(s):
+        phases = prod * np.exp(-1j * lam * s)
+        return float(np.real(np.conj(np.sum(phases)) * np.sum(-1j * lam * phases)))
+
+    lo, hi = t - 0.01, t + 0.01
+    assert slope(lo) > 0 > slope(hi)  # a maximum of |f| in between
+    return brentq(slope, lo, hi, xtol=1e-14)
+
+
+def refinement_chains():
+    for n in (51, 201):
+        yield uniform_chain(n)
+        yield from box_grid(n, 9)
+        for sigma in (0.05, 0.1, 0.3, 1.0):
+            spec = normal_disorder(sigma, sigma, seed=47)
+            for i in range(6):
+                yield sample_disordered_chain(uniform_chain(n), spec, i)
+
+
+def test_newton_refinement_against_a_root_of_the_derivative():
+    tolerance = 1e-10  # fixed before measuring; the worst seen is 6.0e-13
+    checked = 0
+    for chain in refinement_chains():
+        try:
+            t, _ = first_peak_time(chain)
+        except NumericalFailure:
+            continue
+        assert abs(t - derivative_root_peak(chain, t)) <= tolerance, chain.label
+        checked += 1
+    assert checked == 157
+
+
+def counted_golden(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return _golden_section_max(*args)
+
+    monkeypatch.setattr(models, "_golden_section_max", counting)
+    return calls
+
+
+@pytest.mark.parametrize("start, lo, hi", [(0.2, 0.1, 3.0), (1.2, 1.0, 1.3)],
+                         ids=["convex_start", "step_leaves_bracket"])
+def test_newton_falls_back_to_golden_section(start, lo, hi, monkeypatch):
+    # f(t) = i sin t, g = sin^2 t, g'' = 2 cos 2t: positive at t = 0.2; at
+    # t = 1.2 the Newton step lands near 1.658, outside [1.0, 1.3]
+    lam, w = np.array([-1.0, 1.0]), np.array([0.5, -0.5])
+    calls = counted_golden(monkeypatch)
+    got = _refine_peak(lam, w, lo, start, hi, 1e-8)
+    assert calls == [(lo, hi, 1e-8)]
+    assert got == _golden_section_max(lambda s: abs(w @ np.exp(-1j * lam * s)), lo, hi, 1e-8)
