@@ -64,6 +64,8 @@ def _parse_axis(name: str, text: str, flag: str) -> SweepAxis:
         start, stop, step = parts
         if step <= 0:
             raise ValueError("axis step must be positive")
+        if stop < start:
+            raise ValueError(f"{flag} stop {stop:g} is below its start {start:g}")
         count = int(round((stop - start) / step)) + 1
         values = start + step * np.arange(count)
         values = values[values <= stop + 1e-12]

@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .chain import Chain
 
@@ -87,6 +86,7 @@ class Distribution:
             return np.zeros_like(u)
         if self.kind == "uniform":
             return self.param * (2.0 * u - 1.0)
+        from scipy.special import ndtri  # deferred: only normal draws pay its import
         return self.param * ndtri(u)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chain import Chain, NumericalFailure
 from .disorder import DisorderSpec
@@ -106,7 +105,10 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
     """
     if not (0 < x0 <= BOX_HI and 0 < y0 <= BOX_HI):
         raise ValueError(f"start must lie in (0, {BOX_HI}]^2")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     _check_ensemble_args(obj.samples, obj.quantile, threads)
+    from scipy.optimize import minimize  # deferred: the only caller, ~0.2 s to import
     trace: list[tuple[float, float, float]] = []
 
     def negated(p: np.ndarray) -> float:

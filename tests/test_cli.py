@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spintransfer
 from spintransfer.cli import main
 
 
@@ -260,6 +265,42 @@ def test_optimize_rejects_a_negative_delta(tmp_path, capsys, monkeypatch):
 def test_sweep_rejects_bad_axis(tmp_path):
     assert run(["sweep", "--model", "uniform", "--n", "11",
                 "--j-axis", "0:0.1", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--model", "uniform", "--n", "11", "--j-axis", "0.2:0:0.1", "--b-axis", "0"],
+    ["optimize", "--n", "15", "--landscape", "--x-axis", "0.7:0.3:0.05"],
+], ids=["sweep", "landscape"])
+def test_reversed_axis_is_a_usage_error(command, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(command + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --") and "below its start" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_optimize_rejects_negative_restarts(capsys, monkeypatch):
+    import spintransfer.optimize as optimize
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("objective evaluated for a negative --restarts")
+
+    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    assert run(["optimize", "--n", "15", "--restarts", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: restarts must be >= 0, got -2\n"
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(spintransfer.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "spintransfer", "build", "--model", "pst",
+                           "--n", "5"], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 5
 
 
 def test_optimize_landscape_single_cell(tmp_path):
