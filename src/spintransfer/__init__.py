@@ -5,9 +5,8 @@ decomposition of windowed propagators, evaluate exact transfer-fidelity
 formulas, and quantify robustness under seeded coupling/field disorder.
 """
 
-from .chain import (Chain, NumericalFailure, SingleExcitationMatrix, chain_from_dict,
-                    chain_to_dict, load_chain, rescale_to_unit_max, save_chain,
-                    single_excitation_matrix)
+from .chain import (Chain, NumericalFailure, chain_from_dict, chain_to_dict, load_chain,
+                    rescale_to_unit_max, save_chain)
 from .disorder import (DisorderSpec, Distribution, counter_uniform, disorder_from_dict,
                        disorder_to_dict, load_disorder, normal_disorder, save_disorder,
                        sample_disordered_chain, uniform_disorder, zero_disorder)

@@ -1,4 +1,4 @@
-"""Chain descriptions and their single-excitation matrices.
+"""Chain descriptions, and the JSON writer and format check every file shares.
 
 A chain is the physical device: N sites, N-1 nearest-neighbour couplings
 J_1..J_{N-1} and N on-site fields B_1..B_N, all in the same energy units.
@@ -53,37 +53,6 @@ class Chain:
             raise ValueError(f"expected {self.n} fields, got {self.fields.size}")
 
 
-@dataclass
-class SingleExcitationMatrix:
-    """Real symmetric tridiagonal matrix: fields on the diagonal, couplings off it."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    def __post_init__(self):
-        self.diagonal = _as_float_vector(self.diagonal, "diagonal")
-        self.offdiagonal = _as_float_vector(self.offdiagonal, "offdiagonal")
-        if self.offdiagonal.size != self.diagonal.size - 1:
-            raise ValueError("offdiagonal must be one shorter than diagonal")
-
-    @property
-    def n(self) -> int:
-        return self.diagonal.size
-
-    def dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        idx = np.arange(self.n - 1)
-        h[idx, idx + 1] = self.offdiagonal
-        h[idx + 1, idx] = self.offdiagonal
-        return h
-
-
-def single_excitation_matrix(chain: Chain) -> SingleExcitationMatrix:
-    """Map a chain onto its single-excitation tridiagonal matrix."""
-    return SingleExcitationMatrix(diagonal=chain.fields.copy(),
-                                  offdiagonal=chain.couplings.copy())
-
-
 def rescale_to_unit_max(chain: Chain) -> tuple[Chain, float]:
     """Rescale so the largest |coupling| is 1.
 
@@ -101,6 +70,27 @@ def rescale_to_unit_max(chain: Chain) -> tuple[Chain, float]:
     )
 
 
+def write_json(data: dict, path=None) -> str:
+    """data as JSON text (indent 2, one trailing newline), also written to path if given."""
+    text = json.dumps(data, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
+def _check_format(data, kind: str, keys: tuple[str, ...]) -> None:
+    """ValueError, naming kind, unless data is an object with keys and FORMAT_VERSION if any."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} JSON must be an object, not {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{kind} JSON lacks {', '.join(missing)}")
+    version = data.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported {kind} format_version {version!r}")
+
+
 def chain_to_dict(chain: Chain) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -113,14 +103,7 @@ def chain_to_dict(chain: Chain) -> dict:
 
 def chain_from_dict(data: dict) -> Chain:
     """Inverse of chain_to_dict; malformed input raises ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"chain JSON must be an object, not {type(data).__name__}")
-    missing = [key for key in ("n", "couplings", "fields") if key not in data]
-    if missing:
-        raise ValueError(f"chain JSON lacks {', '.join(missing)}")
-    version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported chain format_version {version!r}")
+    _check_format(data, "chain", ("n", "couplings", "fields"))
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"chain JSON n must be an integer, not {n!r}")
@@ -136,9 +119,7 @@ def chain_from_dict(data: dict) -> Chain:
 
 
 def save_chain(chain: Chain, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_to_dict(chain), fh, indent=2)
-        fh.write("\n")
+    write_json(chain_to_dict(chain), path)
 
 
 def load_chain(path) -> Chain:

@@ -12,12 +12,12 @@ violations), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from .chain import NumericalFailure, load_chain, rescale_to_unit_max, save_chain
+from .chain import (FORMAT_VERSION, NumericalFailure, load_chain, rescale_to_unit_max,
+                    save_chain, write_json)
 from .disorder import uniform_disorder
 from .encoding import (best_excitation_count, fidelity_haselgrove, fidelity_multi,
                        fidelity_single, optimal_encoding, save_encoding, transfer_matrix)
@@ -29,7 +29,8 @@ from .montecarlo import (SweepAxis, TransferPolicy, save_grid_csv, save_grid_des
 from .optimize import Objective, objective_landscape, optimize_apollaro
 from .spectral import eigendecompose, end_windows
 
-FORMAT_VERSION = 1
+# Points per sweep or landscape axis: a larger grid is a typo, not a run.
+MAX_AXIS_POINTS = 1000
 
 
 def _build_chain_from_flags(args) -> object:
@@ -66,20 +67,14 @@ def _parse_axis(name: str, text: str, flag: str) -> SweepAxis:
             raise ValueError("axis step must be positive")
         if stop < start:
             raise ValueError(f"{flag} stop {stop:g} is below its start {start:g}")
-        count = int(round((stop - start) / step)) + 1
-        values = start + step * np.arange(count)
+        count = np.rint((stop - start) / step) + 1  # inf where the division overflows
+        if count > MAX_AXIS_POINTS:
+            raise ValueError(f"{flag} has {count:.15g} points, more than {MAX_AXIS_POINTS}")
+        values = start + step * np.arange(int(count))
         values = values[values <= stop + 1e-12]
     else:
         raise ValueError(f"axis spec {text!r} must be VALUE or START:STOP:STEP")
     return SweepAxis(name=name, values=values)
-
-
-def _emit(data: dict, path: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,7 @@ def cmd_build(args) -> int:
         save_chain(chain, args.out)
         summary["out"] = args.out
     summary["max_coupling"] = float(np.max(np.abs(chain.couplings)))
-    _emit(summary, None)
+    sys.stdout.write(write_json(summary))
     return 0
 
 
@@ -126,7 +121,7 @@ def cmd_fidelity(args) -> int:
     }
     if args.encoding_out:
         save_encoding(solution, args.encoding_out)
-    _emit(report, args.out)
+    sys.stdout.write(write_json(report, args.out))
     return 0
 
 
@@ -186,7 +181,7 @@ def cmd_optimize(args) -> int:
         "hit_boundary": result.hit_boundary,
         "trace": [[x, y, v] for (x, y, v) in result.trace] if args.trace else [],
     }
-    _emit(report, args.out)
+    sys.stdout.write(write_json(report, args.out))
     return 0
 
 
@@ -194,7 +189,7 @@ def cmd_oracle(args) -> int:
     chain = _build_chain_from_flags(args)
     report = free_fermion_report(chain, args.k, args.t, tolerance=args.tolerance)
     report["format_version"] = FORMAT_VERSION
-    _emit(report, args.out)
+    sys.stdout.write(write_json(report, args.out))
     return 0 if report["passed"] else 3
 
 

@@ -25,9 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import Chain
-
-FORMAT_VERSION = 1
+from .chain import FORMAT_VERSION, Chain, _check_format, write_json
 
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -191,19 +189,23 @@ def disorder_to_dict(spec: DisorderSpec) -> dict:
 
 
 def disorder_from_dict(data: dict) -> DisorderSpec:
-    return DisorderSpec(
-        coupling_mode=data["coupling_mode"],
-        field_mode=data["field_mode"],
-        coupling_dist=Distribution(**data["coupling_dist"]),
-        field_dist=Distribution(**data["field_dist"]),
-        master_seed=int(data["seed"]),
-    )
+    """Inverse of disorder_to_dict; malformed input raises ValueError."""
+    _check_format(data, "disorder",
+                  ("coupling_mode", "field_mode", "coupling_dist", "field_dist", "seed"))
+    try:
+        return DisorderSpec(
+            coupling_mode=data["coupling_mode"],
+            field_mode=data["field_mode"],
+            coupling_dist=Distribution(**data["coupling_dist"]),
+            field_dist=Distribution(**data["field_dist"]),
+            master_seed=int(data["seed"]),
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed disorder JSON: {exc}") from exc
 
 
 def save_disorder(spec: DisorderSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(disorder_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(disorder_to_dict(spec), path)
 
 
 def load_disorder(path) -> DisorderSpec:

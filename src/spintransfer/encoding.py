@@ -20,15 +20,13 @@ the extra term is the arrival weight that decoding can still salvage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .chain import FORMAT_VERSION, write_json
 from .spectral import Eigensystem, TransferWindow, propagator_amplitude, window_amplitudes
-
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -175,6 +173,4 @@ def encoding_to_dict(sol: EncodingSolution) -> dict:
 
 
 def save_encoding(sol: EncodingSolution, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(encoding_to_dict(sol), fh, indent=2)
-        fh.write("\n")
+    write_json(encoding_to_dict(sol), path)

@@ -3,12 +3,11 @@
 A run draws M disordered realizations of a base chain (sample indices
 0..M-1) and scores the best single-excitation encoding of each at its
 extraction time (the run's time, or each realization's own first peak).
-One private kernel, _score_rows, scores a stack of realizations drawn by
-one broadcast hash (disorder.draw_realizations), in chunks of a fixed number
-of samples, in one thread (a thread pool measured slower).  It is a thin
-wrapper: end_spectrum solves the stack, and _score_spectrum scores it, so a
-caller that already holds the spectrum (the tuning objective, per-sample
-peaks) solves each chain once.
+One private kernel, _score_spectrum, scores a stack of realizations drawn
+by one broadcast hash (disorder.draw_realizations), in chunks of a fixed
+number of samples, in one thread (a thread pool measured slower).  The caller
+solves the stack once with spectral.end_spectrum and passes that spectrum in,
+so the tuning objective and per-sample peaks reuse it for their peak search.
 
 The kernel computes no eigenvectors.  Each chain gets its eigenvalues and
 end weights w_k = v_k(1) v_k(N) from spectral.end_spectrum; the window rows
@@ -30,19 +29,16 @@ on its chunk, and reductions happen in index order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import Chain
+from .chain import FORMAT_VERSION, Chain, write_json
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import fidelity_single
 from .models import _check_peak_args, _first_peak, auto_transfer_time
 from .spectral import (_row_weights, eigendecompose, end_spectrum, end_windows,
                        window_amplitudes)
-
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -154,25 +150,11 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
                            times)
 
 
-def _score_chain(chain: Chain, window_in: int, window_out: int, time: float) -> float:
-    """Best single-excitation fidelity of one chain between its end windows."""
-    return _score_rows(chain.couplings[None], chain.fields[None], window_in, window_out,
-                       np.array([float(time)]))[0]
-
-
-def _score_rows(couplings: np.ndarray, fields: np.ndarray, window_in: int, window_out: int,
-                times: np.ndarray) -> np.ndarray:
-    """Best single-excitation fidelity of each row's chain between its end windows.
-
-    Row r is the chain with couplings[r] and fields[r], extracted at times[r].
-    """
-    return _score_spectrum(couplings, fields, end_spectrum(fields, couplings),
-                           window_in, window_out, times)
-
-
 def _score_spectrum(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
                     window_in: int, window_out: int, times: np.ndarray) -> np.ndarray:
-    """_score_rows for chains already solved: spectrum is their end_spectrum."""
+    """Best single-excitation fidelity of each row's chain between its end windows.
+
+    Row r: couplings[r], fields[r], at times[r]; spectrum is end_spectrum(fields, couplings)."""
     m, n = fields.shape
     end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
     top = np.full(m, np.nan)  # NaN: not scored yet
@@ -329,6 +311,4 @@ def save_grid_descriptor(grid: SweepGrid, path) -> None:
         "field_axis": {"name": grid.field_axis.name,
                        "values": [float(v) for v in grid.field_axis.values]},
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_json(data, path)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstevd
 
-from .chain import Chain, NumericalFailure, SingleExcitationMatrix, single_excitation_matrix
+from .chain import Chain, NumericalFailure
 
 
 @dataclass
@@ -92,17 +92,15 @@ def _fix_sign_gauge(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose(h: SingleExcitationMatrix | Chain) -> Eigensystem:
-    """Full eigensystem of the single-excitation matrix, ascending eigenvalues.
+def eigendecompose(chain: Chain) -> Eigensystem:
+    """Full eigensystem of the chain's single-excitation matrix, ascending eigenvalues.
 
     Zero couplings are allowed (a disorder draw can disconnect the chain); the
     spectrum is then no longer guaranteed simple but the decomposition is
     still exact.
     """
-    if isinstance(h, Chain):
-        h = single_excitation_matrix(h)
     try:
-        w, v = eigh_tridiagonal(h.diagonal, h.offdiagonal)
+        w, v = eigh_tridiagonal(chain.fields, chain.couplings)
     except Exception as exc:  # pragma: no cover - LAPACK failure is pathological
         raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
     order = np.argsort(w, kind="stable")

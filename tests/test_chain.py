@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from _helpers import dense_hamiltonian
 from spintransfer import (Chain, chain_from_dict, chain_to_dict, load_chain,
-                          rescale_to_unit_max, save_chain, single_excitation_matrix)
-from spintransfer.models import pst_chain, quadratic_chain, uniform_chain
+                          rescale_to_unit_max, save_chain)
+from spintransfer.models import quadratic_chain, uniform_chain
 
 
 def test_chain_validation():
@@ -19,29 +20,9 @@ def test_chain_validation():
         Chain(n=2, couplings=np.array([1.0]), fields=np.array([0.0, np.nan]))
 
 
-def test_single_excitation_matrix_uniform_3():
-    h = single_excitation_matrix(uniform_chain(3))
-    assert np.array_equal(h.diagonal, [0, 0, 0])
-    assert np.array_equal(h.offdiagonal, [1, 1])
-
-
-def test_single_excitation_matrix_pst_4():
-    h = single_excitation_matrix(pst_chain(4))
-    expected = np.array([2 * np.sqrt(3) / 4, 1.0, 2 * np.sqrt(3) / 4])
-    assert np.allclose(h.offdiagonal, expected, atol=1e-15)
-    assert np.array_equal(h.diagonal, np.zeros(4))
-
-
-def test_single_excitation_matrix_with_fields():
-    chain = Chain(n=2, couplings=np.array([0.7]), fields=np.array([0.1, -0.2]))
-    h = single_excitation_matrix(chain)
-    assert np.array_equal(h.diagonal, [0.1, -0.2])
-    assert np.array_equal(h.offdiagonal, [0.7])
-
-
 def test_dense_matches_layout():
     chain = Chain(n=3, couplings=np.array([1.0, 2.0]), fields=np.array([3.0, 4.0, 5.0]))
-    dense = single_excitation_matrix(chain).dense()
+    dense = dense_hamiltonian(chain)
     assert np.array_equal(dense, [[3, 1, 0], [1, 4, 2], [0, 2, 5]])
 
 

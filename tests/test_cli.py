@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spintransfer
+from spintransfer import cli, normal_disorder, save_disorder
 from spintransfer.cli import main
 
 
@@ -138,6 +139,39 @@ def test_fidelity_encoding_out_bytes(tmp_path):
     assert run(["fidelity", "--model", "pst", "--n", "9", "--window-in", "2",
                 "--window-out", "3", "--encoding-out", str(got)]) == 0
     assert got.read_bytes() == want.read_bytes()
+
+
+# Each JSON writer: argv with {a} (and {b}) for its JSON files, and whether stdout
+# repeats the first file.  None: save_disorder, which has no command.
+JSON_WRITERS = {
+    "build": (["build", "--model", "pst", "--n", "9", "--out", "{a}"], False),
+    "fidelity": (["fidelity", "--model", "pst", "--n", "9", "--window", "2",
+                  "--out", "{a}", "--encoding-out", "{b}"], True),
+    "optimize": (["optimize", "--n", "11", "--restarts", "0", "--out", "{a}"], True),
+    "oracle": (["oracle", "--n", "6", "--k", "2", "--out", "{a}"], True),
+    "sweep": (["sweep", "--model", "uniform", "--n", "9", "--j-axis", "0", "--b-axis", "0.1",
+               "--samples", "4", "--out", "{csv}", "--descriptor", "{a}"], False),
+    "save_disorder": (None, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_WRITERS))
+def test_json_files_share_one_layout(case, tmp_path, capsys):
+    argv, prints_report = JSON_WRITERS[case]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    if argv is None:
+        save_disorder(normal_disorder(0.1, 0.05, seed=4), paths[0])
+    else:
+        names = {"a": paths[0], "b": paths[1], "csv": tmp_path / "x.csv"}
+        assert run([arg.format(**names) for arg in argv]) == 0
+    written = [path.read_bytes() for path in paths if path.exists()]
+    assert len(written) == (2 if case == "fidelity" else 1)
+    for data in written:
+        assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+        assert json.loads(data)["format_version"] == 1
+        assert data.endswith(b"}\n")
+    if prints_report:
+        assert capsys.readouterr().out.encode() == written[0]
 
 
 def test_fidelity_invalid_window():
@@ -279,6 +313,28 @@ def test_reversed_axis_is_a_usage_error(command, tmp_path, capsys):
     assert captured.err.startswith("error: --") and "below its start" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, count", [("0:1:1e-6", "1000001"), ("0:0.1:1e-300", "1e+299"),
+                                         ("0:0.1:5e-324", "inf")], ids=["1e-6", "1e-300", "denormal"])
+@pytest.mark.parametrize("command, flag", [
+    (["sweep", "--model", "uniform", "--n", "11", "--b-axis", "0"], "--j-axis"),
+    (["optimize", "--n", "15", "--landscape", "--y-axis", "0.8"], "--x-axis"),
+], ids=["sweep", "landscape"])
+def test_axis_with_too_many_points_is_a_usage_error(command, flag, spec, count, tmp_path,
+                                                    capsys):
+    out = tmp_path / "x.csv"
+    assert run(command + [flag, spec, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} has {count} points, more than 1000\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_axis_point_limit_is_inclusive():
+    assert cli._parse_axis("sigma_J", "0:0.999:0.001", "--j-axis").values.size == 1000
+    with pytest.raises(ValueError, match="1001 points"):
+        cli._parse_axis("sigma_J", "0:1:0.001", "--j-axis")
 
 
 def test_optimize_rejects_negative_restarts(capsys, monkeypatch):

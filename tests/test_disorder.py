@@ -120,6 +120,24 @@ def test_serialization_roundtrip(tmp_path):
     assert disorder_from_dict(disorder_to_dict(spec)) == spec
 
 
+VALID = disorder_to_dict(normal_disorder(0.1, 0.05, seed=5))
+
+
+@pytest.mark.parametrize("data, message", [
+    ([VALID], "must be an object"),
+    ({key: value for key, value in VALID.items() if key != "field_mode"}, "lacks field_mode"),
+    ({**VALID, "format_version": 2}, "format_version 2"),
+    ({**VALID, "coupling_dist": 0.1}, "malformed disorder JSON"),
+], ids=["not_an_object", "missing_field_mode", "format_version_2", "dist_not_an_object"])
+def test_malformed_disorder_json_raises_value_error(data, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        disorder_from_dict(data)
+    path = tmp_path / "disorder.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=message):
+        load_disorder(path)
+
+
 def test_helper_constructors():
     spec = normal_disorder(0.1, 0.0, seed=3, coupling_mode="multiplicative")
     assert spec.coupling_mode == "multiplicative"

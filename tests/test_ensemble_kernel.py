@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _helpers import score_chain, score_rows
 from spintransfer import (Chain, DisorderSpec, Distribution, TransferPolicy, TransferMatrix,
                           apollaro_chain, counter_uniform, eigendecompose, end_windows,
                           fidelity_single, first_peak_time, full_propagator, monte_carlo,
@@ -125,9 +126,9 @@ def test_scores_do_not_depend_on_the_chunk_a_row_is_in():
     base, spec, policy = CASES["w5"]
     couplings, fields = draw_realizations(base, spec, 0, 100)
     times = np.full(100, policy.resolve_time(base))
-    whole = montecarlo._score_rows(couplings, fields, 5, 5, times)
-    chunks = np.concatenate([montecarlo._score_rows(couplings[i:i + 37], fields[i:i + 37],
-                                                    5, 5, times[i:i + 37])
+    whole = score_rows(couplings, fields, 5, 5, times)
+    chunks = np.concatenate([score_rows(couplings[i:i + 37], fields[i:i + 37], 5, 5,
+                                        times[i:i + 37])
                              for i in range(0, 100, 37)])
     assert whole.tobytes() == chunks.tobytes()
 
@@ -155,7 +156,7 @@ def test_kernel_matches_full_propagator_oracle(window_in, window_out):
     spec = normal_disorder(0.15, 0.1, seed=45)
     t = 21.3
     couplings, fields = draw_realizations(base, spec, 0, 80)
-    got = montecarlo._score_rows(couplings, fields, window_in, window_out, np.full(80, t))
+    got = score_rows(couplings, fields, window_in, window_out, np.full(80, t))
     for r in range(80):
         chain = sample_disordered_chain(base, spec, r)
         assert got[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
@@ -177,8 +178,8 @@ def counted_eigendecompose(monkeypatch) -> list:
 def assert_kernel_matches_oracle(couplings, fields, window_in, window_out, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = montecarlo._score_rows(couplings, fields, window_in, window_out,
-                                     np.full(fields.shape[0], t))
+        got = score_rows(couplings, fields, window_in, window_out,
+                         np.full(fields.shape[0], t))
     n = fields.shape[1]
     for r in range(fields.shape[0]):
         chain = Chain(n=n, couplings=couplings[r], fields=fields[r])
@@ -269,8 +270,7 @@ def test_per_sample_peak_solves_each_chunk_once(monkeypatch):
     want = []
     for i in range(samples):
         chain = sample_disordered_chain(base, spec, i)
-        want.append(montecarlo._score_chain(chain, 2, 2,
-                                            first_peak_time(chain, search_hint=hint)[0]))
+        want.append(score_chain(chain, 2, 2, first_peak_time(chain, search_hint=hint)[0]))
     solves = []
     end_spectrum = montecarlo.end_spectrum
 
@@ -293,7 +293,7 @@ def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "end_spectrum", inflated)
     with pytest.raises(ValueError, match="window block has singular value"):
-        montecarlo._score_chain(uniform_chain(9), 3, 3, 4.0)
+        score_chain(uniform_chain(9), 3, 3, 4.0)
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0},

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from _helpers import dense_hamiltonian
 from spintransfer import (Chain, build_subspace_hamiltonian, determinant_amplitude,
                           eigendecompose, end_windows, excitation_basis,
                           free_fermion_report, optimal_encoding, propagator_amplitude,
-                          pst_chain, pst_transfer_time, single_excitation_matrix,
-                          subspace_propagator, transfer_matrix, uniform_chain,
+                          pst_chain, pst_transfer_time, subspace_propagator, transfer_matrix, uniform_chain,
                           verify_free_fermion)
 
 
@@ -28,7 +28,7 @@ def test_k1_reduces_to_single_excitation_matrix():
     chain = random_chain(rng, 7)
     h, basis = build_subspace_hamiltonian(chain, 1)
     assert basis.size == 7
-    assert np.allclose(h, single_excitation_matrix(chain).dense(), atol=1e-15)
+    assert np.allclose(h, dense_hamiltonian(chain), atol=1e-15)
 
 
 def test_three_site_two_excitation_structure():

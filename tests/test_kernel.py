@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _helpers import score_chain
 from spintransfer import (Chain, TransferPolicy, eigendecompose, end_to_end_amplitude,
                           end_windows, fidelity_single, full_propagator, monte_carlo,
                           normal_disorder, optimal_encoding, pst_chain, pst_transfer_time,
@@ -106,11 +107,11 @@ def test_fallback_takes_the_eigenvector_path(name, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # decided before any log(0) or 1/0
             assert end_to_end_amplitude(chain, t) is None
-            score = montecarlo._score_chain(chain, window_in, window_out, t)
+            score = score_chain(chain, window_in, window_out, t)
         assert len(calls) == 1
         assert score == eigenvector_fidelity(chain, t, window_in, window_out)
     want = fidelity_single(min(abs(oracle_amplitude(chain, t)), 1.0))
-    assert montecarlo._score_chain(chain, 1, 1, t) == pytest.approx(want, abs=TOL)
+    assert score_chain(chain, 1, 1, t) == pytest.approx(want, abs=TOL)
 
 
 def test_overflowing_recurrence_takes_the_eigenvector_path(monkeypatch):
@@ -127,7 +128,7 @@ def test_overflowing_recurrence_takes_the_eigenvector_path(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert end_to_end_amplitude(chain, 3.0) is not None
-        score = montecarlo._score_chain(chain, 4, 1, 3.0)
+        score = score_chain(chain, 4, 1, 3.0)
     assert len(calls) == 1
     assert score == eigenvector_fidelity(chain, 3.0, 4, 1)
 
@@ -141,9 +142,9 @@ def test_window1_scorer_uses_no_eigenvectors(monkeypatch):
     monkeypatch.setattr(montecarlo, "eigendecompose", forbidden)
     chain = sample_disordered_chain(uniform_chain(31), normal_disorder(0.1, 0.1, seed=2), 0)
     for window in (1, 2, 5, 15):
-        montecarlo._score_chain(chain, window, window, 15.0)
+        score_chain(chain, window, window, 15.0)
     with pytest.raises(AssertionError):
-        montecarlo._score_chain(chain, 16, 16, 15.0)
+        score_chain(chain, 16, 16, 15.0)
 
 
 def test_scorer_keeps_the_singular_value_guard(monkeypatch):
@@ -159,7 +160,7 @@ def test_scorer_keeps_the_singular_value_guard(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "end_spectrum", beyond_unitary)
     with pytest.raises(ValueError, match="singular value"):
-        montecarlo._score_chain(uniform_chain(5), 1, 1, 3.0)
+        score_chain(uniform_chain(5), 1, 1, 3.0)
 
 
 def test_window1_monte_carlo_identical_across_threads():

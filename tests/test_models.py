@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from _helpers import dense_hamiltonian
 from spintransfer import (NumericalFailure, SpectrumTarget, apollaro_chain,
                           eigendecompose, end_to_end_fidelity, first_peak_time,
                           inverse_persymmetric_jacobi, pst_chain, pst_transfer_time,
                           quadratic_chain, quadratic_spectrum, quadratic_time_bound,
-                          rescale_to_unit_max, single_excitation_matrix,
-                          swap_trace_first, swap_trace_second, uniform_chain)
+                          rescale_to_unit_max, swap_trace_first, swap_trace_second, uniform_chain)
 from spintransfer import models, spectral
 from spintransfer.models import auto_transfer_time, default_peak_hint
 
@@ -210,7 +210,7 @@ def test_first_peak_uniform51_regression():
 def test_first_peak_against_dense_expm_oracle():
     chain = uniform_chain(21)
     t, f = first_peak_time(chain)
-    h = single_excitation_matrix(chain).dense()
+    h = dense_hamiltonian(chain)
     amp = expm(-1j * h * t)[-1, 0]
     assert f == pytest.approx(1 / 3 + (1 + abs(amp)) ** 2 / 6, abs=1e-10)
     # local maximality of the refined peak

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from _helpers import dense_hamiltonian
 from spintransfer import (Chain, eigendecompose, end_windows, full_propagator,
-                          propagator_amplitude, single_excitation_matrix,
-                          window_amplitudes)
+                          propagator_amplitude, window_amplitudes)
 from spintransfer.models import pst_chain, pst_transfer_time, uniform_chain
 from spintransfer.spectral import TransferWindow
 
@@ -31,7 +31,7 @@ def test_pst6_equally_spaced():
     # spacing oracle: dense symmetric diagonalization of the same matrix
     chain = pst_chain(6)
     eig = eigendecompose(chain)
-    dense = np.linalg.eigvalsh(single_excitation_matrix(chain).dense())
+    dense = np.linalg.eigvalsh(dense_hamiltonian(chain))
     assert np.allclose(eig.eigenvalues, dense, atol=1e-12)
     gaps = np.diff(eig.eigenvalues)
     assert np.allclose(gaps, 2.0 / 3.0, atol=1e-12)
@@ -42,14 +42,13 @@ def test_eigensystem_invariants_random_ensemble():
     for _ in range(100):
         n = int(rng.integers(2, 65))
         chain = random_chain(rng, n)
-        h = single_excitation_matrix(chain)
-        eig = eigendecompose(h)
+        eig = eigendecompose(chain)
         v = eig.eigenvectors
         gram = v.T @ v
         assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
         recon = (v * eig.eigenvalues) @ v.T
         radius = np.max(np.abs(eig.eigenvalues))
-        assert np.max(np.abs(recon - h.dense())) <= 1e-9 * max(radius, 1e-300)
+        assert np.max(np.abs(recon - dense_hamiltonian(chain))) <= 1e-9 * max(radius, 1e-300)
         assert np.all(np.diff(eig.eigenvalues) > 0)  # simple spectrum, J != 0
 
 
@@ -70,7 +69,7 @@ def test_zero_coupling_still_converges():
     eig = eigendecompose(chain)
     assert np.allclose(sorted(eig.eigenvalues), [-1, -1, 1, 1], atol=1e-12)
     recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.T
-    assert np.max(np.abs(recon - single_excitation_matrix(chain).dense())) < 1e-12
+    assert np.max(np.abs(recon - dense_hamiltonian(chain))) < 1e-12
 
 
 def test_propagator_identity_at_t0():
