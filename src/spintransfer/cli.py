@@ -89,7 +89,7 @@ def cmd_build(args) -> int:
         summary["alpha"] = alpha
     if args.model == "quadratic":
         summary["transfer_time_lower_bound"] = quadratic_time_bound(chain.n)
-    if args.out:
+    if args.out is not None:
         save_chain(chain, args.out)
         summary["out"] = args.out
     summary["max_coupling"] = float(np.max(np.abs(chain.couplings)))

@@ -21,6 +21,7 @@ perturbed chains, not merely identical distributions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +77,8 @@ class Distribution:
         if self.kind not in DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         self.param = float(self.param)
+        if not math.isfinite(self.param):  # NaN > 0 is False: it would turn the disorder off
+            raise ValueError(f"distribution parameter must be finite, got {self.param}")
         if self.param < 0:
             raise ValueError("distribution parameter must be >= 0")
 

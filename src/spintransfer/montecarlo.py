@@ -3,21 +3,30 @@
 A run draws M disordered realizations of a base chain (sample indices
 0..M-1) and scores the best single-excitation encoding of each at its
 extraction time (the run's time, or each realization's own first peak).
-One private kernel, _score_spectrum, scores a stack of realizations drawn
-by one broadcast hash (disorder.draw_realizations), in chunks of a fixed
-number of samples, in one thread (a thread pool measured slower).  The caller
-solves the stack once with spectral.end_spectrum and passes that spectrum in,
-so the tuning objective and per-sample peaks reuse it for their peak search.
+Realizations are drawn by one broadcast hash (disorder.draw_realizations) and
+scored in chunks of a fixed number of samples, in one thread (a thread pool
+measured slower).  Two block producers feed one tail (top singular value,
+unitarity guard, fidelity):
 
-The kernel computes no eigenvectors.  Each chain gets its eigenvalues and
-end weights w_k = v_k(1) v_k(N) from spectral.end_spectrum; the window rows
-follow from the three-term recurrence, run from site 1 (r_i) and from site
-N (s_j), and the blocks U_ji(t) = sum_k s_j w_k e^{-i lam_k t} r_i of the
-whole chunk are one stacked product, scored by the top singular value.  The
-full eigensystem scores a chain the identity cannot take (zero coupling,
-repeated eigenvalue) or whose block is not finite, and every chain once the
-two recurrences would share a site (window_in + window_out > N, both windows
-above 1), where they lose accuracy.
+- The spectral producer, _score_spectrum, computes no eigenvectors.  Each
+  chain gets its eigenvalues and end weights w_k = v_k(1) v_k(N) from
+  spectral.end_spectrum; the window rows follow from the three-term
+  recurrence, run from site 1 (r_i) and from site N (s_j), and the blocks
+  U_ji(t) = sum_k s_j w_k e^{-i lam_k t} r_i of the whole chunk are one
+  stacked product.  The full eigensystem scores a chain the identity cannot
+  take (zero coupling, repeated eigenvalue) or whose block is not finite,
+  and every chain once the two recurrences would share a site
+  (window_in + window_out > N, both windows above 1).  Callers holding a
+  spectrum (the deterministic tuning objective, per-sample peaks) call it.
+- The Chebyshev producer, _chebyshev_tops, needs no spectrum.  It applies
+  e^{-iHt} = e^{-i beta t} sum_k (2 - [k=0]) (-i)^k J_k(alpha t) T_k(H') to
+  the unit vectors of the smaller window, H' = (H - beta) / alpha on the
+  Gershgorin interval, with K terms (dropped tail at most 1e-15) and J_k by
+  Miller's recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+Rows scored at a fixed time (_score_fixed_time) are propagated where
+min(window_in, window_out) * K <= _PROPAGATE * N and solved otherwise; the
+rule reads the row alone, so a row scores the same in any chunk.
 
 sample_fidelity and the deterministic tuning objective are the one-row case
 of the same kernel.  The summary keeps three numbers: the mean (what you
@@ -29,6 +38,7 @@ on its chunk, and reductions happen in index order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +99,8 @@ class SweepAxis:
         if self.name not in ("sigma_J", "sigma_B", "delta_J", "delta_B"):
             raise ValueError(f"unknown sweep axis {self.name!r}")
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        if not np.isfinite(self.values).all():
+            raise ValueError("disorder strengths must be finite")
         if np.any(self.values < 0):
             raise ValueError("disorder strengths must be >= 0")
 
@@ -130,6 +142,7 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     The caller can pass the resolved extraction time to avoid re-deriving it
     per sample; otherwise it is resolved from the base chain.
     """
+    end_windows(base.n, policy.window_in, policy.window_out)  # sizes, before any draw
     if time is None:
         time = policy.resolve_time(base)
     return _score_range(base, spec, policy, time, sample_index, sample_index + 1)[0]
@@ -140,14 +153,39 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
     """Fidelities of the realizations with sample indices start..stop-1."""
     couplings, fields = draw_realizations(base, spec, start, stop)
     times = np.full(stop - start, float(time))
+    if not policy.per_sample_peak:
+        return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
     spectrum = end_spectrum(fields, couplings)
-    if policy.per_sample_peak:
-        hint = _check_peak_args(base, max(time, 1.0))
-        for r, row in enumerate(zip(*spectrum)):
-            chain = Chain(n=base.n, couplings=couplings[r], fields=fields[r])
-            times[r] = _first_peak(*_row_weights(chain, *row), hint)
+    hint = _check_peak_args(base, max(time, 1.0))
+    for r, row in enumerate(zip(*spectrum)):
+        chain = Chain(n=base.n, couplings=couplings[r], fields=fields[r])
+        times[r] = _first_peak(*_row_weights(chain, *row), hint)
     return _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
                            times)
+
+
+def _score_fixed_time(couplings: np.ndarray, fields: np.ndarray, window_in: int,
+                      window_out: int, times: np.ndarray) -> np.ndarray:
+    """Best single-excitation fidelity of each row's chain at times[r], with no spectrum given.
+
+    A row is propagated (_chebyshev_tops) where min(window_in, window_out) * K is at most
+    _PROPAGATE * n, K its Chebyshev term count; the other rows are solved and take the
+    spectral producer."""
+    m, n = fields.shape
+    end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
+    small = min(window_in, window_out)
+    counts = _term_counts(_gershgorin(fields, couplings)[1] * times, _TAIL,
+                          _PROPAGATE * n // small)
+    chebyshev = counts * small <= _PROPAGATE * n
+    top = np.full(m, np.nan)
+    if chebyshev.any():
+        top[chebyshev] = _chebyshev_tops(couplings[chebyshev], fields[chebyshev], window_in,
+                                         window_out, times[chebyshev], counts[chebyshev])
+    rest = ~chebyshev
+    if rest.any():
+        c, f = couplings[rest], fields[rest]
+        top[rest] = _spectral_tops(c, f, end_spectrum(f, c), window_in, window_out, times[rest])
+    return _score_tops(top, couplings, fields, window_in, window_out, times)
 
 
 def _score_spectrum(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
@@ -155,22 +193,26 @@ def _score_spectrum(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
     """Best single-excitation fidelity of each row's chain between its end windows.
 
     Row r: couplings[r], fields[r], at times[r]; spectrum is end_spectrum(fields, couplings)."""
-    m, n = fields.shape
-    end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
-    top = np.full(m, np.nan)  # NaN: not scored yet
-    if min(window_in, window_out) == 1 or window_in + window_out <= n:
-        lam, log_weights, signs, ok = spectrum
-        # rows that are not ok, or overflow, stay NaN in top: eigensystem below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ins, outs, log_scale = _window_rows(lam, fields, couplings, window_in, window_out)
-            weights = signs * np.exp(log_weights + log_scale)
-            phases = np.exp(-1j * lam * times[:, None])
-            blocks = ((outs.transpose(1, 0, 2) * weights[:, None, :])
-                      @ (ins.transpose(1, 2, 0) * phases[:, :, None]))
-        good = ok & np.isfinite(blocks).all(axis=(1, 2))
-        blocks = blocks[good]
-        top[good] = (np.abs(blocks[:, 0, 0]) if window_in == window_out == 1
-                     else np.linalg.svd(blocks, compute_uv=False)[:, 0])
+    end_windows(fields.shape[1], window_in, window_out, float(times.min()))  # validates
+    top = _spectral_tops(couplings, fields, spectrum, window_in, window_out, times)
+    return _score_tops(top, couplings, fields, window_in, window_out, times)
+
+
+def _top_singular(blocks: np.ndarray, ok=True) -> np.ndarray:
+    """Top singular value of each block in a stack; NaN where a block is not ok or not finite."""
+    top = np.full(blocks.shape[0], np.nan)
+    good = ok & np.isfinite(blocks).all(axis=(1, 2))
+    blocks = blocks[good]
+    top[good] = (np.abs(blocks[:, 0, 0]) if blocks.shape[1:] == (1, 1)
+                 else np.linalg.svd(blocks, compute_uv=False)[:, 0])
+    return top
+
+
+def _score_tops(top: np.ndarray, couplings: np.ndarray, fields: np.ndarray, window_in: int,
+                window_out: int, times: np.ndarray) -> np.ndarray:
+    """The producers' shared tail: rows still NaN in top from the full eigensystem, the
+    unitarity guard, then the fidelity of each top singular value."""
+    n = fields.shape[1]
     for r in np.flatnonzero(np.isnan(top)):
         eig = eigendecompose(Chain(n=n, couplings=couplings[r], fields=fields[r]))
         block = window_amplitudes(eig, end_windows(n, window_in, window_out, times[r]))
@@ -179,6 +221,23 @@ def _score_spectrum(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
         raise ValueError(f"window block has singular value {np.max(top)} > 1; "
                          "inputs are inconsistent")
     return fidelity_single(top)  # clips to [0, 1]
+
+
+def _spectral_tops(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
+                   window_in: int, window_out: int, times: np.ndarray) -> np.ndarray:
+    """Top singular value of each row's window block from its spectrum, NaN where the
+    identity does not apply (not ok, overflow) or the recurrences would share a site."""
+    m, n = fields.shape
+    if not (min(window_in, window_out) == 1 or window_in + window_out <= n):
+        return np.full(m, np.nan)
+    lam, log_weights, signs, ok = spectrum
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ins, outs, log_scale = _window_rows(lam, fields, couplings, window_in, window_out)
+        weights = signs * np.exp(log_weights + log_scale)
+        phases = np.exp(-1j * lam * times[:, None])
+        blocks = ((outs.transpose(1, 0, 2) * weights[:, None, :])
+                  @ (ins.transpose(1, 2, 0) * phases[:, :, None]))
+    return _top_singular(blocks, ok)
 
 
 def _window_rows(lam: np.ndarray, fields: np.ndarray, couplings: np.ndarray,
@@ -209,6 +268,143 @@ def _window_rows(lam: np.ndarray, fields: np.ndarray, couplings: np.ndarray,
     return ins / in_max, outs / out_max, np.log(in_max) + np.log(out_max)
 
 
+# A row is propagated where min(window_in, window_out) * K <= _PROPAGATE * n (README,
+# "How a chain is scored", has the measured crossover table).  The dropped Chebyshev
+# terms sum to at most _TAIL; Miller's recurrence starts where they sum to _MILLER_TAIL.
+_PROPAGATE = 9
+_TAIL = 1e-15
+_MILLER_TAIL = 1e-20
+
+
+def _gershgorin(fields: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and half-width of each row's Gershgorin interval, which holds its spectrum."""
+    bonds = np.abs(couplings)
+    radius = np.zeros(fields.shape)
+    radius[:, :-1] = bonds
+    radius[:, 1:] += bonds
+    lo, hi = (fields - radius).min(axis=1), (fields + radius).max(axis=1)
+    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+
+def _log_tail(k: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Log of a bound on sum_{j >= k} 2 |J_j(z)|, for 0 <= z < k.
+
+    Kapteyn's inequality (DLMF section 10.14) bounds |J_j(z)| by e^phi(j), with
+    phi(j) = j (s - a), cosh a = j / z and s = tanh a; phi is concave in j with slope -a,
+    so the sum is at most 2 e^phi(k) / (1 - e^-a).
+    """
+    with np.errstate(divide="ignore"):  # z = 0: a = inf, the bound is 0
+        x = z / k
+        s = np.sqrt((1.0 - x) * (1.0 + x))
+        a = np.log1p(s) - np.log(x)
+        return np.log(2.0) + k * (s - a) - np.log(-np.expm1(-a))
+
+
+@functools.cache
+def _tail_thresholds(tail: float, size: int) -> np.ndarray:
+    """z_K for K = 1..size: the largest z at which the terms from K on sum to at most tail
+    by _log_tail.  Each entry is bisected on its own, so a longer table starts the same."""
+    k = np.arange(1, size + 1, dtype=float)
+    lo, hi = np.zeros(size), k.copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        held = _log_tail(k, mid) <= np.log(tail)
+        lo, hi = np.where(held, mid, lo), np.where(held, hi, mid)
+    lo.flags.writeable = False
+    return lo
+
+
+def _term_counts(z: np.ndarray, tail: float, limit: int | None = None) -> np.ndarray:
+    """Per row, the fewest terms K > z_r whose dropped Chebyshev tail is at most tail, or
+    limit + 1 where more than limit terms would be needed.
+
+    The bound rises with z, so K is the first K with z <= z_K, found in a table that
+    doubles from 64 entries until it covers max(z) or limit.
+    """
+    size = 64
+    while _tail_thresholds(tail, size)[-1] < z.max() and (limit is None or size < limit):
+        size *= 2
+    return np.searchsorted(_tail_thresholds(tail, size)[:limit], z) + 1
+
+
+def _chebyshev_coefficients(z: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(max(counts), m) coefficients of e^{-i z_r x} = sum_k (2 - [k=0]) (-i)^k J_k(z_r) T_k(x).
+
+    Row r keeps its first counts[r] terms and is zero beyond.  (-i)^k is folded in as the
+    sign + - - + of k mod 4: even terms are real parts, odd terms imaginary parts.  J_k is
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, from J_S = 0, J_{S-1} = 1 at
+    the row's own start S, normalized by J_0 + 2 sum J_2j = 1.
+    """
+    starts = _term_counts(z, _MILLER_TAIL)
+    bessel = np.zeros((starts.max() + 2, z.size))
+    bessel[starts - 1, np.arange(z.size)] = 1.0  # rows before their start stay 0
+    # 2k / z; z = 0 has start 1, so J_0 = 1 comes from the seed alone
+    ratios = np.arange(starts.max() + 1)[:, None] * (2.0 / np.where(z > 0, z, 1.0))
+    even, step = np.zeros(z.size), np.empty(z.size)
+    for k in range(starts.max(), 0, -1):
+        np.multiply(ratios[k], bessel[k], out=step)
+        step -= bessel[k + 1]
+        bessel[k - 1] += step
+        if k % 2 and k > 1:
+            even += bessel[k - 1]
+    count = counts.max()
+    coef = bessel[:count] / (bessel[0] + 2.0 * even)
+    coef[1:] *= 2.0
+    coef *= np.array([1.0, -1.0, -1.0, 1.0])[np.arange(count) % 4, None]
+    coef[np.arange(count)[:, None] >= counts] = 0.0
+    return coef
+
+
+def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, window_out: int,
+                    times: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Top singular value of each row's window block, propagated from the smaller window.
+
+    With H' = (H - beta) / alpha on the row's Gershgorin interval, e^{-iHt} = e^{-i beta t}
+    sum_k c_k T_k(H'); the phase is dropped (it moves no singular value).  T_k e_i runs on
+    an (n, rows * window) stack by T_{k+1} = 2 H' T_k - T_{k-1}, each step on the sites that
+    the window reaches and that can still reach the other window by step max(counts) - 1,
+    and the other window's rows are summed in k order.  U(t) is symmetric, so a smaller
+    output window is propagated on the mirrored chain.  counts[r] is row r's term count.
+    """
+    if window_out < window_in:
+        couplings, fields = couplings[:, ::-1], fields[:, ::-1]
+        window_in, window_out = window_out, window_in
+    m, n = fields.shape
+    centre, half = _gershgorin(fields, couplings)
+    coef = np.repeat(_chebyshev_coefficients(half * times, counts), window_in, axis=1)
+    scale = np.repeat(2.0 / np.where(half > 0, half, 1.0), window_in)  # half 0: H' = 0
+    # sites 1..n of a stack padded by a zero row at each end; bond[p] joins rows p-1 and p
+    diag = np.zeros((n + 2, m * window_in))
+    diag[1:-1] = np.repeat((fields - centre[:, None]).T, window_in, axis=1) * scale
+    bond = np.zeros((n + 2, m * window_in))
+    bond[2:-1] = np.repeat(couplings.T, window_in, axis=1) * scale
+    prev, cur, tmp = (np.zeros_like(diag) for _ in range(3))
+    cur[1 + np.arange(m * window_in) % window_in, np.arange(m * window_in)] = 1.0  # T_0
+    out = slice(n + 1 - window_out, n + 1)
+    acc = np.zeros((2, window_out, m * window_in))  # real (even k) and imaginary (odd k)
+    first = n + 1 - window_out - window_in  # T_k is zero on the other window before this k
+    if first <= 0:
+        acc[0] += coef[0] * cur[out]
+    count = coef.shape[0]
+    for k in range(1, count):
+        lo = max(1, n + 2 - window_out - count + k)
+        hi = min(n, window_in + k) + 1
+        nxt, t = prev[lo:hi], tmp[lo:hi]
+        np.multiply(diag[lo:hi], cur[lo:hi], out=t)
+        np.subtract(t, nxt, out=nxt)
+        np.multiply(bond[lo:hi], cur[lo - 1:hi - 1], out=t)
+        nxt += t
+        np.multiply(bond[lo + 1:hi + 1], cur[lo + 1:hi + 1], out=t)
+        nxt += t
+        if k == 1:
+            nxt *= 0.5  # T_1 = H' T_0
+        if k >= first:
+            acc[k % 2] += coef[k] * prev[out]
+        prev, cur = cur, prev
+    blocks = (acc[0] + 1j * acc[1]).reshape(window_out, m, window_in).transpose(1, 0, 2)
+    return _top_singular(blocks)
+
+
 def quantile_interpolated(samples: np.ndarray, q: float) -> float:
     """Linear interpolation between closest ranks on the sorted samples."""
     if not (0.0 < q < 1.0):
@@ -225,6 +421,7 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
     must be >= 1 and does not change the work or the output.
     """
     _check_ensemble_args(samples, quantile, threads)
+    end_windows(base.n, policy.window_in, policy.window_out)  # sizes, before any draw
     time = policy.resolve_time(base)
     fids = np.concatenate([_score_range(base, spec, policy, time, start,
                                         min(start + _CHUNK, samples))
@@ -248,6 +445,7 @@ def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
     if coupling_axis.target != "coupling" or field_axis.target != "field":
         raise ValueError("first axis must be a coupling axis, second a field axis")
     _check_ensemble_args(samples, quantile, threads)
+    end_windows(base.n, policy.window_in, policy.window_out)  # sizes, before any draw
     fixed_policy = replace(policy, time=policy.resolve_time(base))
     cells = []
     for jval in coupling_axis.values:

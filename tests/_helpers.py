@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from spintransfer import montecarlo
+from spintransfer import (TransferMatrix, eigendecompose, end_windows, fidelity_single,
+                          full_propagator, montecarlo, optimal_encoding)
 
 
 def dense_hamiltonian(chain) -> np.ndarray:
@@ -24,3 +25,33 @@ def score_chain(chain, window_in, window_out, time) -> float:
     """score_rows of one chain at one time."""
     return score_rows(chain.couplings[None], chain.fields[None], window_in, window_out,
                       np.array([float(time)]))[0]
+
+
+def propagate_rows(couplings, fields, window_in, window_out, times) -> np.ndarray:
+    """The Chebyshev producer's fidelity of each row's chain, whichever producer the
+    rule would pick, through the kernel's shared tail."""
+    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
+                                     montecarlo._TAIL)
+    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
+    return montecarlo._score_tops(top, couplings, fields, window_in, window_out, times)
+
+
+def oracle_fidelity(chain, window_in, window_out, t):
+    """Top singular value of the window slice of the full propagator."""
+    window = end_windows(chain.n, window_in, window_out, t)
+    u = full_propagator(eigendecompose(chain), t)
+    block = u[np.ix_(np.array(window.output_sites) - 1, np.array(window.input_sites) - 1)]
+    top = optimal_encoding(TransferMatrix(entries=block, window=window)).singular_values[0]
+    return fidelity_single(min(float(top), 1.0))
+
+
+def counted_eigendecompose(monkeypatch) -> list:
+    """Patch the kernel's eigenvector fallback to record each chain it solves."""
+    calls = []
+
+    def counting(chain):
+        calls.append(chain)
+        return eigendecompose(chain)
+
+    monkeypatch.setattr(montecarlo, "eigendecompose", counting)
+    return calls

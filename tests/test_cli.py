@@ -280,6 +280,16 @@ def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, capsys, mo
     assert "error:" in capsys.readouterr().err
 
 
+def test_build_with_an_empty_out_path_is_a_usage_error(capsys):
+    # it used to exit 0 without writing the chain or reporting an "out" key
+    assert run(["build", "--n", "5", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
+    assert run(["fidelity", "--n", "5", "--out", ""]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
 def test_optimize_rejects_a_negative_delta(tmp_path, capsys, monkeypatch):
     import spintransfer.optimize as optimize
 

@@ -20,6 +20,18 @@ def test_spec_validation():
         Distribution("triangular", 0.1)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+@pytest.mark.parametrize("param", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_distribution_parameter_is_rejected(kind, param):
+    # NaN > 0 is False: a NaN width used to turn the disorder off without a word
+    with pytest.raises(ValueError, match="must be finite"):
+        Distribution(kind, param)
+    with pytest.raises(ValueError, match="must be finite"):
+        normal_disorder(param, 0.0, seed=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        uniform_disorder(0.0, param, seed=1)
+
+
 def test_zero_disorder_is_identity():
     base = uniform_chain(9)
     out = sample_disordered_chain(base, zero_disorder(seed=7), 3)
@@ -128,7 +140,9 @@ VALID = disorder_to_dict(normal_disorder(0.1, 0.05, seed=5))
     ({key: value for key, value in VALID.items() if key != "field_mode"}, "lacks field_mode"),
     ({**VALID, "format_version": 2}, "format_version 2"),
     ({**VALID, "coupling_dist": 0.1}, "malformed disorder JSON"),
-], ids=["not_an_object", "missing_field_mode", "format_version_2", "dist_not_an_object"])
+    ({**VALID, "field_dist": {"kind": "normal", "param": float("nan")}}, "must be finite"),
+], ids=["not_an_object", "missing_field_mode", "format_version_2", "dist_not_an_object",
+        "param_nan"])
 def test_malformed_disorder_json_raises_value_error(data, message, tmp_path):
     with pytest.raises(ValueError, match=message):
         disorder_from_dict(data)

@@ -10,13 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import score_chain, score_rows
-from spintransfer import (Chain, DisorderSpec, Distribution, TransferPolicy, TransferMatrix,
-                          apollaro_chain, counter_uniform, eigendecompose, end_windows,
-                          fidelity_single, first_peak_time, full_propagator, monte_carlo,
-                          normal_disorder, optimal_encoding, pst_chain,
-                          quantile_interpolated, sample_disordered_chain, sample_fidelity,
-                          uniform_chain, uniform_disorder, zero_disorder)
+from _helpers import counted_eigendecompose, oracle_fidelity, score_chain, score_rows
+from spintransfer import (Chain, DisorderSpec, Distribution, TransferPolicy, apollaro_chain,
+                          counter_uniform, eigendecompose, first_peak_time, full_propagator,
+                          monte_carlo, normal_disorder, pst_chain, quantile_interpolated,
+                          sample_disordered_chain, sample_fidelity, uniform_chain,
+                          uniform_disorder, zero_disorder)
 from spintransfer import montecarlo
 from spintransfer.disorder import draw_realizations
 
@@ -141,15 +140,6 @@ def test_window5_identical_across_threads():
     assert one == four
 
 
-def oracle_fidelity(chain, window_in, window_out, t):
-    """Top singular value of the window slice of the full propagator."""
-    window = end_windows(chain.n, window_in, window_out, t)
-    u = full_propagator(eigendecompose(chain), t)
-    block = u[np.ix_(np.array(window.output_sites) - 1, np.array(window.input_sites) - 1)]
-    top = optimal_encoding(TransferMatrix(entries=block, window=window)).singular_values[0]
-    return fidelity_single(min(float(top), 1.0))
-
-
 @pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4)])
 def test_kernel_matches_full_propagator_oracle(window_in, window_out):
     base = apollaro_chain(41, 0.45, 0.75)
@@ -161,18 +151,6 @@ def test_kernel_matches_full_propagator_oracle(window_in, window_out):
         chain = sample_disordered_chain(base, spec, r)
         assert got[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
                                        abs=1e-12)
-
-
-def counted_eigendecompose(monkeypatch) -> list:
-    """Patch the kernel's eigenvector fallback to record each chain it solves."""
-    calls = []
-
-    def counting(chain):
-        calls.append(chain)
-        return eigendecompose(chain)
-
-    monkeypatch.setattr(montecarlo, "eigendecompose", counting)
-    return calls
 
 
 def assert_kernel_matches_oracle(couplings, fields, window_in, window_out, t):
@@ -297,13 +275,20 @@ def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0},
-                                    {"threads": 0}, {"threads": -3}])
+                                    {"threads": 0}, {"threads": -3}, {"window_in": 0},
+                                    {"window_out": 22}])
 def test_run_arguments_are_checked_before_any_draw(kwargs, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew samples before checking the arguments")
 
     monkeypatch.setattr(montecarlo, "draw_realizations", no_draw)
-    base, spec, policy = CASES["w1"]
+    base, spec, policy = CASES["w1"]  # n = 21: window_out 22 is n + 1
+    kwargs = dict(kwargs)
+    windows = {name: kwargs.pop(name) for name in ("window_in", "window_out") if name in kwargs}
+    policy = replace(policy, **windows)
+    if windows:
+        with pytest.raises(ValueError, match="window sizes"):
+            sample_fidelity(base, spec, 0, policy)
     with pytest.raises(ValueError):
         monte_carlo(base, spec, policy, **{"samples": 4, **kwargs})
     with pytest.raises(ValueError):

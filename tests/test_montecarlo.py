@@ -127,6 +127,15 @@ def test_sweep_axis_validation():
               TransferPolicy(1, 1, time=1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_sweep_axis_rejects_non_finite_values(bad):
+    # NaN passed the "< 0" check and made a cell with the disorder silently off
+    with pytest.raises(ValueError, match="must be finite"):
+        SweepAxis("sigma_J", [0.1, bad])
+    with pytest.raises(ValueError, match="must be finite"):
+        SweepAxis("delta_B", bad)
+
+
 def test_grid_csv_format():
     chain = uniform_chain(9)
     grid = sweep(chain, SweepAxis("sigma_J", [0.0, 0.1]), SweepAxis("sigma_B", [0.05]),
