@@ -2,8 +2,9 @@
 
 Subcommands build chain files, score encodings, run disorder sweeps, tune
 Apollaro parameters, and cross-check the free-fermion reduction.  Everything
-is seeded and deterministic: rerunning a command with the same flags (any
---threads value) reproduces its output files byte for byte.
+is seeded, deterministic and runs in one thread: rerunning a command with the
+same flags reproduces its output files byte for byte, whatever --threads says
+(it must be >= 1 and is otherwise unused).
 
 Exit codes: 0 success, 2 usage error (bad flags, missing files, guard
 violations), 3 numerical failure.
@@ -134,8 +135,7 @@ def cmd_sweep(args) -> int:
                  _parse_axis(args.b_axis_name, args.b_axis, "--b-axis"),
                  policy,
                  coupling_mode=args.coupling_mode,
-                 samples=args.samples, quantile=args.quantile,
-                 seed=args.seed, threads=args.threads)
+                 samples=args.samples, quantile=args.quantile, seed=args.seed)
     save_grid_csv(grid, args.out)
     if args.descriptor:
         save_grid_descriptor(grid, args.descriptor)
@@ -158,7 +158,7 @@ def cmd_optimize(args) -> int:
     if args.landscape:
         xs = _parse_axis("sigma_J", args.x_axis, "--x-axis").values  # name unused
         ys = _parse_axis("sigma_J", args.y_axis, "--y-axis").values
-        values = objective_landscape(obj, xs, ys, threads=args.threads)
+        values = objective_landscape(obj, xs, ys)
         with open(args.out, "w", newline="") as fh:
             fh.write("# format=1\nx,y,value\n")
             for i, x in enumerate(xs):
@@ -166,8 +166,7 @@ def cmd_optimize(args) -> int:
                     fh.write(f"{x:.12g},{y:.12g},{values[i, j]:.12g}\n")
         sys.stdout.write(f"wrote {args.out}\n")
         return 0
-    result = optimize_apollaro(obj, args.x0, args.y0, restarts=args.restarts,
-                               threads=args.threads)
+    result = optimize_apollaro(obj, args.x0, args.y0, restarts=args.restarts)
     report = {
         "format_version": FORMAT_VERSION,
         "inputs": {"n": args.n, "window": args.window, "delta": args.delta,
@@ -291,6 +290,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float):
                 _finite(value, "--" + name.replace("_", "-"))
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("need at least one thread")
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

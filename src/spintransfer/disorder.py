@@ -3,8 +3,8 @@
 Every random number is a pure function of (master_seed, sample_index,
 site_index, parameter_kind): a 64-bit mixing hash turns the tuple into a
 uniform in (0, 1), and normal variates go through the inverse CDF.  There is
-no sequential generator state, so samples can be drawn in any order, from any
-number of threads, and always come out bit-identical.
+no sequential generator state, so samples can be drawn in any order and in
+any batch, and always come out bit-identical.
 
 draw_realizations draws a whole range of sample indices at once: one
 broadcast hash over (sample, site) gives one row of couplings and one row of

@@ -36,6 +36,15 @@ from .chain import Chain, NumericalFailure
 from .encoding import fidelity_single
 from .spectral import _end_weights, eigendecompose
 
+# Relative tolerances: the spread of eigenvalue gaps that still counts as equally spaced;
+# the inverse problem's round-trip spectrum error and coupling mirror asymmetry; the mirror
+# symmetry that selects a swap trace's spectral cross-check, and that check's agreement.
+_SPACING_TOL = 1e-8
+_ROUNDTRIP_TOL = 1e-8
+_MIRROR_TOL = 1e-9
+_SYMMETRY_TOL = 1e-10
+_SWAP_TRACE_TOL = 1e-8
+
 
 @dataclass
 class SpectrumTarget:
@@ -119,20 +128,20 @@ def quadratic_chain(n: int) -> Chain:
 # transfer times
 # ---------------------------------------------------------------------------
 
-def pst_transfer_time(chain: Chain, spacing_tol: float = 1e-8) -> float:
+def pst_transfer_time(chain: Chain) -> float:
     """Transfer time pi/gap for a linear-spectrum chain, verified end to end.
 
-    The spectrum must be equally spaced within spacing_tol and the returned
+    The spectrum must be equally spaced within _SPACING_TOL and the returned
     time must achieve |<N|U(t0)|1>| >= 1 - 1e-9, otherwise the chain is not
     accepted as a perfect-transfer chain.
     """
-    return _pst_time(*_end_weights(chain)[:2], spacing_tol)
+    return _pst_time(*_end_weights(chain)[:2])
 
 
-def _pst_time(lam: np.ndarray, w: np.ndarray, spacing_tol: float = 1e-8) -> float:
+def _pst_time(lam: np.ndarray, w: np.ndarray) -> float:
     gaps = np.diff(lam)
     gap = float(np.mean(gaps))
-    if gap <= 0 or np.max(np.abs(gaps - gap)) > spacing_tol * max(1.0, abs(gap)):
+    if gap <= 0 or np.max(np.abs(gaps - gap)) > _SPACING_TOL * max(1.0, abs(gap)):
         raise NumericalFailure("not a linear-spectrum PST chain (spectrum not equally spaced)")
     t0 = float(np.pi / gap)
     if abs(w @ np.exp(-1j * lam * t0)) < 1.0 - 1e-9:
@@ -177,15 +186,16 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
 # Grid points per chunk of the first-peak scan: a 128 x N complex phase block
 # instead of the whole grid (8139 x 401 points at N=401).
 _SCAN_ROWS = 128
+# A grid-local maximum of |<N|U(t)|1>| at or below this is not an arrival peak.
+_AMP_THRESHOLD = 0.01
 
 
 def first_peak_time(chain: Chain, search_hint: float | None = None,
-                    step: float = 0.05, amp_threshold: float = 0.01,
-                    time_tol: float = 1e-8) -> tuple[float, float]:
+                    step: float = 0.05, time_tol: float = 1e-8) -> tuple[float, float]:
     """First local maximum of the end-to-end transfer fidelity.
 
     Scans |<N|U(t)|1>| on the grid t_k = k step from 0 through twice the
-    hint, stops at the first grid-local maximum above amp_threshold and
+    hint, stops at the first grid-local maximum above _AMP_THRESHOLD and
     refines it within time_tol on [t_{k-1}, t_{k+1}] (module docstring).
     Returns (time, fidelity) where the fidelity is the state-averaged value
     1/3 + (1+|f|)^2/6.
@@ -195,12 +205,12 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
     """
     search_hint = _check_peak_args(chain, search_hint, step, time_tol)
     lam, w, _ = _end_weights(chain)
-    t = _first_peak(lam, w, search_hint, step, amp_threshold, time_tol)
+    t = _first_peak(lam, w, search_hint, step, time_tol)
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
 
-def _check_peak_args(chain: Chain, search_hint: float | None, step: float = 0.05,
-                     time_tol: float = 1e-8) -> float:
+def _check_peak_args(chain: Chain, search_hint: float | None, step: float,
+                     time_tol: float) -> float:
     """The search hint to use (the default for None), after checking the arguments."""
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
@@ -227,8 +237,7 @@ def _phase_offsets(lam: np.ndarray, step: float, rows: int) -> np.ndarray:
 
 
 def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float,
-                step: float = 0.05, amp_threshold: float = 0.01,
-                time_tol: float = 1e-8) -> float:
+                step: float = 0.05, time_tol: float = 1e-8) -> float:
     ts = np.arange(0.0, 2.0 * search_hint + step, step)
     offsets = _phase_offsets(lam, step, min(_SCAN_ROWS + 2, ts.size))
     # Chunk c tests grid points start+1 .. start+_SCAN_ROWS against their
@@ -237,7 +246,7 @@ def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float,
         seg = ts[start:start + _SCAN_ROWS + 2]
         mags = np.abs(offsets[:seg.size] @ (w * np.exp(-1j * lam * seg[0])))
         mid = mags[1:-1]
-        peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > amp_threshold))
+        peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > _AMP_THRESHOLD))
         if peaks.size:
             i = start + 1 + int(peaks[0])
             return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1], time_tol)
@@ -270,16 +279,14 @@ def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float,
         last = abs(move)
 
 
-def auto_transfer_time(chain: Chain, search_hint: float | None = None) -> float:
-    """Perfect-transfer time when the spectrum is linear, else the first peak time.
-
-    Both tests share one end_spectrum solve of the chain.
-    """
+def auto_transfer_time(chain: Chain) -> float:
+    """Perfect-transfer time when the spectrum is linear, else the first peak time from
+    default_peak_hint.  Both tests share one end_spectrum solve of the chain."""
     lam, w, _ = _end_weights(chain)
     try:
         return _pst_time(lam, w)
     except NumericalFailure:
-        return _first_peak(lam, w, _check_peak_args(chain, search_hint))
+        return _first_peak(lam, w, default_peak_hint(chain.n))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +337,14 @@ def _lanczos_from_measure(lam: np.ndarray, weights: np.ndarray) -> tuple[np.ndar
     return diag, off
 
 
-def inverse_persymmetric_jacobi(target: SpectrumTarget,
-                                roundtrip_tol: float = 1e-8,
-                                mirror_tol: float = 1e-9) -> Chain:
+def inverse_persymmetric_jacobi(target: SpectrumTarget) -> Chain:
     """Field-free mirror-symmetric chain whose spectrum matches the target.
 
     The reconstruction uses the spectral weights of the first site, which for
     a persymmetric zero-diagonal Jacobi matrix are determined by the target
     spectrum alone.  The result is validated behaviorally: couplings must be
     positive and mirror-symmetric, and re-diagonalizing must reproduce the
-    target within roundtrip_tol (relative to the spectral radius).
+    target within _ROUNDTRIP_TOL (relative to the spectral radius).
     """
     lam = target.eigenvalues
     n = lam.size
@@ -351,14 +356,14 @@ def inverse_persymmetric_jacobi(target: SpectrumTarget,
         raise NumericalFailure("reconstruction produced a non-zero diagonal")
     if np.any(off <= 0):
         raise NumericalFailure("reconstruction produced non-positive couplings")
-    if np.max(np.abs(off - off[::-1])) > mirror_tol * max(1.0, np.max(off)):
+    if np.max(np.abs(off - off[::-1])) > _MIRROR_TOL * max(1.0, np.max(off)):
         raise NumericalFailure("reconstruction is not mirror-symmetric")
 
     couplings = 0.5 * (off + off[::-1])
     chain = Chain(n=n, couplings=couplings, fields=np.zeros(n), label=f"inverse-jacobi-{n}")
 
     achieved = eigendecompose(chain).eigenvalues
-    if np.max(np.abs(achieved - lam)) > roundtrip_tol * scale:
+    if np.max(np.abs(achieved - lam)) > _ROUNDTRIP_TOL * scale:
         raise NumericalFailure("reconstructed chain does not reproduce the target spectrum")
     return chain
 
@@ -367,14 +372,13 @@ def inverse_persymmetric_jacobi(target: SpectrumTarget,
 # swap-operator trace identities
 # ---------------------------------------------------------------------------
 
-def is_mirror_symmetric(chain: Chain, tol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.max(np.abs(chain.couplings))))
-    sym_j = np.max(np.abs(chain.couplings - chain.couplings[::-1])) <= tol * scale
-    sym_b = np.max(np.abs(chain.fields - chain.fields[::-1])) <= tol * scale
-    return bool(sym_j and sym_b)
+def is_mirror_symmetric(chain: Chain) -> bool:
+    tol = _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(chain.couplings))))
+    return bool(np.max(np.abs(chain.couplings - chain.couplings[::-1])) <= tol
+                and np.max(np.abs(chain.fields - chain.fields[::-1])) <= tol)
 
 
-def swap_trace_first(chain: Chain, tol: float = 1e-8) -> float:
+def swap_trace_first(chain: Chain) -> float:
     """Tr(S H) for even N: structurally equal to twice the central coupling.
 
     For mirror-symmetric chains the same number (up to an overall sign fixed
@@ -383,32 +387,26 @@ def swap_trace_first(chain: Chain, tol: float = 1e-8) -> float:
     """
     if chain.n % 2 != 0:
         raise ValueError("Tr(SH) identity applies to even N; use swap_trace_second")
-    structural = 2.0 * float(chain.couplings[chain.n // 2 - 1])
-    if is_mirror_symmetric(chain):
-        lam = eigendecompose(chain).eigenvalues
-        signs = (-1.0) ** np.arange(lam.size)  # +1 at the smallest eigenvalue
-        spectral = float(np.sum(lam * signs))
-        if abs(abs(spectral) - abs(structural)) > tol * max(1.0, abs(structural)):
-            raise NumericalFailure(
-                f"swap-trace mismatch: structural {structural}, spectral {spectral}")
-    return structural
+    return _cross_checked(chain, 2.0 * float(chain.couplings[chain.n // 2 - 1]), 1)
 
 
-def swap_trace_second(chain: Chain, tol: float = 1e-8) -> float:
+def swap_trace_second(chain: Chain) -> float:
     """Tr(S H^2) for odd field-free N: structurally 4 J_c^2 at mirror symmetry."""
     if chain.n % 2 != 1:
         raise ValueError("Tr(SH^2) identity applies to odd N; use swap_trace_first")
     if np.any(chain.fields != 0.0):
         raise ValueError("Tr(SH^2) identity requires a field-free chain")
     m = (chain.n - 1) // 2  # central pair J_m, J_{m+1} (1-based J_{(N-1)/2}, J_{(N+1)/2})
-    j_lo = float(chain.couplings[m - 1])
-    j_hi = float(chain.couplings[m])
-    structural = (j_lo + j_hi) ** 2
+    return _cross_checked(chain, float(chain.couplings[m - 1] + chain.couplings[m]) ** 2, 2)
+
+
+def _cross_checked(chain: Chain, structural: float, power: int) -> float:
+    """structural, after checking it against the alternating sum of lam^power (+1 at the
+    smallest eigenvalue) where the chain is mirror-symmetric."""
     if is_mirror_symmetric(chain):
         lam = eigendecompose(chain).eigenvalues
-        signs = (-1.0) ** np.arange(lam.size)
-        spectral = float(np.sum(lam * lam * signs))
-        if abs(abs(spectral) - abs(structural)) > tol * max(1.0, abs(structural)):
+        spectral = float(np.sum(lam ** power * (-1.0) ** np.arange(lam.size)))
+        if abs(abs(spectral) - abs(structural)) > _SWAP_TRACE_TOL * max(1.0, abs(structural)):
             raise NumericalFailure(
                 f"swap-trace mismatch: structural {structural}, spectral {spectral}")
     return structural

@@ -5,8 +5,8 @@ A run draws M disordered realizations of a base chain (sample indices
 extraction time (the run's time, or each realization's own first peak).
 Realizations are drawn by one broadcast hash (disorder.draw_realizations) and
 scored in chunks of a fixed number of samples, in one thread (a thread pool
-measured slower).  Two block producers feed one tail (top singular value,
-unitarity guard, fidelity):
+measured slower; monte_carlo's threads argument runs nothing).  Two block
+producers feed one tail (top singular value, unitarity guard, fidelity):
 
 - The spectral producer, _score_spectrum, computes no eigenvectors.  Each
   chain gets its eigenvalues and end weights w_k = v_k(1) v_k(N) from
@@ -46,7 +46,7 @@ import numpy as np
 from .chain import FORMAT_VERSION, Chain, write_json
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import fidelity_single
-from .models import _check_peak_args, _first_peak, auto_transfer_time
+from .models import _first_peak, auto_transfer_time
 from .spectral import (_row_weights, eigendecompose, end_spectrum, end_windows,
                        window_amplitudes)
 
@@ -69,9 +69,12 @@ class TransferPolicy:
     per_sample_peak: bool = False
 
     def resolve_time(self, base: Chain) -> float:
-        if self.time is not None:
-            return float(self.time)
-        return auto_transfer_time(base)
+        """The extraction time on base.  ValueError unless the window sizes fit base
+        (checked first, before any solve) and the time is finite and >= 0."""
+        end_windows(base.n, self.window_in, self.window_out)
+        time = auto_transfer_time(base) if self.time is None else float(self.time)
+        end_windows(base.n, self.window_in, self.window_out, time)
+        return time
 
 
 @dataclass
@@ -142,9 +145,9 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     The caller can pass the resolved extraction time to avoid re-deriving it
     per sample; otherwise it is resolved from the base chain.
     """
-    end_windows(base.n, policy.window_in, policy.window_out)  # sizes, before any draw
-    if time is None:
-        time = policy.resolve_time(base)
+    if time is not None:
+        policy = replace(policy, time=time)
+    time = policy.resolve_time(base)  # checks windows and time, before any draw
     return _score_range(base, spec, policy, time, sample_index, sample_index + 1)[0]
 
 
@@ -156,7 +159,7 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
     if not policy.per_sample_peak:
         return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
     spectrum = end_spectrum(fields, couplings)
-    hint = _check_peak_args(base, max(time, 1.0))
+    hint = max(time, 1.0)  # time is finite and >= 0 (resolve_time)
     for r, row in enumerate(zip(*spectrum)):
         chain = Chain(n=base.n, couplings=couplings[r], fields=fields[r])
         times[r] = _first_peak(*_row_weights(chain, *row), hint)
@@ -170,9 +173,8 @@ def _score_fixed_time(couplings: np.ndarray, fields: np.ndarray, window_in: int,
 
     A row is propagated (_chebyshev_tops) where min(window_in, window_out) * K is at most
     _PROPAGATE * n, K its Chebyshev term count; the other rows are solved and take the
-    spectral producer."""
+    spectral producer.  Callers check the window sizes and times (resolve_time)."""
     m, n = fields.shape
-    end_windows(n, window_in, window_out, float(times.min()))  # validates sizes, times
     small = min(window_in, window_out)
     counts = _term_counts(_gershgorin(fields, couplings)[1] * times, _TAIL,
                           _PROPAGATE * n // small)
@@ -192,8 +194,8 @@ def _score_spectrum(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
                     window_in: int, window_out: int, times: np.ndarray) -> np.ndarray:
     """Best single-excitation fidelity of each row's chain between its end windows.
 
-    Row r: couplings[r], fields[r], at times[r]; spectrum is end_spectrum(fields, couplings)."""
-    end_windows(fields.shape[1], window_in, window_out, float(times.min()))  # validates
+    Row r: couplings[r], fields[r], at times[r]; spectrum is end_spectrum(fields, couplings).
+    Callers check the window sizes and times (resolve_time, Objective)."""
     top = _spectral_tops(couplings, fields, spectrum, window_in, window_out, times)
     return _score_tops(top, couplings, fields, window_in, window_out, times)
 
@@ -417,12 +419,12 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
                 threads: int = 1) -> FidelityStats:
     """Seeded ensemble of sample_fidelity evaluations, summarized.
 
-    Samples are scored in chunks of _CHUNK indices, in index order.  threads
-    must be >= 1 and does not change the work or the output.
+    Samples are scored in chunks of _CHUNK indices, in index order, in one
+    thread.  threads runs nothing: it is checked (>= 1) and otherwise ignored,
+    and stays only because the benchmark workloads (bench/workloads.py) pass it.
     """
     _check_ensemble_args(samples, quantile, threads)
-    end_windows(base.n, policy.window_in, policy.window_out)  # sizes, before any draw
-    time = policy.resolve_time(base)
+    time = policy.resolve_time(base)  # checks windows and time, before any draw
     fids = np.concatenate([_score_range(base, spec, policy, time, start,
                                         min(start + _CHUNK, samples))
                            for start in range(0, samples, _CHUNK)])
@@ -439,14 +441,12 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
 
 def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
           policy: TransferPolicy, coupling_mode: str = "additive",
-          samples: int = 1000, quantile: float = 0.75, seed: int = 0,
-          threads: int = 1) -> SweepGrid:
+          samples: int = 1000, quantile: float = 0.75, seed: int = 0) -> SweepGrid:
     """Fill a 2-D disorder grid with monte_carlo statistics, cell by cell."""
     if coupling_axis.target != "coupling" or field_axis.target != "field":
         raise ValueError("first axis must be a coupling axis, second a field axis")
-    _check_ensemble_args(samples, quantile, threads)
-    end_windows(base.n, policy.window_in, policy.window_out)  # sizes, before any draw
-    fixed_policy = replace(policy, time=policy.resolve_time(base))
+    _check_ensemble_args(samples, quantile)
+    fixed_policy = replace(policy, time=policy.resolve_time(base))  # checks, before any draw
     cells = []
     for jval in coupling_axis.values:
         row = []
@@ -454,7 +454,7 @@ def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
             spec = errors_disorder(Distribution(coupling_axis.kind, float(jval)),
                                    Distribution(field_axis.kind, float(bval)), seed,
                                    coupling_mode)
-            row.append(monte_carlo(base, spec, fixed_policy, samples, quantile, threads))
+            row.append(monte_carlo(base, spec, fixed_policy, samples, quantile))
         cells.append(row)
     descriptor = {
         "chain": base.label,

@@ -28,6 +28,8 @@ from .spectral import _end_weights, eigendecompose
 
 BOX_LO = 1e-6
 BOX_HI = 1.2
+# Nelder-Mead's xatol, and how close to the box edge an optimum counts as a boundary hit.
+SIMPLEX_TOL = 1e-4
 
 
 @dataclass
@@ -37,7 +39,8 @@ class Objective:
     metric "deterministic": best-encoding fidelity of the ideal chain at its
     own first-peak time.  metric "quantile": the quantile-level fidelity over
     `samples` disorder draws at that same (ideal-chain) time, with draws fixed
-    by the disorder spec's master seed.
+    by the disorder spec's master seed.  n, window, samples and quantile are
+    checked here, so no candidate is scored (or floored at 0.5) on bad ones.
     """
 
     n: int = 51
@@ -48,6 +51,10 @@ class Objective:
     quantile: float = 0.75
 
     def __post_init__(self):
+        if self.n < 5:
+            raise ValueError(f"apollaro chain needs n >= 5, got {self.n}")
+        if not 1 <= self.window <= self.n:
+            raise ValueError(f"window must be in 1..{self.n}, got {self.window}")
         if self.metric not in ("deterministic", "quantile"):
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.metric == "quantile" and self.disorder is None:
@@ -72,7 +79,7 @@ def _fold_into_box(v: float, lo: float = BOX_LO, hi: float = BOX_HI) -> float:
     return lo + (span - abs(r - span))
 
 
-def evaluate_objective(obj: Objective, x: float, y: float, threads: int = 1) -> float:
+def evaluate_objective(obj: Objective, x: float, y: float) -> float:
     x = _fold_into_box(float(x))
     y = _fold_into_box(float(y))
     chain = apollaro_chain(obj.n, x, y)
@@ -87,14 +94,12 @@ def evaluate_objective(obj: Objective, x: float, y: float, threads: int = 1) -> 
         return _score_spectrum(chain.couplings[None], chain.fields[None], spectrum,
                                obj.window, obj.window, np.array([t0]))[0]
     policy = TransferPolicy(window_in=obj.window, window_out=obj.window, time=t0)
-    stats = monte_carlo(chain, obj.disorder, policy, samples=obj.samples,
-                        quantile=obj.quantile, threads=threads)
-    return stats.quantile_value
+    return monte_carlo(chain, obj.disorder, policy, samples=obj.samples,
+                       quantile=obj.quantile).quantile_value
 
 
 def optimize_apollaro(obj: Objective, x0: float, y0: float,
-                      restarts: int = 3, simplex_tol: float = 1e-4,
-                      max_iter: int = 400, threads: int = 1) -> OptimizationResult:
+                      restarts: int = 3, max_iter: int = 400) -> OptimizationResult:
     """Nelder-Mead maximization of the objective inside the box (0, 1.2]^2.
 
     Candidates outside the box are reflected back in.  On top of the run from
@@ -107,12 +112,11 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
         raise ValueError(f"start must lie in (0, {BOX_HI}]^2")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
-    _check_ensemble_args(obj.samples, obj.quantile, threads)
     from scipy.optimize import minimize  # deferred: the only caller, ~0.2 s to import
     trace: list[tuple[float, float, float]] = []
 
     def negated(p: np.ndarray) -> float:
-        value = evaluate_objective(obj, p[0], p[1], threads=threads)
+        value = evaluate_objective(obj, p[0], p[1])
         trace.append((_fold_into_box(float(p[0])), _fold_into_box(float(p[1])), value))
         return -value
 
@@ -127,32 +131,30 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
     best = None
     for start in starts:
         res = minimize(negated, start, method="Nelder-Mead",
-                       options={"xatol": simplex_tol, "fatol": 1e-12,
+                       options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
                                 "maxiter": max_iter, "maxfev": 4 * max_iter})
         if best is None or res.fun < best.fun:
             best = res
 
     x_best = _fold_into_box(float(best.x[0]))
     y_best = _fold_into_box(float(best.x[1]))
-    edge = simplex_tol
-    hit_boundary = (x_best <= BOX_LO + edge or x_best >= BOX_HI - edge
-                    or y_best <= BOX_LO + edge or y_best >= BOX_HI - edge)
+    hit_boundary = (x_best <= BOX_LO + SIMPLEX_TOL or x_best >= BOX_HI - SIMPLEX_TOL
+                    or y_best <= BOX_LO + SIMPLEX_TOL or y_best >= BOX_HI - SIMPLEX_TOL)
     return OptimizationResult(
         x=x_best, y=y_best,
-        objective_value=evaluate_objective(obj, x_best, y_best, threads=threads),
+        objective_value=evaluate_objective(obj, x_best, y_best),
         evaluations=len(trace), trace=trace, hit_boundary=hit_boundary,
     )
 
 
-def objective_landscape(obj: Objective, x_values, y_values, threads: int = 1) -> np.ndarray:
+def objective_landscape(obj: Objective, x_values, y_values) -> np.ndarray:
     """Objective on a grid; entry [i, j] pairs x_values[i] with y_values[j]."""
-    _check_ensemble_args(obj.samples, obj.quantile, threads)
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
     out = np.empty((x_values.size, y_values.size))
     for i, x in enumerate(x_values):
         for j, y in enumerate(y_values):
-            out[i, j] = evaluate_objective(obj, x, y, threads=threads)
+            out[i, j] = evaluate_objective(obj, x, y)
     return out
 
 

@@ -70,10 +70,8 @@ class TransferWindow:
             raise ValueError(f"window sites exceed chain length {n}")
 
 
-def end_windows(n: int, size_in: int, size_out: int | None = None, time: float = 0.0) -> TransferWindow:
-    """Contiguous windows at the two chain ends: sites 1..k in, N-k+1..N out."""
-    if size_out is None:
-        size_out = size_in
+def end_windows(n: int, size_in: int, size_out: int, time: float = 0.0) -> TransferWindow:
+    """Contiguous windows at the two chain ends: sites 1..size_in in, the last size_out out."""
     if not (1 <= size_in <= n and 1 <= size_out <= n):
         raise ValueError("window sizes must be in 1..n")
     return TransferWindow(

@@ -21,6 +21,7 @@ from spintransfer import (Chain, Objective, TransferPolicy, best_excitation_coun
                           uniform_disorder, verify_free_fermion)
 from spintransfer.cli import main as cli_main
 from spintransfer.fermion import determinant_amplitude
+from spintransfer.montecarlo import _CHUNK, _score_range
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 SEED = 2024
@@ -338,13 +339,22 @@ def test_criterion_8a_window_dominance_samplewise():
     sigmas = (0.0, 0.05, 0.10, 0.15, 0.20)
     policy1 = TransferPolicy(1, 1, time=t0)
     policy5 = TransferPolicy(5, 5, time=t0)
+
+    def sample_fidelities(spec, policy):
+        # samples 0..999 scored a chunk at a time; each element is sample_fidelity's value
+        # bit for bit (tests/test_propagation.py), spot-checked at three indices here
+        f = np.concatenate([_score_range(chain, spec, policy, t0, start,
+                                         min(start + _CHUNK, 1000))
+                            for start in range(0, 1000, _CHUNK)])
+        for i in (0, 499, 999):
+            assert sample_fidelity(chain, spec, i, policy, time=t0) == f[i]
+        return f
+
     for sj in sigmas:
         for sb in sigmas:
             spec = normal_disorder(sj, sb, seed=SEED)
-            f1 = np.array([sample_fidelity(chain, spec, i, policy1, time=t0)
-                           for i in range(1000)])
-            f5 = np.array([sample_fidelity(chain, spec, i, policy5, time=t0)
-                           for i in range(1000)])
+            f1 = sample_fidelities(spec, policy1)
+            f5 = sample_fidelities(spec, policy5)
             assert np.all(f5 >= f1 - 1e-12), f"cell ({sj}, {sb})"
             assert quantile_interpolated(f5, 0.75) >= quantile_interpolated(f1, 0.75) - 1e-12
     report("8a", True, "window-5 dominates window-1 sample-wise on all 25 cells (M=1000)")

@@ -248,7 +248,7 @@ def test_sweep_csv_layout_and_descriptor(tmp_path):
 
 
 RANGE_ERRORS = [["--quantile", "1.5"], ["--quantile", "0"], ["--samples", "0"],
-                ["--threads", "0"], ["--threads", "-3"]]
+                ["--threads", "0"], ["--threads", "-3"], ["--window", "0"], ["--window", "16"]]
 
 
 @pytest.mark.parametrize("bad", RANGE_ERRORS, ids=" ".join)
@@ -268,16 +268,25 @@ def test_sweep_rejects_argument_ranges_before_sampling(bad, tmp_path, capsys, mo
 
 @pytest.mark.parametrize("delta", ["0", "0.05"], ids=["deterministic", "quantile"])
 @pytest.mark.parametrize("bad", RANGE_ERRORS, ids=" ".join)
-def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, capsys, monkeypatch):
+def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, tmp_path, capsys,
+                                                          monkeypatch):
     import spintransfer.optimize as optimize
 
     def no_evaluation(*args, **kwargs):
         raise AssertionError("objective evaluated before the argument check")
 
     monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
-    assert run(["optimize", "--n", "15", "--delta", delta, "--samples", "4",
-                "--restarts", "0"] + bad) == 2
-    assert "error:" in capsys.readouterr().err
+    common = ["optimize", "--n", "15", "--delta", delta, "--samples", "4", "--restarts", "0"]
+    out = tmp_path / "land.csv"
+    for args in (common + bad, common + ["--landscape", "--out", str(out)] + bad):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if bad[0] == "--threads":
+            assert err == "error: need at least one thread\n"
+        if bad[0] == "--window":  # Objective checks it before any candidate is scored
+            assert err == f"error: window must be in 1..15, got {bad[1]}\n"
+    assert not out.exists()
 
 
 def test_build_with_an_empty_out_path_is_a_usage_error(capsys):

@@ -276,7 +276,7 @@ def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0},
                                     {"threads": 0}, {"threads": -3}, {"window_in": 0},
-                                    {"window_out": 22}])
+                                    {"window_out": 22}, {"time": -1.0}, {"time": np.nan}])
 def test_run_arguments_are_checked_before_any_draw(kwargs, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew samples before checking the arguments")
@@ -284,13 +284,19 @@ def test_run_arguments_are_checked_before_any_draw(kwargs, monkeypatch):
     monkeypatch.setattr(montecarlo, "draw_realizations", no_draw)
     base, spec, policy = CASES["w1"]  # n = 21: window_out 22 is n + 1
     kwargs = dict(kwargs)
-    windows = {name: kwargs.pop(name) for name in ("window_in", "window_out") if name in kwargs}
-    policy = replace(policy, **windows)
-    if windows:
-        with pytest.raises(ValueError, match="window sizes"):
+    fields = {name: kwargs.pop(name) for name in ("window_in", "window_out", "time")
+              if name in kwargs}
+    if "time" in fields:  # a bad time passed to sample_fidelity directly
+        with pytest.raises(ValueError, match="window time"):
+            sample_fidelity(base, spec, 0, policy, time=fields["time"])
+    policy = replace(policy, **fields)
+    if fields:
+        with pytest.raises(ValueError, match="window sizes|window time"):
             sample_fidelity(base, spec, 0, policy)
     with pytest.raises(ValueError):
         monte_carlo(base, spec, policy, **{"samples": 4, **kwargs})
+    if "threads" in kwargs:
+        return  # monte_carlo alone still takes a thread count
     with pytest.raises(ValueError):
         montecarlo.sweep(base, montecarlo.SweepAxis("sigma_J", [0.1]),
                          montecarlo.SweepAxis("sigma_B", [0.1]), policy,

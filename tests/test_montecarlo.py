@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spintransfer import (FidelityStats, SweepAxis, TransferPolicy, grid_to_csv,
+from spintransfer import (Chain, FidelityStats, NumericalFailure, SweepAxis, TransferPolicy,
+                          auto_transfer_time, grid_to_csv,
                           monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
                           quantile_interpolated, sample_fidelity, selection_probability,
                           sweep, uniform_chain, zero_disorder)
@@ -15,6 +16,22 @@ def test_quantile_hand_computed():
     assert quantile_interpolated(samples, 0.5) == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(ValueError):
         quantile_interpolated(samples, 1.0)
+
+
+def test_window_sizes_are_checked_before_the_auto_time():
+    # no arrival peak: resolving the time first would report a numerical failure (exit 3)
+    # for what is a usage error (exit 2)
+    chain = Chain(n=6, couplings=np.zeros(5), fields=np.zeros(6))
+    with pytest.raises(NumericalFailure):
+        auto_transfer_time(chain)
+    for policy in (TransferPolicy(7, 1), TransferPolicy(1, 0)):
+        with pytest.raises(ValueError, match="window sizes"):
+            monte_carlo(chain, zero_disorder(seed=1), policy, samples=4)
+        with pytest.raises(ValueError, match="window sizes"):
+            sample_fidelity(chain, zero_disorder(seed=1), 0, policy)
+        with pytest.raises(ValueError, match="window sizes"):
+            sweep(chain, SweepAxis("sigma_J", [0.0]), SweepAxis("sigma_B", [0.0]), policy,
+                  samples=4)
 
 
 def test_selection_probability():

@@ -48,14 +48,15 @@ def test_objective_validation():
         Objective(metric="quantile")  # needs a disorder spec
     with pytest.raises(ValueError):
         Objective(metric="median")
-    for bad in ({"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0}):
+    # window and n are checked before any candidate: one with no arrival peak floors at
+    # 0.5 without scoring the window, so a window beyond the chain gave [[0.5]]
+    spec = uniform_disorder(0.1, 0.0, seed=3)
+    for bad in ({"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0}, {"window": 0},
+                {"window": 12}, {"window": 20, "metric": "quantile", "disorder": spec},
+                {"n": 4, "window": 1}):
         with pytest.raises(ValueError):
-            Objective(**bad)
-    for threads in (0, -3):
-        with pytest.raises(ValueError):
-            optimize_apollaro(Objective(n=15), 0.5, 0.8, threads=threads)
-        with pytest.raises(ValueError):
-            objective_landscape(Objective(n=15), [0.5], [0.8], threads=threads)
+            Objective(**{"n": 11, **bad})
+    assert Objective(n=11, window=11).window == 11
 
 
 def test_fold_into_box():
