@@ -10,10 +10,9 @@ from .chain import (Chain, NumericalFailure, chain_from_dict, chain_to_dict, loa
 from .disorder import (DisorderSpec, Distribution, counter_uniform, disorder_from_dict,
                        disorder_to_dict, load_disorder, normal_disorder, save_disorder,
                        sample_disordered_chain, uniform_disorder, zero_disorder)
-from .encoding import (EncodingSolution, TransferMatrix, best_excitation_count,
-                       encoding_to_dict, end_to_end_fidelity, fidelity_haselgrove,
-                       fidelity_multi, fidelity_single, optimal_encoding, save_encoding,
-                       transfer_matrix)
+from .encoding import (EncodingSolution, best_excitation_count, encoding_to_dict,
+                       end_to_end_fidelity, fidelity_haselgrove, fidelity_multi,
+                       fidelity_single, optimal_encoding, save_encoding)
 from .fermion import (ExcitationBasis, build_subspace_hamiltonian, determinant_amplitude,
                       excitation_basis, free_fermion_report, subspace_propagator,
                       verify_free_fermion)

@@ -21,10 +21,10 @@ from .chain import (FORMAT_VERSION, NumericalFailure, load_chain, rescale_to_uni
                     save_chain, write_json)
 from .disorder import uniform_disorder
 from .encoding import (best_excitation_count, fidelity_haselgrove, fidelity_multi,
-                       fidelity_single, optimal_encoding, save_encoding, transfer_matrix)
+                       fidelity_single, optimal_encoding, save_encoding)
 from .fermion import free_fermion_report
-from .models import (apollaro_chain, auto_transfer_time, pst_chain, quadratic_chain,
-                     quadratic_time_bound, uniform_chain)
+from .models import (apollaro_chain, pst_chain, quadratic_chain, quadratic_time_bound,
+                     uniform_chain)
 from .montecarlo import (SweepAxis, TransferPolicy, save_grid_csv, save_grid_descriptor,
                          sweep)
 from .optimize import Objective, objective_landscape, optimize_apollaro
@@ -58,7 +58,7 @@ def _finite(value: float, flag: str) -> float:
     return value
 
 
-def _parse_axis(name: str, text: str, flag: str) -> SweepAxis:
+def _parse_axis(text: str, flag: str) -> np.ndarray:
     parts = [_finite(float(p), flag) for p in text.split(":")]
     if len(parts) == 1:
         values = np.array(parts)
@@ -75,7 +75,13 @@ def _parse_axis(name: str, text: str, flag: str) -> SweepAxis:
         values = values[values <= stop + 1e-12]
     else:
         raise ValueError(f"axis spec {text!r} must be VALUE or START:STOP:STEP")
-    return SweepAxis(name=name, values=values)
+    return values
+
+
+def _policy(args) -> TransferPolicy:
+    """The window flags as a TransferPolicy; --time auto leaves the time to resolve_time."""
+    return TransferPolicy(window_in=args.window_in, window_out=args.window_out,
+                          time=None if args.time == "auto" else float(args.time))
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +106,10 @@ def cmd_build(args) -> int:
 
 def cmd_fidelity(args) -> int:
     chain = _build_chain_from_flags(args)
-    t = auto_transfer_time(chain) if args.time == "auto" else float(args.time)
-    window = end_windows(chain.n, args.window_in, args.window_out, t)
-    eig = eigendecompose(chain)
-    solution = optimal_encoding(transfer_matrix(eig, window))
-    lams = np.clip(solution.singular_values, 0.0, 1.0)
+    t = _policy(args).resolve_time(chain)
+    solution = optimal_encoding(eigendecompose(chain),
+                                end_windows(chain.n, args.window_in, args.window_out, t))
+    lams = solution.singular_values
     n_opt, f_opt = best_excitation_count(lams)
     report = {
         "format_version": FORMAT_VERSION,
@@ -128,11 +133,10 @@ def cmd_fidelity(args) -> int:
 
 def cmd_sweep(args) -> int:
     chain = _build_chain_from_flags(args)
-    policy = TransferPolicy(window_in=args.window_in, window_out=args.window_out,
-                            time=None if args.time == "auto" else float(args.time))
+    policy = _policy(args)
     grid = sweep(chain,
-                 _parse_axis(args.j_axis_name, args.j_axis, "--j-axis"),
-                 _parse_axis(args.b_axis_name, args.b_axis, "--b-axis"),
+                 SweepAxis(args.j_axis_name, _parse_axis(args.j_axis, "--j-axis")),
+                 SweepAxis(args.b_axis_name, _parse_axis(args.b_axis, "--b-axis")),
                  policy,
                  coupling_mode=args.coupling_mode,
                  samples=args.samples, quantile=args.quantile, seed=args.seed)
@@ -156,8 +160,8 @@ def cmd_optimize(args) -> int:
     obj = Objective(n=args.n, window=args.window, disorder=disorder, metric=metric,
                     samples=args.samples, quantile=args.quantile)
     if args.landscape:
-        xs = _parse_axis("sigma_J", args.x_axis, "--x-axis").values  # name unused
-        ys = _parse_axis("sigma_J", args.y_axis, "--y-axis").values
+        xs = _parse_axis(args.x_axis, "--x-axis")
+        ys = _parse_axis(args.y_axis, "--y-axis")
         values = objective_landscape(obj, xs, ys)
         with open(args.out, "w", newline="") as fh:
             fh.write("# format=1\nx,y,value\n")

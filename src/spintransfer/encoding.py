@@ -1,4 +1,4 @@
-"""Windowed transfer matrices, optimal encodings, and fidelity formulas.
+"""Optimal window encodings and fidelity formulas.
 
 The logical qubit is spread over a small input window; after evolving for the
 window time, it is collected from an output window.  The best single-
@@ -30,20 +30,12 @@ from .spectral import Eigensystem, TransferWindow, propagator_amplitude, window_
 
 
 @dataclass
-class TransferMatrix:
-    """Windowed propagator block: entry (j, i) = <out_j| e^{-iHt} |in_i>."""
-
-    entries: np.ndarray
-    window: TransferWindow
-
-
-@dataclass
 class EncodingSolution:
     """Descending singular values with paired input/output singular vectors.
 
     input_vectors[k] lives on the input window sites, output_vectors[k] on the
-    output window sites, and entries @ input_vectors[k] equals
-    singular_values[k] * output_vectors[k].
+    output window sites, and the window block window_amplitudes(eig, window)
+    maps input_vectors[k] to singular_values[k] * output_vectors[k].
     """
 
     singular_values: np.ndarray
@@ -52,22 +44,23 @@ class EncodingSolution:
     window: TransferWindow
 
 
-def transfer_matrix(eig: Eigensystem, window: TransferWindow) -> TransferMatrix:
-    entries = window_amplitudes(eig, window)
-    top = np.linalg.svd(entries, compute_uv=False)[0] if entries.size else 0.0
-    if top > 1.0 + 1e-10:
-        raise ValueError(f"window block has singular value {top} > 1; inputs are inconsistent")
-    return TransferMatrix(entries=entries, window=window)
+def _check_unitary(top) -> None:
+    """ValueError if a window block's top singular value (or any in an array) exceeds 1."""
+    if (top > 1.0 + 1e-10).any():
+        raise ValueError(f"window block has singular value {np.max(top)} > 1; "
+                         "inputs are inconsistent")
 
 
-def optimal_encoding(m: TransferMatrix) -> EncodingSolution:
-    """SVD of the window block with a deterministic phase gauge.
+def optimal_encoding(eig: Eigensystem, window: TransferWindow) -> EncodingSolution:
+    """SVD of the window block M_ji = <out_j| e^{-iHt} |in_i> with a deterministic phase gauge.
 
-    Each input vector's largest-magnitude entry is made real positive (lowest
-    index on ties) and the paired output vector absorbs the same phase, so
-    M u_k = lambda_k v_k holds exactly in the returned gauge.
+    A top singular value above 1 raises ValueError.  Each input vector's
+    largest-magnitude entry is made real positive (lowest index on ties) and the
+    paired output vector absorbs the same phase, so M u_k = lambda_k v_k holds
+    exactly in the returned gauge.
     """
-    u, s, vh = np.linalg.svd(m.entries, full_matrices=False)
+    u, s, vh = np.linalg.svd(window_amplitudes(eig, window), full_matrices=False)
+    _check_unitary(s[0])
     inputs = vh.conj()           # rows: right singular vectors
     outputs = u.T                # rows: left singular vectors
     for k in range(s.size):
@@ -78,7 +71,7 @@ def optimal_encoding(m: TransferMatrix) -> EncodingSolution:
             inputs[k] = inputs[k] * np.conj(phase)
             outputs[k] = outputs[k] * np.conj(phase)
     return EncodingSolution(singular_values=s, input_vectors=inputs,
-                            output_vectors=outputs, window=m.window)
+                            output_vectors=outputs, window=window)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 
 from .chain import FORMAT_VERSION, Chain, write_json
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
-from .encoding import fidelity_single
+from .encoding import _check_unitary, fidelity_single
 from .models import _first_peak, auto_transfer_time
 from .spectral import (_row_weights, eigendecompose, end_spectrum, end_windows,
                        window_amplitudes)
@@ -219,9 +219,7 @@ def _score_tops(top: np.ndarray, couplings: np.ndarray, fields: np.ndarray, wind
         eig = eigendecompose(Chain(n=n, couplings=couplings[r], fields=fields[r]))
         block = window_amplitudes(eig, end_windows(n, window_in, window_out, times[r]))
         top[r] = np.linalg.svd(block, compute_uv=False)[0]
-    if (top > 1.0 + 1e-10).any():
-        raise ValueError(f"window block has singular value {np.max(top)} > 1; "
-                         "inputs are inconsistent")
+    _check_unitary(top)
     return fidelity_single(top)  # clips to [0, 1]
 
 

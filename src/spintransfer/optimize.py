@@ -32,7 +32,7 @@ BOX_HI = 1.2
 SIMPLEX_TOL = 1e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class Objective:
     """What optimize_apollaro maximizes.
 
@@ -40,7 +40,7 @@ class Objective:
     own first-peak time.  metric "quantile": the quantile-level fidelity over
     `samples` disorder draws at that same (ideal-chain) time, with draws fixed
     by the disorder spec's master seed.  n, window, samples and quantile are
-    checked here, so no candidate is scored (or floored at 0.5) on bad ones.
+    checked here and frozen, so no candidate is scored (or floored at 0.5) on bad ones.
     """
 
     n: int = 51
@@ -148,9 +148,14 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
 
 
 def objective_landscape(obj: Objective, x_values, y_values) -> np.ndarray:
-    """Objective on a grid; entry [i, j] pairs x_values[i] with y_values[j]."""
+    """Objective on a grid; entry [i, j] pairs x_values[i] with y_values[j].
+
+    Points must lie in the box, where evaluate_objective folds none onto another."""
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
+    outside = [v for v in (*x_values, *y_values) if not 0 < v <= BOX_HI]
+    if outside:
+        raise ValueError(f"landscape points must lie in (0, {BOX_HI}]^2, got {outside[0]:g}")
     out = np.empty((x_values.size, y_values.size))
     for i, x in enumerate(x_values):
         for j, y in enumerate(y_values):

@@ -125,12 +125,10 @@ def test_fidelity_chain_non_integer_n(n, tmp_path, capsys):
 def test_fidelity_encoding_out_bytes(tmp_path):
     # the file the command wrote inline before it called save_encoding
     from spintransfer import (eigendecompose, encoding_to_dict, end_windows,
-                              optimal_encoding, pst_chain, pst_transfer_time,
-                              transfer_matrix)
+                              optimal_encoding, pst_chain, pst_transfer_time)
     chain = pst_chain(9)
     t = pst_transfer_time(chain)
-    solution = optimal_encoding(transfer_matrix(eigendecompose(chain),
-                                                end_windows(9, 2, 3, t)))
+    solution = optimal_encoding(eigendecompose(chain), end_windows(9, 2, 3, t))
     want = tmp_path / "want.json"
     with open(want, "w") as fh:
         json.dump(encoding_to_dict(solution), fh, indent=2)
@@ -176,6 +174,40 @@ def test_json_files_share_one_layout(case, tmp_path, capsys):
 
 def test_fidelity_invalid_window():
     assert run(["fidelity", "--model", "uniform", "--n", "5", "--window", "9"]) == 2
+
+
+def test_fidelity_takes_one_svd(monkeypatch, capsys):
+    # the window block's SVD gives both the report and the encoding
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert run(["fidelity", "--model", "uniform", "--n", "21", "--window", "3"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["best_excitation_count"] >= 1
+
+
+@pytest.mark.parametrize("window", ["0", "20"])
+def test_fidelity_checks_the_window_before_any_solve(window, tmp_path, capsys, monkeypatch):
+    # a chain with no arrival peak: a window checked after the peak search would exit 3
+    import spintransfer.montecarlo as montecarlo
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps({"format_version": 1, "n": 11, "couplings": [1e-3] * 10,
+                                "fields": [0.0] * 11}))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("transfer time solved before the window check")
+
+    monkeypatch.setattr(montecarlo, "auto_transfer_time", no_solve)
+    monkeypatch.setattr(cli, "eigendecompose", no_solve)
+    assert run(["fidelity", "--chain", str(path), "--window", window]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: window sizes must be in 1..n\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("time", ["nan", "inf"])
@@ -351,9 +383,9 @@ def test_axis_with_too_many_points_is_a_usage_error(command, flag, spec, count, 
 
 
 def test_axis_point_limit_is_inclusive():
-    assert cli._parse_axis("sigma_J", "0:0.999:0.001", "--j-axis").values.size == 1000
+    assert cli._parse_axis("0:0.999:0.001", "--j-axis").size == 1000
     with pytest.raises(ValueError, match="1001 points"):
-        cli._parse_axis("sigma_J", "0:1:0.001", "--j-axis")
+        cli._parse_axis("0:1:0.001", "--j-axis")
 
 
 def test_optimize_rejects_negative_restarts(capsys, monkeypatch):
@@ -388,6 +420,26 @@ def test_optimize_landscape_single_cell(tmp_path):
     x, y, value = (float(v) for v in lines[2].split(","))
     assert (x, y) == (0.5, 0.8)
     assert 0.5 <= value <= 1.0
+
+
+@pytest.mark.parametrize("axis", ["--x-axis=1.5", "--x-axis=-0.1:0.1:0.1", "--x-axis=0",
+                                  "--y-axis=1.5"])
+def test_landscape_axis_outside_the_box_is_a_usage_error(axis, tmp_path, capsys, monkeypatch):
+    # evaluate_objective folds a point outside the box onto another, which the CSV would misname
+    import spintransfer.optimize as optimize
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("objective evaluated for an axis outside the box")
+
+    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    out = tmp_path / "land.csv"
+    assert run(["optimize", "--n", "15", "--landscape", "--x-axis", "0.5", "--y-axis", "0.7",
+                axis, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: landscape ") and "(0, 1.2]" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_optimize_landscape_requires_out(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from spintransfer import (Chain, best_excitation_count, eigendecompose, end_to_end_fidelity,
                           end_windows, fidelity_haselgrove, fidelity_multi, fidelity_single,
                           first_peak_time, full_propagator, optimal_encoding, pst_chain,
-                          pst_transfer_time, save_encoding, transfer_matrix, uniform_chain)
+                          pst_transfer_time, save_encoding, uniform_chain, window_amplitudes)
 from spintransfer.spectral import TransferWindow
 
 SQRT2M1 = np.sqrt(2) - 1
@@ -17,30 +17,30 @@ def random_chain(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# transfer matrix
+# window block
 # ---------------------------------------------------------------------------
 
 def test_full_window_is_unitary():
     eig = eigendecompose(uniform_chain(6))
     window = TransferWindow(tuple(range(1, 7)), tuple(range(1, 7)), time=2.3)
-    block = transfer_matrix(eig, window)
-    s = np.linalg.svd(block.entries, compute_uv=False)
+    block = window_amplitudes(eig, window)
+    s = np.linalg.svd(block, compute_uv=False)
     assert np.allclose(s, 1.0, atol=1e-10)
-    assert np.allclose(block.entries, full_propagator(eig, 2.3), atol=1e-12)
+    assert np.allclose(block, full_propagator(eig, 2.3), atol=1e-12)
 
 
 def test_disjoint_windows_at_t0_are_dark():
     eig = eigendecompose(uniform_chain(8))
-    block = transfer_matrix(eig, end_windows(8, 3, 3, time=0.0))
-    assert np.max(np.abs(block.entries)) < 1e-14
+    block = window_amplitudes(eig, end_windows(8, 3, 3, time=0.0))
+    assert np.max(np.abs(block)) < 1e-14
 
 
 def test_pst_end_to_end_entry():
     chain = pst_chain(6)
     t0 = pst_transfer_time(chain)
-    block = transfer_matrix(eigendecompose(chain), end_windows(6, 1, 1, t0))
-    assert block.entries.shape == (1, 1)
-    assert abs(block.entries[0, 0]) == pytest.approx(1.0, abs=1e-9)
+    block = window_amplitudes(eigendecompose(chain), end_windows(6, 1, 1, t0))
+    assert block.shape == (1, 1)
+    assert abs(block[0, 0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_singular_values_bounded_random_ensemble():
@@ -51,7 +51,7 @@ def test_singular_values_bounded_random_ensemble():
         kin = int(rng.integers(1, n + 1))
         kout = int(rng.integers(1, n + 1))
         window = end_windows(n, kin, kout, rng.uniform(0, 40))
-        sol = optimal_encoding(transfer_matrix(eig, window))
+        sol = optimal_encoding(eig, window)
         assert np.all(sol.singular_values <= 1 + 1e-10)
         assert np.all(np.diff(sol.singular_values) <= 1e-12)
 
@@ -65,33 +65,41 @@ def test_encoding_gauge_and_pairing():
     chain = random_chain(rng, 12)
     eig = eigendecompose(chain)
     window = end_windows(12, 4, 5, time=6.0)
-    block = transfer_matrix(eig, window)
-    sol = optimal_encoding(block)
+    block = window_amplitudes(eig, window)
+    sol = optimal_encoding(eig, window)
     k = sol.singular_values.size
     gram_in = sol.input_vectors.conj() @ sol.input_vectors.T
     gram_out = sol.output_vectors.conj() @ sol.output_vectors.T
     assert np.max(np.abs(gram_in - np.eye(k))) <= 1e-10
     assert np.max(np.abs(gram_out - np.eye(k))) <= 1e-10
     for i in range(k):
-        mapped = block.entries @ sol.input_vectors[i]
+        mapped = block @ sol.input_vectors[i]
         assert np.max(np.abs(mapped - sol.singular_values[i] * sol.output_vectors[i])) <= 1e-9
         top = sol.input_vectors[i][np.argmax(np.abs(sol.input_vectors[i]))]
         assert abs(top.imag) <= 1e-12 and top.real > 0
 
 
+def test_encoding_guard_rejects_a_block_beyond_unitary():
+    eig = eigendecompose(uniform_chain(9))
+    inflated = type(eig)(eigenvalues=eig.eigenvalues, eigenvectors=2.0 * eig.eigenvectors)
+    with pytest.raises(ValueError, match="window block has singular value"):
+        optimal_encoding(inflated, end_windows(9, 3, 3, time=4.0))
+
+
 def test_encoding_1x1_magnitude():
     eig = eigendecompose(uniform_chain(5))
-    block = transfer_matrix(eig, end_windows(5, 1, 1, time=1.3))
-    sol = optimal_encoding(block)
-    assert sol.singular_values[0] == pytest.approx(abs(block.entries[0, 0]), abs=1e-12)
+    window = end_windows(5, 1, 1, time=1.3)
+    sol = optimal_encoding(eig, window)
+    assert sol.singular_values[0] == pytest.approx(abs(window_amplitudes(eig, window)[0, 0]),
+                                                   abs=1e-12)
 
 
 def test_encoding_beats_bare_transfer_on_uniform51():
     chain = uniform_chain(51)
     t0, _ = first_peak_time(chain)
     eig = eigendecompose(chain)
-    bare = abs(transfer_matrix(eig, end_windows(51, 1, 1, t0)).entries[0, 0])
-    sol = optimal_encoding(transfer_matrix(eig, end_windows(51, 5, 5, t0)))
+    bare = abs(window_amplitudes(eig, end_windows(51, 1, 1, t0))[0, 0])
+    sol = optimal_encoding(eig, end_windows(51, 5, 5, t0))
     assert sol.singular_values[0] > bare
 
 
@@ -102,7 +110,7 @@ def test_window_growth_never_hurts():
     t = 5.0
     tops = []
     for k in range(1, 8):
-        sol = optimal_encoding(transfer_matrix(eig, end_windows(14, k, k, t)))
+        sol = optimal_encoding(eig, end_windows(14, k, k, t))
         tops.append(sol.singular_values[0])
     assert np.all(np.diff(tops) >= -1e-12)
 
@@ -112,7 +120,7 @@ def test_central_overlap_gives_perfect_code():
     for n in (7, 10):
         k = (n + 1 + 1) // 2
         eig = eigendecompose(uniform_chain(n))
-        sol = optimal_encoding(transfer_matrix(eig, end_windows(n, k, k, time=0.0)))
+        sol = optimal_encoding(eig, end_windows(n, k, k, time=0.0))
         assert sol.singular_values[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -222,7 +230,7 @@ def test_encoding_serialization(tmp_path):
     chain = uniform_chain(9)
     eig = eigendecompose(chain)
     window = end_windows(9, 3, 3, time=4.0)
-    sol = optimal_encoding(transfer_matrix(eig, window))
+    sol = optimal_encoding(eig, window)
     path = tmp_path / "encoding.json"
     save_encoding(sol, path)
     data = json.loads(path.read_text())

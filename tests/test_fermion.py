@@ -5,7 +5,7 @@ from _helpers import dense_hamiltonian
 from spintransfer import (Chain, build_subspace_hamiltonian, determinant_amplitude,
                           eigendecompose, end_windows, excitation_basis,
                           free_fermion_report, optimal_encoding, propagator_amplitude,
-                          pst_chain, pst_transfer_time, subspace_propagator, transfer_matrix, uniform_chain,
+                          pst_chain, pst_transfer_time, subspace_propagator, uniform_chain,
                           verify_free_fermion)
 
 
@@ -112,7 +112,7 @@ def test_window_singular_product_equals_determinant():
     eig = eigendecompose(chain)
     for t in (pst_transfer_time(chain), 1.234):
         window = end_windows(6, 2, 2, t)
-        sol = optimal_encoding(transfer_matrix(eig, window))
+        sol = optimal_encoding(eig, window)
         det = determinant_amplitude(eig, window.input_sites, window.output_sites, t)
         product = sol.singular_values[0] * sol.singular_values[1]
         assert product == pytest.approx(abs(det), abs=1e-8)

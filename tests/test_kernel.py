@@ -13,7 +13,7 @@ from spintransfer import (Chain, TransferPolicy, eigendecompose, end_to_end_ampl
                           end_windows, fidelity_single, full_propagator, monte_carlo,
                           normal_disorder, optimal_encoding, pst_chain, pst_transfer_time,
                           quadratic_chain, quantile_interpolated, sample_disordered_chain,
-                          sample_fidelity, transfer_matrix, uniform_chain, uniform_disorder)
+                          sample_fidelity, uniform_chain, uniform_disorder)
 from spintransfer import montecarlo
 from spintransfer.models import auto_transfer_time
 
@@ -33,8 +33,8 @@ def oracle_amplitude(chain: Chain, t: float) -> complex:
 
 def eigenvector_fidelity(chain: Chain, t: float, window_in: int = 1, window_out: int = 1) -> float:
     """The eigenvector path of the scorer, called directly."""
-    block = transfer_matrix(eigendecompose(chain), end_windows(chain.n, window_in, window_out, t))
-    return fidelity_single(min(float(optimal_encoding(block).singular_values[0]), 1.0))
+    sol = optimal_encoding(eigendecompose(chain), end_windows(chain.n, window_in, window_out, t))
+    return fidelity_single(min(float(sol.singular_values[0]), 1.0))
 
 
 @pytest.mark.parametrize("n, samples", [(51, 200), (201, 40)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,15 @@ def test_objective_validation():
     assert Objective(n=11, window=11).window == 11
 
 
+def test_objective_is_frozen():
+    # an assigned field would skip __post_init__'s checks (a window of 0 floors at 0.5)
+    obj = Objective(n=11)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.window = 0
+    with pytest.raises(ValueError, match="window must be in 1..11, got 0"):
+        dataclasses.replace(obj, window=0)
+
+
 def test_fold_into_box():
     assert _fold_into_box(0.5) == pytest.approx(0.5)
     assert _fold_into_box(1.3) == pytest.approx(1.1, abs=1e-9)
@@ -72,6 +83,19 @@ def test_landscape_single_cell_matches_objective():
     grid = objective_landscape(obj, [0.5], [0.8])
     assert grid.shape == (1, 1)
     assert grid[0, 0] == pytest.approx(evaluate_objective(obj, 0.5, 0.8), abs=1e-14)
+
+
+@pytest.mark.parametrize("xs, ys", [([1.5], [0.8]), ([0.5], [0.0]), ([-0.1, 0.5], [0.8]),
+                                    ([0.5], [0.8, np.nan])])
+def test_landscape_rejects_points_outside_the_box(xs, ys, monkeypatch):
+    import spintransfer.optimize as optimize
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("objective evaluated for a point outside the box")
+
+    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\.2\]"):
+        objective_landscape(Objective(n=11), xs, ys)
 
 
 def test_quantile_objective_uses_common_random_numbers():
