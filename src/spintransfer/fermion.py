@@ -112,6 +112,8 @@ def verify_free_fermion(chain: Chain, k: int, t: float) -> float:
 
 
 def free_fermion_report(chain: Chain, k: int, t: float, tolerance: float = 1e-8) -> dict:
+    if not tolerance >= 0:  # no deviation passes a negative tolerance
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     deviation = verify_free_fermion(chain, k, t)
     return {
         "n": chain.n,

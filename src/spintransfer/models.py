@@ -135,7 +135,7 @@ def pst_transfer_time(chain: Chain) -> float:
     time must achieve |<N|U(t0)|1>| >= 1 - 1e-9, otherwise the chain is not
     accepted as a perfect-transfer chain.
     """
-    return _pst_time(*_end_weights(chain)[:2])
+    return _pst_time(*_end_weights(chain.fields, chain.couplings)[:2])
 
 
 def _pst_time(lam: np.ndarray, w: np.ndarray) -> float:
@@ -151,8 +151,8 @@ def _pst_time(lam: np.ndarray, w: np.ndarray) -> float:
 
 def quadratic_time_bound(n: int) -> float:
     """Lower bound on the quadratic chain's transfer time at unit max coupling."""
-    if n < 4:
-        raise ValueError("bound defined for n >= 4")
+    if n < 2:
+        raise ValueError("bound defined for n >= 2")
     if n % 2 == 0:
         return float(np.pi / 16.0 * n * (n + 2))
     return float(np.pi / 8.0 * np.sqrt((n + 1.0) * (n - 1.0) * (n * n - 5.0)))
@@ -204,7 +204,7 @@ def first_peak_time(chain: Chain, search_hint: float | None = None,
     finite and positive and the hint (when given) is finite and positive.
     """
     search_hint = _check_peak_args(chain, search_hint, step, time_tol)
-    lam, w, _ = _end_weights(chain)
+    lam, w, _ = _end_weights(chain.fields, chain.couplings)
     t = _first_peak(lam, w, search_hint, step, time_tol)
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
@@ -282,7 +282,7 @@ def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float,
 def auto_transfer_time(chain: Chain) -> float:
     """Perfect-transfer time when the spectrum is linear, else the first peak time from
     default_peak_hint.  Both tests share one end_spectrum solve of the chain."""
-    lam, w, _ = _end_weights(chain)
+    lam, w, _ = _end_weights(chain.fields, chain.couplings)
     try:
         return _pst_time(lam, w)
     except NumericalFailure:

@@ -47,7 +47,7 @@ from .chain import FORMAT_VERSION, Chain, write_json
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import _check_unitary, fidelity_single
 from .models import _first_peak, auto_transfer_time
-from .spectral import (_row_weights, eigendecompose, end_spectrum, end_windows,
+from .spectral import (_end_weights, eigendecompose, end_spectrum, end_windows,
                        window_amplitudes)
 
 
@@ -155,14 +155,12 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
                  start: int, stop: int) -> np.ndarray:
     """Fidelities of the realizations with sample indices start..stop-1."""
     couplings, fields = draw_realizations(base, spec, start, stop)
-    times = np.full(stop - start, float(time))
     if not policy.per_sample_peak:
-        return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
-    spectrum = end_spectrum(fields, couplings)
+        return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out,
+                                 np.full(stop - start, float(time)))
+    lam, w, spectrum = _end_weights(fields, couplings)
     hint = max(time, 1.0)  # time is finite and >= 0 (resolve_time)
-    for r, row in enumerate(zip(*spectrum)):
-        chain = Chain(n=base.n, couplings=couplings[r], fields=fields[r])
-        times[r] = _first_peak(*_row_weights(chain, *row), hint)
+    times = np.array([_first_peak(lam_r, w_r, hint) for lam_r, w_r in zip(lam, w)])
     return _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
                            times)
 

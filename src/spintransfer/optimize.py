@@ -83,7 +83,7 @@ def evaluate_objective(obj: Objective, x: float, y: float) -> float:
     x = _fold_into_box(float(x))
     y = _fold_into_box(float(y))
     chain = apollaro_chain(obj.n, x, y)
-    lam, w, spectrum = _end_weights(chain)
+    lam, w, spectrum = _end_weights(chain.fields, chain.couplings)
     try:
         t0 = _first_peak(lam, w, default_peak_hint(obj.n))
     except NumericalFailure:

@@ -13,8 +13,9 @@ eigenvalues
     v_k(1) v_k(N) = prod_i J_i / prod_{j != k} (lambda_k - lambda_j)
 
 (the residues of the resolvent entry (z - H)^{-1}_{N1}; Kay, IJQI 8, 641
-(2010)).  end_spectrum computes them for a stack of chains (end_to_end_amplitude
-is its 1x1 case); eigendecompose stays the reference for every amplitude.
+(2010)).  end_spectrum computes them for a stack of chains, and _end_weights
+turns them into weights, taking eigendecompose for a row the identity cannot
+take; eigendecompose stays the reference for every amplitude.
 """
 
 from __future__ import annotations
@@ -161,27 +162,21 @@ def end_spectrum(fields: np.ndarray, couplings: np.ndarray
     return lam, log_weights, signs, ok
 
 
-def _row_weights(chain: Chain, lam: np.ndarray, log_weights: np.ndarray, signs: np.ndarray,
-                 ok: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, w_k = v_k(1) v_k(N)) from the chain's end_spectrum row, or from
-    eigendecompose where the row is not ok or w is not finite (the kernel's fallback)."""
+def _end_weights(fields: np.ndarray, couplings: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(lam, w, spectrum): eigenvalues and weights w_k = v_k(1) v_k(N) of each chain from
+    spectrum = end_spectrum(fields, couplings), or from eigendecompose in a row that is
+    not ok or whose w is not finite (the kernel's fallback).  One chain's 1-D fields and
+    couplings give its lam and w, with the one-row spectrum."""
+    if fields.ndim == 1:
+        lam, w, spectrum = _end_weights(fields[None], couplings[None])
+        return lam[0], w[0], spectrum
+    spectrum = end_spectrum(fields, couplings)
+    lam, log_weights, signs, ok = spectrum
     with np.errstate(over="ignore", invalid="ignore"):
         w = signs * np.exp(log_weights)
-    if ok and np.isfinite(w).all():
-        return lam, w
-    eig = eigendecompose(chain)
-    return eig.eigenvalues, eig.eigenvectors[-1] * eig.eigenvectors[0]
-
-
-def _end_weights(chain: Chain) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(lam, w, spectrum) of the chain from one end_spectrum solve (see _row_weights)."""
-    spectrum = end_spectrum(chain.fields[None], chain.couplings[None])
-    return (*_row_weights(chain, *(part[0] for part in spectrum)), spectrum)
-
-
-def end_to_end_amplitude(chain: Chain, t: float) -> complex | None:
-    """<N| e^{-iHt} |1> from the eigenvalues alone, or None where that is unsafe
-    (zero coupling, repeated eigenvalue, non-finite result)."""
-    lam, w, (*_, ok) = _end_weights(chain)
-    amp = complex(w @ np.exp(-1j * lam * t))
-    return amp if ok[0] and np.isfinite(amp) else None
+    lam = lam.copy()  # fallback rows are rewritten here; the spectrum stays as solved
+    for r in np.flatnonzero(~(ok & np.isfinite(w).all(axis=1))):
+        eig = eigendecompose(Chain(n=fields.shape[1], couplings=couplings[r], fields=fields[r]))
+        lam[r], w[r] = eig.eigenvalues, eig.eigenvectors[-1] * eig.eigenvectors[0]
+    return lam, w, spectrum

@@ -37,6 +37,10 @@ def test_build_quadratic_reports_bound(tmp_path, capsys):
     assert summary["alpha"] == pytest.approx(1.0 / 36.0, rel=1e-9)  # center J = N(N+2)/8
     data = json.loads(out.read_text())
     assert max(abs(j) for j in data["couplings"]) == pytest.approx(1.0, abs=1e-12)
+    for n in (2, 3):  # the bound holds down to two sites
+        assert run(["build", "--model", "quadratic", "--n", str(n)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["transfer_time_lower_bound"] > 0
 
 
 def test_build_apollaro_table_row(tmp_path):
@@ -491,6 +495,23 @@ def test_oracle_numerical_failure_exit_code(capsys):
     # an impossible tolerance flags the run as a numerical failure (exit 3)
     assert run(["oracle", "--model", "uniform", "--n", "6", "--k", "2",
                 "--t", "1.0", "--tolerance", "1e-20"]) == 3
+
+
+def test_oracle_negative_tolerance_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # no deviation can pass it: refused before the sector is evolved (it exited 3)
+    import spintransfer.fermion as fermion
+
+    def no_evolution(*args):
+        raise AssertionError("sector evolved before the tolerance check")
+
+    monkeypatch.setattr(fermion, "verify_free_fermion", no_evolution)
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "--n", "6", "--k", "2", "--tolerance", "-1",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tolerance must be >= 0, got -1.0\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

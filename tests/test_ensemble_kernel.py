@@ -1,22 +1,21 @@
 """The batched ensemble kernel: stacked draws, chunked scoring, stacked window blocks.
 
 References: a per-sample draw written with scalar counter_uniform calls, and
-the full N x N propagator with the gauged SVD of optimal_encoding.
+the full N x N propagator (full eigensystem).
 """
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _helpers import counted_eigendecompose, oracle_fidelity, score_chain, score_rows
-from spintransfer import (Chain, DisorderSpec, Distribution, TransferPolicy, apollaro_chain,
-                          counter_uniform, eigendecompose, first_peak_time, full_propagator,
-                          monte_carlo, normal_disorder, pst_chain, quantile_interpolated,
-                          sample_disordered_chain, sample_fidelity, uniform_chain,
-                          uniform_disorder, zero_disorder)
-from spintransfer import montecarlo
+from _helpers import (assert_matches_oracle, counted_eigendecompose, fallbacks_on_ensemble,
+                      fallbacks_on_mirror_chain, oracle_fidelity, score_chain, score_rows)
+from spintransfer import (DisorderSpec, Distribution, TransferPolicy, apollaro_chain,
+                          counter_uniform, first_peak_time, monte_carlo, normal_disorder,
+                          pst_chain, quantile_interpolated, sample_disordered_chain,
+                          sample_fidelity, uniform_chain, uniform_disorder, zero_disorder)
+from spintransfer import montecarlo, spectral
 from spintransfer.disorder import draw_realizations
 
 SPECS = {
@@ -116,6 +115,9 @@ def test_ensemble_elements_are_sample_fidelities(case, monkeypatch):
     assert ensemble.size == samples
     single = np.array([sample_fidelity(base, spec, i, policy) for i in range(samples)])
     assert ensemble.tobytes() == single.tobytes()
+    t = policy.resolve_time(base)  # the resolved time passed in scores the same
+    timed = np.array([sample_fidelity(base, spec, i, policy, time=t) for i in range(samples)])
+    assert ensemble.tobytes() == timed.tobytes()
     assert stats.mean == float(np.mean(single))
     assert stats.minimum == float(np.min(single))
     assert stats.quantile_value == quantile_interpolated(single, 0.75)
@@ -132,76 +134,35 @@ def test_scores_do_not_depend_on_the_chunk_a_row_is_in():
     assert whole.tobytes() == chunks.tobytes()
 
 
-def test_window5_identical_across_threads():
-    base, spec, policy = CASES["w5"]
-    samples = 3 * montecarlo._CHUNK + 5
-    one = monte_carlo(base, spec, policy, samples=samples, threads=1)
-    four = monte_carlo(base, spec, policy, samples=samples, threads=4)
-    assert one == four
+# The hard regimes of _helpers, scored by the spectral producer; test_propagation.py scores
+# the same table by the Chebyshev producer.
+
+@pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])
+def test_kernel_matches_full_propagator_oracle(window_in, window_out, monkeypatch):
+    assert fallbacks_on_ensemble("spectral", "apollaro", window_in, window_out,
+                                 monkeypatch) == 0
 
 
-@pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4)])
-def test_kernel_matches_full_propagator_oracle(window_in, window_out):
-    base = apollaro_chain(41, 0.45, 0.75)
-    spec = normal_disorder(0.15, 0.1, seed=45)
-    t = 21.3
-    couplings, fields = draw_realizations(base, spec, 0, 80)
-    got = score_rows(couplings, fields, window_in, window_out, np.full(80, t))
-    for r in range(80):
-        chain = sample_disordered_chain(base, spec, r)
-        assert got[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
-                                       abs=1e-12)
-
-
-def assert_kernel_matches_oracle(couplings, fields, window_in, window_out, t):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = score_rows(couplings, fields, window_in, window_out,
-                         np.full(fields.shape[0], t))
-    n = fields.shape[1]
-    for r in range(fields.shape[0]):
-        chain = Chain(n=n, couplings=couplings[r], fields=fields[r])
-        assert got[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
-                                       abs=1e-12)
-
-
-@pytest.mark.parametrize("window_in, window_out", [(3, 3), (5, 5), (2, 4)])
+@pytest.mark.parametrize("window_in, window_out", [(3, 3), (5, 5), (2, 4), (4, 2)])
 def test_kernel_matches_oracle_when_couplings_cross_zero(window_in, window_out, monkeypatch):
-    base = pst_chain(41)
-    couplings, fields = draw_realizations(base, uniform_disorder(1.5, 0.1, seed=46), 0, 64)
-    assert (couplings < 0).any()
-    calls = counted_eigendecompose(monkeypatch)
-    assert_kernel_matches_oracle(couplings, fields, window_in, window_out, 33.7)
-    assert not calls
+    assert fallbacks_on_ensemble("spectral", "couplings_cross_zero", window_in, window_out,
+                                 monkeypatch) == 0
 
 
 @pytest.mark.parametrize("weak", [1e-4, 1e-8, 1e-12])
 @pytest.mark.parametrize("n", [20, 21])
-def test_kernel_matches_oracle_on_near_degenerate_mirror_chains(n, weak):
-    # mirror halves joined by weak centre bonds: eigenvalues come in pairs
-    # split by about weak (one bond, even n) or far less (two bonds, odd n)
-    couplings = uniform_chain(n).couplings.copy()
-    couplings[(n - 1) // 2] = couplings[n // 2 - 1] = weak
-    chain = Chain(n=n, couplings=couplings, fields=np.zeros(n))
-    assert np.min(np.diff(eigendecompose(chain).eigenvalues)) <= weak
-    for window_in, window_out in [(1, 1), (3, 3), (5, 5), (2, 4)]:
-        for t in (7.3, 311.0):
-            assert_kernel_matches_oracle(couplings[None], chain.fields[None],
-                                         window_in, window_out, t)
+def test_kernel_matches_oracle_on_near_degenerate_mirror_chains(n, weak, monkeypatch):
+    # the odd chain's pairs split by far less than 1e-12 repeat in double precision:
+    # one eigensystem per window and time
+    calls = fallbacks_on_mirror_chain("spectral", n, weak, monkeypatch)
+    assert calls == (10 if (n, weak) == (21, 1e-12) else 0)
 
 
-@pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4)])
+@pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])
 def test_kernel_matches_oracle_on_strongly_localized_chains(window_in, window_out,
                                                            monkeypatch):
-    base = uniform_chain(201)
-    couplings, fields = draw_realizations(base, normal_disorder(1.0, 1.0, seed=47), 0, 24)
-    t = 100.5
-    u = full_propagator(eigendecompose(Chain(n=201, couplings=couplings[0],
-                                             fields=fields[0])), t)
-    assert abs(u[200, 0]) < 1e-20  # nothing arrives: amplitudes near 1e-30
-    calls = counted_eigendecompose(monkeypatch)
-    assert_kernel_matches_oracle(couplings, fields, window_in, window_out, t)
-    assert not calls
+    assert fallbacks_on_ensemble("spectral", "strongly_localized", window_in, window_out,
+                                 monkeypatch) == 0
 
 
 def test_kernel_keeps_weights_below_the_double_range(monkeypatch):
@@ -212,23 +173,21 @@ def test_kernel_keeps_weights_below_the_double_range(monkeypatch):
     couplings, fields = draw_realizations(base, normal_disorder(1.0, 2.0, seed=18), 0, 16)
     _, log_weights, _, ok = montecarlo.end_spectrum(fields, couplings)
     assert ok.all() and (log_weights < np.log(np.finfo(float).tiny)).any()
-    calls = counted_eigendecompose(monkeypatch)
-    assert_kernel_matches_oracle(couplings, fields, 199, 199, 240.6)
+    calls = counted_eigendecompose(monkeypatch, montecarlo)
+    assert_matches_oracle("spectral", couplings, fields, 240.6, 199, 199)
     assert not calls
 
 
 @pytest.mark.parametrize("window_in, window_out, recurrence", [
     (25, 26, True), (1, 51, True), (51, 1, True), (26, 26, False), (28, 28, False),
-    (2, 50, False)])
+    (2, 50, False), (50, 2, False)])
 def test_overlapping_windows_take_the_eigenvector_path(window_in, window_out, recurrence,
                                                        monkeypatch):
     # the recurrences from the two ends share a site once window_in +
     # window_out > n with both windows larger than 1
-    base = uniform_chain(51)
-    couplings, fields = draw_realizations(base, normal_disorder(0.2, 2.0, seed=48), 0, 16)
-    calls = counted_eigendecompose(monkeypatch)
-    assert_kernel_matches_oracle(couplings, fields, window_in, window_out, 30.0)
-    assert len(calls) == (0 if recurrence else 16)
+    calls = fallbacks_on_ensemble("spectral", "overlapping_windows", window_in, window_out,
+                                  monkeypatch)
+    assert calls == (0 if recurrence else 16)
 
 
 def test_per_sample_peak_scores_each_realization_at_its_own_peak():
@@ -244,34 +203,47 @@ def test_per_sample_peak_scores_each_realization_at_its_own_peak():
 def test_per_sample_peak_solves_each_chunk_once(monkeypatch):
     base, spec, policy = CASES["w2_peak"]
     samples = montecarlo._CHUNK + 1
-    hint = max(policy.resolve_time(base), 1.0)
+    policy = replace(policy, time=policy.resolve_time(base))  # no solve of the base chain
+    hint = max(policy.time, 1.0)
     want = []
     for i in range(samples):
         chain = sample_disordered_chain(base, spec, i)
         want.append(score_chain(chain, 2, 2, first_peak_time(chain, search_hint=hint)[0]))
     solves = []
-    end_spectrum = montecarlo.end_spectrum
+    end_spectrum = spectral.end_spectrum
 
     def counting(fields, couplings):
         solves.append(fields.shape[0])
         return end_spectrum(fields, couplings)
 
-    monkeypatch.setattr(montecarlo, "end_spectrum", counting)
+    monkeypatch.setattr(spectral, "end_spectrum", counting)
     _, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
     assert solves == [montecarlo._CHUNK, 1]
     assert ensemble.tobytes() == np.array(want).tobytes()
 
 
+def inflated_by_four(fields, couplings):
+    """Every weight times 4: four times the block."""
+    lam, log_weights, signs, ok = spectral.end_spectrum(fields, couplings)
+    return lam, log_weights + np.log(4.0), signs, ok
+
+
+def all_on_one_eigenvalue(fields, couplings):
+    """Weight 1 + 1e-9 on the lowest eigenvalue and 0 on the others: an end-to-end
+    amplitude beyond 1."""
+    lam, log_weights, signs, ok = spectral.end_spectrum(fields, couplings)
+    log_weights[:] = -np.inf
+    log_weights[:, 0] = np.log1p(1e-9)
+    return lam, log_weights, signs, ok
+
+
 def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
-    end_spectrum = montecarlo.end_spectrum
-
-    def inflated(fields, couplings):
-        lam, log_weights, signs, ok = end_spectrum(fields, couplings)
-        return lam, log_weights + np.log(4.0), signs, ok
-
-    monkeypatch.setattr(montecarlo, "end_spectrum", inflated)
-    with pytest.raises(ValueError, match="window block has singular value"):
-        score_chain(uniform_chain(9), 3, 3, 4.0)
+    # a singular value beyond 1 cannot come from a unitary evolution
+    for weights, n, window, t in ((inflated_by_four, 9, 3, 4.0),
+                                  (all_on_one_eigenvalue, 5, 1, 3.0)):
+        monkeypatch.setattr(montecarlo, "end_spectrum", weights)
+        with pytest.raises(ValueError, match="window block has singular value"):
+            score_chain(uniform_chain(n), window, window, t)
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from _helpers import dense_hamiltonian
+from _helpers import counted_eigendecompose, dense_hamiltonian
 from spintransfer import (NumericalFailure, SpectrumTarget, apollaro_chain,
                           eigendecompose, end_to_end_fidelity, first_peak_time,
                           inverse_persymmetric_jacobi, pst_chain, pst_transfer_time,
@@ -81,6 +81,11 @@ def test_quadratic_time_bound_values():
     assert quadratic_time_bound(4) == pytest.approx(3 * np.pi / 2, rel=1e-14)
     assert quadratic_time_bound(5) == pytest.approx(np.pi / 8 * np.sqrt(480), rel=1e-14)
     assert quadratic_time_bound(16) == pytest.approx(18 * np.pi, rel=1e-14)
+    for n in (2, 3):  # the rescaled chain's perfect-transfer time, down to two sites
+        scaled, _ = rescale_to_unit_max(quadratic_chain(n))
+        assert quadratic_time_bound(n) == pytest.approx(pst_transfer_time(scaled), rel=1e-12)
+    with pytest.raises(ValueError):
+        quadratic_time_bound(1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +247,18 @@ def test_auto_transfer_time_solves_the_chain_once(chain, monkeypatch):
         want = pst_transfer_time(chain)
     except NumericalFailure:
         want = first_peak_time(chain)[0]
-    solves, eigensystems = [], []
+    solves = []
     end_spectrum = spectral.end_spectrum
 
     def counting_end_spectrum(fields, couplings):
         solves.append(fields)
         return end_spectrum(fields, couplings)
 
-    def no_eigensystem(h):
-        eigensystems.append(h)
-        return eigendecompose(h)
-
     monkeypatch.setattr(spectral, "end_spectrum", counting_end_spectrum)
-    for module in (models, spectral):
-        monkeypatch.setattr(module, "eigendecompose", no_eigensystem)
+    eigensystems = [counted_eigendecompose(monkeypatch, module) for module in (models, spectral)]
     assert auto_transfer_time(chain) == want
     assert len(solves) == 1
-    assert eigensystems == []
+    assert eigensystems == [[], []]
 
 
 # ---------------------------------------------------------------------------

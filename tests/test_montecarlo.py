@@ -97,13 +97,15 @@ def test_monte_carlo_invariants_and_range():
 
 
 def test_monte_carlo_thread_count_invariance():
-    chain = uniform_chain(21)
-    t0, _ = first_peak_time(chain)
-    spec = normal_disorder(0.1, 0.05, seed=77)
-    policy = TransferPolicy(3, 3, time=t0)
-    serial = monte_carlo(chain, spec, policy, samples=40, threads=1)
-    threaded = monte_carlo(chain, spec, policy, samples=40, threads=8)
-    assert serial == threaded  # bit-identical, not merely close
+    # windows 1, 3 and 5; the window-5 run spans four chunks
+    runs = [(uniform_chain(41), normal_disorder(0.1, 0.1, seed=21), TransferPolicy(1, 1), 60),
+            (uniform_chain(21), normal_disorder(0.1, 0.05, seed=77),
+             TransferPolicy(3, 3, time=first_peak_time(uniform_chain(21))[0]), 40),
+            (pst_chain(21), normal_disorder(0.1, 0.1, seed=43), TransferPolicy(5, 5), 197)]
+    for chain, spec, policy, samples in runs:
+        serial = monte_carlo(chain, spec, policy, samples=samples, threads=1)
+        threaded = monte_carlo(chain, spec, policy, samples=samples, threads=8)
+        assert serial == threaded  # bit-identical, not merely close
 
 
 def test_per_sample_peak_policy():

@@ -33,7 +33,7 @@ def dense_first_peak(lam, w, search_hint, step=0.05, amp_threshold=0.01, time_to
 def dense_first_peak_time(chain, search_hint=None, **kwargs):
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
-    lam, w, _ = spectral._end_weights(chain)
+    lam, w, _ = spectral._end_weights(chain.fields, chain.couplings)
     t = dense_first_peak(lam, w, search_hint, **kwargs)
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 

@@ -1,117 +1,77 @@
 """The Chebyshev producer: fixed-time window blocks propagated from the input window.
 
-The oracles are the full N x N propagator (full eigensystem) with the gauged
-SVD of optimal_encoding, and scipy.special.jv for the expansion coefficients.
-The hard regimes mirror the spectral kernel's oracle tests in
-test_ensemble_kernel.py: here each one runs through propagate_rows, which
-propagates every row whatever the rule would pick.
+The oracles are the full N x N propagator (full eigensystem), and
+scipy.special.jv for the expansion coefficients.  The hard regimes are the
+table in _helpers that test_ensemble_kernel.py scores by the spectral
+producer: here each one runs through propagate_rows, which propagates every
+row whatever the rule would pick, and needs no eigensystem.
 """
 
 import contextlib
 import io
-import warnings
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
-from _helpers import counted_eigendecompose, oracle_fidelity, propagate_rows, score_rows
-from spintransfer import (Chain, TransferPolicy, apollaro_chain, cli, eigendecompose,
-                          monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
-                          sample_disordered_chain, sample_fidelity, uniform_chain,
-                          uniform_disorder)
+from _helpers import (FALLBACK_CHAINS, FALLBACK_TIMES, FALLBACK_WINDOWS, OVERFLOWING_CHAIN,
+                      assert_matches_oracle, counted_eigendecompose, fallbacks_on_ensemble,
+                      fallbacks_on_mirror_chain, oracle_fidelity, score_rows)
+from spintransfer import (TransferPolicy, cli, monte_carlo, normal_disorder, pst_chain,
+                          pst_transfer_time, sample_disordered_chain, sample_fidelity,
+                          uniform_chain)
 from spintransfer import montecarlo
 from spintransfer.disorder import draw_realizations
 from spintransfer.models import auto_transfer_time
 
 
-def assert_propagation_matches_oracle(couplings, fields, window_in, window_out, t):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = propagate_rows(couplings, fields, window_in, window_out,
-                             np.full(fields.shape[0], t))
-    n = fields.shape[1]
-    for r in range(fields.shape[0]):
-        chain = Chain(n=n, couplings=couplings[r], fields=fields[r])
-        assert got[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
-                                       abs=1e-12)
-
-
 @pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])
 def test_propagation_matches_full_propagator_oracle(window_in, window_out, monkeypatch):
-    base = apollaro_chain(41, 0.45, 0.75)
-    couplings, fields = draw_realizations(base, normal_disorder(0.15, 0.1, seed=45), 0, 80)
-    calls = counted_eigendecompose(monkeypatch)
-    assert_propagation_matches_oracle(couplings, fields, window_in, window_out, 21.3)
-    assert not calls
+    assert fallbacks_on_ensemble("chebyshev", "apollaro", window_in, window_out,
+                                 monkeypatch) == 0
 
 
 @pytest.mark.parametrize("window_in, window_out", [(3, 3), (5, 5), (2, 4), (4, 2)])
 def test_propagation_matches_oracle_when_couplings_cross_zero(window_in, window_out,
                                                               monkeypatch):
-    base = pst_chain(41)
-    couplings, fields = draw_realizations(base, uniform_disorder(1.5, 0.1, seed=46), 0, 64)
-    assert (couplings < 0).any()
-    calls = counted_eigendecompose(monkeypatch)
-    assert_propagation_matches_oracle(couplings, fields, window_in, window_out, 33.7)
-    assert not calls
+    assert fallbacks_on_ensemble("chebyshev", "couplings_cross_zero", window_in, window_out,
+                                 monkeypatch) == 0
 
 
-ZERO_COUPLING_CHAINS = {
-    # the spectral producer needs the eigensystem for each of these
-    "zero_coupling": Chain(n=5, couplings=[1.0, 0.7, 0.0, 0.9],
-                           fields=[0.1, 0.0, 0.3, -0.2, 0.05]),
-    "repeated_eigenvalue": Chain(n=4, couplings=[1.0, 1e-200, 1.0], fields=np.zeros(4)),
-    "zero_coupling_and_repeated_eigenvalue": Chain(n=4, couplings=[1.0, 0.0, 1.0],
-                                                   fields=np.zeros(4)),
-    "all_couplings_zero": Chain(n=6, couplings=np.zeros(5), fields=np.full(6, 0.3)),
-}
+# the spectral producer takes the eigensystem for each of these (test_kernel.py)
+SPECTRAL_FALLBACKS = {**FALLBACK_CHAINS, "overflowing_recurrence": OVERFLOWING_CHAIN}
 
 
-@pytest.mark.parametrize("name", sorted(ZERO_COUPLING_CHAINS))
+@pytest.mark.parametrize("name", sorted(SPECTRAL_FALLBACKS))
 def test_propagation_needs_no_eigensystem_for_zero_couplings(name, monkeypatch):
-    chain = ZERO_COUPLING_CHAINS[name]
-    calls = counted_eigendecompose(monkeypatch)
-    for window_in, window_out in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        for t in (0.0, 2.1, 40.0):
-            assert_propagation_matches_oracle(chain.couplings[None], chain.fields[None],
-                                              window_in, window_out, t)
+    chain = SPECTRAL_FALLBACKS[name]
+    calls = counted_eigendecompose(monkeypatch, montecarlo)
+    for window_in, window_out in FALLBACK_WINDOWS:
+        for t in FALLBACK_TIMES:
+            assert_matches_oracle("chebyshev", chain.couplings[None], chain.fields[None], t,
+                                  window_in, window_out)
     assert not calls
 
 
 @pytest.mark.parametrize("weak", [1e-4, 1e-8, 1e-12])
 @pytest.mark.parametrize("n", [20, 21])
-def test_propagation_matches_oracle_on_near_degenerate_mirror_chains(n, weak):
-    couplings = uniform_chain(n).couplings.copy()
-    couplings[(n - 1) // 2] = couplings[n // 2 - 1] = weak
-    chain = Chain(n=n, couplings=couplings, fields=np.zeros(n))
-    assert np.min(np.diff(eigendecompose(chain).eigenvalues)) <= weak
-    for window_in, window_out in [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)]:
-        for t in (7.3, 311.0):
-            assert_propagation_matches_oracle(couplings[None], chain.fields[None],
-                                              window_in, window_out, t)
+def test_propagation_matches_oracle_on_near_degenerate_mirror_chains(n, weak, monkeypatch):
+    assert fallbacks_on_mirror_chain("chebyshev", n, weak, monkeypatch) == 0
 
 
 @pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])
 def test_propagation_matches_oracle_on_strongly_localized_chains(window_in, window_out,
                                                                 monkeypatch):
-    base = uniform_chain(201)
-    couplings, fields = draw_realizations(base, normal_disorder(1.0, 1.0, seed=47), 0, 24)
-    calls = counted_eigendecompose(monkeypatch)
-    assert_propagation_matches_oracle(couplings, fields, window_in, window_out, 100.5)
-    assert not calls
+    assert fallbacks_on_ensemble("chebyshev", "strongly_localized", window_in, window_out,
+                                 monkeypatch) == 0
 
 
 @pytest.mark.parametrize("window_in, window_out", [
     (25, 26), (1, 51), (51, 1), (26, 26), (28, 28), (2, 50), (50, 2)])
 def test_propagation_matches_oracle_on_overlapping_windows(window_in, window_out,
                                                            monkeypatch):
-    # the spectral producer takes the eigensystem for most of these
-    base = uniform_chain(51)
-    couplings, fields = draw_realizations(base, normal_disorder(0.2, 2.0, seed=48), 0, 16)
-    calls = counted_eigendecompose(monkeypatch)
-    assert_propagation_matches_oracle(couplings, fields, window_in, window_out, 30.0)
-    assert not calls
+    assert fallbacks_on_ensemble("chebyshev", "overlapping_windows", window_in, window_out,
+                                 monkeypatch) == 0
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-20, 1e-10, 0.3, 1.0, 7.5, 50.0, 260.0, 1000.0])
