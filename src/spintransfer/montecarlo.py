@@ -4,9 +4,10 @@ A run draws M disordered realizations of a base chain (sample indices
 0..M-1) and scores the best single-excitation encoding of each at its
 extraction time (the run's time, or each realization's own first peak).
 Realizations are drawn by one broadcast hash (disorder.draw_realizations) and
-scored in chunks of a fixed number of samples, in one thread (a thread pool
-measured slower; monte_carlo's threads argument runs nothing).  Two block
-producers feed one tail (top singular value, unitarity guard, fidelity):
+scored in near-equal chunks sized by their stacks (_chunk_rows: about 2^16
+elements an (N + 2)-site array), in one thread (a thread pool measured slower;
+monte_carlo's threads argument runs nothing).  Two block producers feed one
+tail (top singular value, unitarity guard, fidelity):
 
 - The spectral producer, _score_spectrum, computes no eigenvectors.  Each
   chain gets its eigenvalues and end weights w_k = v_k(1) v_k(N) from
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import FORMAT_VERSION, Chain, write_json
+from .chain import FORMAT_VERSION, Chain, NumericalFailure, write_json
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import _check_unitary, fidelity_single
 from .models import _first_peak, auto_transfer_time
@@ -60,7 +61,9 @@ class TransferPolicy:
     (perfect-transfer time for linear spectra, first arrival peak otherwise).
     per_sample_peak: re-find the first peak for every disordered realization
     instead of trusting the ideal time (off by default: disorder does not
-    move the scheduled extraction).
+    move the scheduled extraction).  A realization with no peak of its own is
+    scored at the resolved time, the schedule a device without re-timing
+    would use, exactly as a fixed-time run scores it.
     """
 
     window_in: int = 1
@@ -70,10 +73,17 @@ class TransferPolicy:
 
     def resolve_time(self, base: Chain) -> float:
         """The extraction time on base.  ValueError unless the window sizes fit base
-        (checked first, before any solve) and the time is finite and >= 0."""
+        (checked first, before any solve), the time is finite and >= 0, and t * max|E| on
+        base's Gershgorin interval is below 2^52: from there one ulp of the largest phase
+        is a radian or more, and the phases carry no information."""
         end_windows(base.n, self.window_in, self.window_out)
         time = auto_transfer_time(base) if self.time is None else float(self.time)
         end_windows(base.n, self.window_in, self.window_out, time)
+        centre, half = _gershgorin(base.fields[None], base.couplings[None])
+        phase = time * (abs(centre[0]) + half[0])
+        if phase >= 2.0 ** 52:
+            raise ValueError(f"window time {time!r} is too long for this chain: "
+                             f"t * max|E| = {phase:.6g} is not below 2^52")
         return time
 
 
@@ -124,8 +134,21 @@ class SweepGrid:
     descriptor: dict = field(default_factory=dict)
 
 
-# Realizations per kernel call: it bounds the stacks the kernel holds at once.
-_CHUNK = 64
+# Elements of each (n + 2)-site array a kernel call stacks, about 0.5 MB: it sets the
+# chunk size (README, "Draws", has the measured scan).
+_STACK = 1 << 16
+
+
+def _chunk_rows(n: int, window_in: int, window_out: int) -> int:
+    """Most realizations one kernel call takes: its stacks hold about _STACK elements."""
+    return max(1, _STACK // ((n + 2) * max(window_in, window_out)))
+
+
+def _chunks(samples: int, rows: int) -> list[tuple[int, int]]:
+    """Sample index ranges of ceil(samples / rows) near-equal chunks, in index order."""
+    count = -(-samples // rows)
+    bounds = [samples * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _check_ensemble_args(samples: int, quantile: float, threads: int = 1) -> None:
@@ -160,9 +183,19 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
                                  np.full(stop - start, float(time)))
     lam, w, spectrum = _end_weights(fields, couplings)
     hint = max(time, 1.0)  # time is finite and >= 0 (resolve_time)
-    times = np.array([_first_peak(lam_r, w_r, hint) for lam_r, w_r in zip(lam, w)])
-    return _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
+    times = np.full(stop - start, float(time))
+    lost = np.zeros(stop - start, dtype=bool)
+    for r in range(stop - start):
+        try:
+            times[r] = _first_peak(lam[r], w[r], hint)
+        except NumericalFailure:  # no peak of its own: keep the resolved time
+            lost[r] = True
+    fids = _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
                            times)
+    if lost.any():  # scored as a fixed-time run scores them, bit for bit
+        fids[lost] = _score_fixed_time(couplings[lost], fields[lost], policy.window_in,
+                                       policy.window_out, times[lost])
+    return fids
 
 
 def _score_fixed_time(couplings: np.ndarray, fields: np.ndarray, window_in: int,
@@ -359,7 +392,7 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
 
     With H' = (H - beta) / alpha on the row's Gershgorin interval, e^{-iHt} = e^{-i beta t}
     sum_k c_k T_k(H'); the phase is dropped (it moves no singular value).  T_k e_i runs on
-    an (n, rows * window) stack by T_{k+1} = 2 H' T_k - T_{k-1}, each step on the sites that
+    an (n + 2, window, rows) stack by T_{k+1} = 2 H' T_k - T_{k-1}, each step on the sites that
     the window reaches and that can still reach the other window by step max(counts) - 1,
     and the other window's rows are summed in k order.  U(t) is symmetric, so a smaller
     output window is propagated on the mirrored chain.  counts[r] is row r's term count.
@@ -369,17 +402,17 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
         window_in, window_out = window_out, window_in
     m, n = fields.shape
     centre, half = _gershgorin(fields, couplings)
-    coef = np.repeat(_chebyshev_coefficients(half * times, counts), window_in, axis=1)
-    scale = np.repeat(2.0 / np.where(half > 0, half, 1.0), window_in)  # half 0: H' = 0
-    # sites 1..n of a stack padded by a zero row at each end; bond[p] joins rows p-1 and p
-    diag = np.zeros((n + 2, m * window_in))
-    diag[1:-1] = np.repeat((fields - centre[:, None]).T, window_in, axis=1) * scale
-    bond = np.zeros((n + 2, m * window_in))
-    bond[2:-1] = np.repeat(couplings.T, window_in, axis=1) * scale
-    prev, cur, tmp = (np.zeros_like(diag) for _ in range(3))
-    cur[1 + np.arange(m * window_in) % window_in, np.arange(m * window_in)] = 1.0  # T_0
+    coef = _chebyshev_coefficients(half * times, counts)[:, None, :]
+    scale = 2.0 / np.where(half > 0, half, 1.0)  # half 0: H' = 0
+    # sites 1..n padded by a zero row at each end; bond[p] joins rows p-1 and p.  diag and
+    # bond are written out over the window sites: broadcast in the steps, numpy can no
+    # longer run a step as one flat loop, and window 5 at N=201 measured 1.8x slower
+    diag, bond, prev, cur, tmp = (np.zeros((n + 2, window_in, m)) for _ in range(5))
+    diag[1:-1] = ((fields - centre[:, None]).T * scale)[:, None]
+    bond[2:-1] = (couplings.T * scale)[:, None]
+    cur[1 + np.arange(window_in), np.arange(window_in)] = 1.0  # T_0
     out = slice(n + 1 - window_out, n + 1)
-    acc = np.zeros((2, window_out, m * window_in))  # real (even k) and imaginary (odd k)
+    acc = np.zeros((2, window_out, window_in, m))  # real (even k) and imaginary (odd k)
     first = n + 1 - window_out - window_in  # T_k is zero on the other window before this k
     if first <= 0:
         acc[0] += coef[0] * cur[out]
@@ -399,7 +432,7 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
         if k >= first:
             acc[k % 2] += coef[k] * prev[out]
         prev, cur = cur, prev
-    blocks = (acc[0] + 1j * acc[1]).reshape(window_out, m, window_in).transpose(1, 0, 2)
+    blocks = (acc[0] + 1j * acc[1]).transpose(2, 0, 1)
     return _top_singular(blocks)
 
 
@@ -415,15 +448,17 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
                 threads: int = 1) -> FidelityStats:
     """Seeded ensemble of sample_fidelity evaluations, summarized.
 
-    Samples are scored in chunks of _CHUNK indices, in index order, in one
-    thread.  threads runs nothing: it is checked (>= 1) and otherwise ignored,
-    and stays only because the benchmark workloads (bench/workloads.py) pass it.
+    Samples are scored in ceil(samples / rows) near-equal chunks of at most
+    rows = _chunk_rows(n, window_in, window_out) indices, in index order, in one
+    thread; a sample scores the same in any chunk.  threads runs nothing: it is
+    checked (>= 1) and otherwise ignored, and stays only because the benchmark
+    workloads (bench/workloads.py) pass it.
     """
     _check_ensemble_args(samples, quantile, threads)
     time = policy.resolve_time(base)  # checks windows and time, before any draw
-    fids = np.concatenate([_score_range(base, spec, policy, time, start,
-                                        min(start + _CHUNK, samples))
-                           for start in range(0, samples, _CHUNK)])
+    rows = _chunk_rows(base.n, policy.window_in, policy.window_out)
+    fids = np.concatenate([_score_range(base, spec, policy, time, start, stop)
+                           for start, stop in _chunks(samples, rows)])
 
     return FidelityStats(
         samples=samples,

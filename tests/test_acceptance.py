@@ -21,7 +21,7 @@ from spintransfer import (Chain, Objective, TransferPolicy, best_excitation_coun
                           uniform_disorder, verify_free_fermion)
 from spintransfer.cli import main as cli_main
 from spintransfer.fermion import determinant_amplitude
-from spintransfer.montecarlo import _CHUNK, _score_range
+from spintransfer.montecarlo import _chunk_rows, _chunks, _score_range
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 SEED = 2024
@@ -341,11 +341,11 @@ def test_criterion_8a_window_dominance_samplewise():
     policy5 = TransferPolicy(5, 5, time=t0)
 
     def sample_fidelities(spec, policy):
-        # samples 0..999 scored a chunk at a time; each element is sample_fidelity's value
-        # bit for bit (tests/test_propagation.py), spot-checked at three indices here
-        f = np.concatenate([_score_range(chain, spec, policy, t0, start,
-                                         min(start + _CHUNK, 1000))
-                            for start in range(0, 1000, _CHUNK)])
+        # samples 0..999 scored in monte_carlo's chunks; each element is sample_fidelity's
+        # value bit for bit (tests/test_propagation.py), spot-checked at three indices here
+        rows = _chunk_rows(51, policy.window_in, policy.window_out)
+        f = np.concatenate([_score_range(chain, spec, policy, t0, start, stop)
+                            for start, stop in _chunks(1000, rows)])
         for i in (0, 499, 999):
             assert sample_fidelity(chain, spec, i, policy, time=t0) == f[i]
         return f

@@ -229,6 +229,26 @@ def test_non_finite_time_is_a_usage_error(command, time, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["fidelity", "sweep"])
+def test_time_whose_phases_carry_no_information_is_a_usage_error(command, tmp_path, capsys):
+    # uniform N=51 has max|E| = 2 on its Gershgorin interval: t * 2 must stay below 2^52
+    out = tmp_path / "x.out"
+    for time, code in (("1e300", 2), (repr(2.0 ** 51), 2),
+                       (repr(float(np.nextafter(2.0 ** 51, 0.0))), 0)):
+        args = [command, "--model", "uniform", "--n", "51", "--time", time, "--out", str(out)]
+        if command == "sweep":
+            args += ["--j-axis", "0.1", "--b-axis", "0.1", "--samples", "4"]
+        assert run(args) == code, time
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith(f"error: window time {float(time)!r} is too long")
+            assert captured.err.count("\n") == 1 and captured.out == ""
+            assert not out.exists()
+        else:
+            assert captured.err == "" and out.exists()
+            out.unlink()
+
+
 NON_FINITE_FLAGS = {
     # each ran and exited 0 before: a passed fermion check on a NaN time, a NaN
     # disorder width scored as none, a NaN delta written into the JSON report

@@ -11,10 +11,11 @@ import pytest
 
 from _helpers import (assert_matches_oracle, counted_eigendecompose, fallbacks_on_ensemble,
                       fallbacks_on_mirror_chain, oracle_fidelity, score_chain, score_rows)
-from spintransfer import (DisorderSpec, Distribution, TransferPolicy, apollaro_chain,
-                          counter_uniform, first_peak_time, monte_carlo, normal_disorder,
-                          pst_chain, quantile_interpolated, sample_disordered_chain,
-                          sample_fidelity, uniform_chain, uniform_disorder, zero_disorder)
+from spintransfer import (DisorderSpec, Distribution, NumericalFailure, TransferPolicy,
+                          apollaro_chain, counter_uniform, first_peak_time, monte_carlo,
+                          normal_disorder, pst_chain, quantile_interpolated,
+                          sample_disordered_chain, sample_fidelity, uniform_chain,
+                          uniform_disorder, zero_disorder)
 from spintransfer import montecarlo, spectral
 from spintransfer.disorder import draw_realizations
 
@@ -96,6 +97,16 @@ def ensemble_elements(monkeypatch, base, spec, policy, samples, threads=1):
     return stats, np.concatenate([scored[start] for start in sorted(scored)])
 
 
+def two_chunks(monkeypatch, base, policy, rows=64):
+    """Sets the stack budget to give base and policy chunks of rows realizations, and
+    returns rows + 1 samples: two chunks, the second one row longer."""
+    size = max(policy.window_in, policy.window_out)
+    monkeypatch.setattr(montecarlo, "_STACK", rows * (base.n + 2) * size)
+    assert montecarlo._chunk_rows(base.n, policy.window_in, policy.window_out) == rows
+    assert montecarlo._chunks(rows + 1, rows) == [(0, rows // 2), (rows // 2, rows + 1)]
+    return rows + 1
+
+
 CASES = {
     "w1": (uniform_chain(21), normal_disorder(0.1, 0.1, seed=41), TransferPolicy(1, 1)),
     "w3": (apollaro_chain(21, 0.45, 0.75), uniform_disorder(0.1, 0.05, seed=42),
@@ -108,9 +119,9 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_ensemble_elements_are_sample_fidelities(case, monkeypatch):
-    # one sample more than a chunk: the second chunk holds a single row
+    # one sample more than a chunk: two chunks
     base, spec, policy = CASES[case]
-    samples = montecarlo._CHUNK + 1
+    samples = two_chunks(monkeypatch, base, policy)
     stats, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
     assert ensemble.size == samples
     single = np.array([sample_fidelity(base, spec, i, policy) for i in range(samples)])
@@ -121,6 +132,54 @@ def test_ensemble_elements_are_sample_fidelities(case, monkeypatch):
     assert stats.mean == float(np.mean(single))
     assert stats.minimum == float(np.min(single))
     assert stats.quantile_value == quantile_interpolated(single, 0.75)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ensemble_elements_do_not_depend_on_the_chunk_split(case, monkeypatch):
+    base, spec, policy = CASES[case]
+    samples = 45
+    t = policy.resolve_time(base)
+    _, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
+    rows = montecarlo._chunk_rows(base.n, policy.window_in, policy.window_out)
+    for size in (1, 7, rows, samples):
+        forced = np.concatenate([montecarlo._score_range(base, spec, policy, t, start,
+                                                         min(start + size, samples))
+                                 for start in range(0, samples, size)])
+        assert forced.tobytes() == ensemble.tobytes(), size
+
+
+@pytest.mark.parametrize("base, window, samples, chunks", [
+    (uniform_chain(201), 5, 200, 4),              # 64 rows, propagated
+    (pst_chain(51), 5, 600, 3),                   # 247 rows, spectral
+    (apollaro_chain(51, 0.45, 0.75), 3, 500, 2),  # 412 rows, propagated
+], ids=["uniform201_w5", "pst51_w5", "apollaro51_w3"])
+def test_monte_carlo_chunks_hold_at_most_the_derived_rows(base, window, samples, chunks,
+                                                          monkeypatch):
+    rows = montecarlo._chunk_rows(base.n, window, window)
+    assert rows == 65536 // ((base.n + 2) * window)
+    ranges, handed = [], []
+    score_range = montecarlo._score_range
+
+    def recording_range(b, s, p, time, start, stop):
+        ranges.append((start, stop))
+        return score_range(b, s, p, time, start, stop)
+
+    def recording(producer):
+        def call(couplings, fields, *args):
+            handed.append(fields.shape[0])
+            return producer(couplings, fields, *args)
+        return call
+
+    monkeypatch.setattr(montecarlo, "_score_range", recording_range)
+    for name in ("_chebyshev_tops", "_spectral_tops"):
+        monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
+    monte_carlo(base, normal_disorder(0.1, 0.1, seed=45), TransferPolicy(window, window),
+                samples=samples)
+    sizes = [stop - start for start, stop in ranges]
+    assert len(ranges) == chunks == -(-samples // rows)
+    assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+    assert ranges[-1][1] == samples and max(sizes) - min(sizes) <= 1
+    assert max(handed) <= rows and sum(handed) == samples
 
 
 def test_scores_do_not_depend_on_the_chunk_a_row_is_in():
@@ -202,7 +261,7 @@ def test_per_sample_peak_scores_each_realization_at_its_own_peak():
 
 def test_per_sample_peak_solves_each_chunk_once(monkeypatch):
     base, spec, policy = CASES["w2_peak"]
-    samples = montecarlo._CHUNK + 1
+    samples = two_chunks(monkeypatch, base, policy)
     policy = replace(policy, time=policy.resolve_time(base))  # no solve of the base chain
     hint = max(policy.time, 1.0)
     want = []
@@ -218,8 +277,37 @@ def test_per_sample_peak_solves_each_chunk_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "end_spectrum", counting)
     _, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
-    assert solves == [montecarlo._CHUNK, 1]
+    assert solves == [samples // 2, samples - samples // 2]
     assert ensemble.tobytes() == np.array(want).tobytes()
+
+
+def test_per_sample_peak_scores_a_row_with_no_peak_at_the_resolved_time(monkeypatch):
+    # three of these realizations have no arrival peak in the search window; they are
+    # scored at the base chain's time, as a fixed-time run scores them
+    base = apollaro_chain(31, 0.45, 0.75)
+    spec = normal_disorder(0.2, 0.5, seed=7)
+    policy = TransferPolicy(2, 2, per_sample_peak=True)
+    samples = 150
+    t = policy.resolve_time(base)
+    hint = max(t, 1.0)
+    lost = []
+    for i in range(samples):
+        try:
+            first_peak_time(sample_disordered_chain(base, spec, i), search_hint=hint)
+        except NumericalFailure:
+            lost.append(i)
+    assert lost == [4, 33, 61]
+    stats, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
+    assert stats.samples == samples and np.isfinite(ensemble).all()
+    fixed = replace(policy, per_sample_peak=False)
+    for i in range(samples):
+        if i in lost:
+            assert ensemble[i] == sample_fidelity(base, spec, i, fixed, time=t)
+            assert ensemble[i] == sample_fidelity(base, spec, i, policy, time=t)
+        else:  # unchanged: scored at its own peak, as before
+            t_peak = first_peak_time(sample_disordered_chain(base, spec, i), search_hint=hint)[0]
+            assert ensemble[i] == score_rows(*draw_realizations(base, spec, i, i + 1), 2, 2,
+                                             np.array([t_peak]))[0]
 
 
 def inflated_by_four(fields, couplings):
@@ -248,7 +336,8 @@ def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0},
                                     {"threads": 0}, {"threads": -3}, {"window_in": 0},
-                                    {"window_out": 22}, {"time": -1.0}, {"time": np.nan}])
+                                    {"window_out": 22}, {"time": -1.0}, {"time": np.nan},
+                                    {"time": 2.0 ** 51}])
 def test_run_arguments_are_checked_before_any_draw(kwargs, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew samples before checking the arguments")

@@ -34,6 +34,23 @@ def test_window_sizes_are_checked_before_the_auto_time():
                   samples=4)
 
 
+@pytest.mark.parametrize("field, reach", [(0.0, 2.0), (-10.0, 12.0)])
+def test_resolve_time_rejects_a_time_whose_phases_carry_no_information(field, reach):
+    # from t * max|E| = 2^52 on, max|E| taken on the Gershgorin interval, one ulp of the
+    # largest phase is a radian or more; the uniform chain's interval is [-2, 2] + field
+    chain = Chain(n=51, couplings=np.ones(50), fields=np.full(51, field))
+    limit = 2.0 ** 52 / reach
+    inside, beyond = ((np.nextafter(limit, 0.0), limit) if field == 0.0
+                      else (limit * (1 - 1e-9), limit * (1 + 1e-9)))
+    assert TransferPolicy(1, 1, time=inside).resolve_time(chain) == inside
+    for time in (beyond, 1e300):
+        with pytest.raises(ValueError, match="window time .* is not below 2\\^52"):
+            TransferPolicy(1, 1, time=time).resolve_time(chain)
+        with pytest.raises(ValueError, match="window time"):
+            monte_carlo(chain, zero_disorder(seed=1), TransferPolicy(1, 1, time=time),
+                        samples=4)
+
+
 def test_selection_probability():
     assert selection_probability(1, 0.75) == pytest.approx(0.25)
     assert selection_probability(2, 0.75) == pytest.approx(1 - 9 / 16)
