@@ -161,11 +161,14 @@ def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
     kinds = [_KIND_COUPLING] * on_couplings + [_KIND_FIELD] * on_fields
     u = counter_uniform(spec.master_seed, indices, np.arange(base.n, dtype=np.uint64),
                         np.array(kinds)[:, None, None])
-    if on_couplings:
-        d = spec.coupling_dist.draw(u[0, :, :-1])
-        couplings = couplings + d if spec.coupling_mode == "additive" else couplings * (1.0 + d)
-    if on_fields:
-        fields = fields + spec.field_dist.draw(u[-1])
+    # a draw past the double range is left inf or NaN, for the scorer to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        if on_couplings:
+            d = spec.coupling_dist.draw(u[0, :, :-1])
+            couplings = (couplings + d if spec.coupling_mode == "additive"
+                         else couplings * (1.0 + d))
+        if on_fields:
+            fields = fields + spec.field_dist.draw(u[-1])
     return couplings, fields
 
 

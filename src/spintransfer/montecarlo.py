@@ -21,13 +21,18 @@ tail (top singular value, unitarity guard, fidelity):
   spectrum (the deterministic tuning objective, per-sample peaks) call it.
 - The Chebyshev producer, _chebyshev_tops, needs no spectrum.  It applies
   e^{-iHt} = e^{-i beta t} sum_k (2 - [k=0]) (-i)^k J_k(alpha t) T_k(H') to
-  the unit vectors of the smaller window, H' = (H - beta) / alpha on the
-  Gershgorin interval, with K terms (dropped tail at most 1e-15) and J_k by
-  Miller's recurrence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+  e_1 alone (the chain mirrored so that the input window is the smaller),
+  H' = (H - beta) / alpha on the Gershgorin interval, with K terms (dropped
+  tail at most 1e-15) and J_k by Miller's recurrence (Tal-Ezer & Kosloff,
+  J. Chem. Phys. 81, 3967 (1984)).  U(t) commutes with H, so the other input
+  columns follow from U e_1 near the output end by the chain's three-term
+  recurrence, U e_{i+1} = ((H - B_i) U e_i - J_{i-1} U e_{i-1}) / J_i, the
+  operator form of the spectral producer's window rows.  A row whose bound on
+  that recurrence's error growth (_growth) exceeds _GROWTH comes back NaN.
 
 Rows scored at a fixed time (_score_fixed_time) are propagated where
-min(window_in, window_out) * K <= _PROPAGATE * N and solved otherwise; the
-rule reads the row alone, so a row scores the same in any chunk.
+K <= _PROPAGATE * N and _growth admits them, and solved otherwise; the rule
+reads the row alone, so a row scores the same in any chunk.
 
 sample_fidelity and the deterministic tuning objective are the one-row case
 of the same kernel.  The summary keeps three numbers: the mean (what you
@@ -73,18 +78,35 @@ class TransferPolicy:
 
     def resolve_time(self, base: Chain) -> float:
         """The extraction time on base.  ValueError unless the window sizes fit base
-        (checked first, before any solve), the time is finite and >= 0, and t * max|E| on
-        base's Gershgorin interval is below 2^52: from there one ulp of the largest phase
-        is a radian or more, and the phases carry no information."""
+        (checked first, before any solve), the time is finite and >= 0, and its phases
+        carry information on base (_check_phase)."""
         end_windows(base.n, self.window_in, self.window_out)
         time = auto_transfer_time(base) if self.time is None else float(self.time)
         end_windows(base.n, self.window_in, self.window_out, time)
-        centre, half = _gershgorin(base.fields[None], base.couplings[None])
-        phase = time * (abs(centre[0]) + half[0])
-        if phase >= 2.0 ** 52:
-            raise ValueError(f"window time {time!r} is too long for this chain: "
-                             f"t * max|E| = {phase:.6g} is not below 2^52")
+        _check_phase(base.couplings[None], base.fields[None], time)
         return time
+
+
+def _check_phase(couplings: np.ndarray, fields: np.ndarray, time: float,
+                 start: int | None = None) -> None:
+    """ValueError unless every row's chain is finite and t * max|E| on its Gershgorin interval
+    is below 2^52: from there one ulp of the largest phase is a radian or more, and the
+    phases carry no information.  The rows are the base chain (start None) or the disordered
+    realizations start, start + 1, ..."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN entry reaches both
+        centre, half = _gershgorin(fields, couplings)
+        phase = time * (np.abs(centre) + half)
+    finite = np.isfinite(centre) & np.isfinite(half)
+    bad = np.flatnonzero(~finite | (phase >= 2.0 ** 52))
+    if bad.size == 0:
+        return
+    r = bad[0]
+    what = "this chain" if start is None else f"disordered realization {start + r}"
+    if not finite[r]:
+        raise ValueError(f"{what} is not finite: a coupling, a field or its spectral bound "
+                         f"is beyond the double range")
+    raise ValueError(f"window time {time!r} is too long for {what}: "
+                     f"t * max|E| = {phase[r]:.6g} is not below 2^52")
 
 
 @dataclass
@@ -178,6 +200,7 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
                  start: int, stop: int) -> np.ndarray:
     """Fidelities of the realizations with sample indices start..stop-1."""
     couplings, fields = draw_realizations(base, spec, start, stop)
+    _check_phase(couplings, fields, time, start)
     if not policy.per_sample_peak:
         return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out,
                                  np.full(stop - start, float(time)))
@@ -202,19 +225,17 @@ def _score_fixed_time(couplings: np.ndarray, fields: np.ndarray, window_in: int,
                       window_out: int, times: np.ndarray) -> np.ndarray:
     """Best single-excitation fidelity of each row's chain at times[r], with no spectrum given.
 
-    A row is propagated (_chebyshev_tops) where min(window_in, window_out) * K is at most
-    _PROPAGATE * n, K its Chebyshev term count; the other rows are solved and take the
-    spectral producer.  Callers check the window sizes and times (resolve_time)."""
+    A row is propagated (_chebyshev_tops) where its Chebyshev term count K is at most
+    _PROPAGATE * n and _growth admits it; the other rows are solved and take the spectral
+    producer.  Callers check the window sizes and times (resolve_time)."""
     m, n = fields.shape
-    small = min(window_in, window_out)
-    counts = _term_counts(_gershgorin(fields, couplings)[1] * times, _TAIL,
-                          _PROPAGATE * n // small)
-    chebyshev = counts * small <= _PROPAGATE * n
+    counts = _term_counts(_gershgorin(fields, couplings)[1] * times, _TAIL, _PROPAGATE * n)
+    chebyshev = counts <= _PROPAGATE * n
     top = np.full(m, np.nan)
     if chebyshev.any():
         top[chebyshev] = _chebyshev_tops(couplings[chebyshev], fields[chebyshev], window_in,
                                          window_out, times[chebyshev], counts[chebyshev])
-    rest = ~chebyshev
+    rest = np.isnan(top)  # past the rule's K, or declined by _growth
     if rest.any():
         c, f = couplings[rest], fields[rest]
         top[rest] = _spectral_tops(c, f, end_spectrum(f, c), window_in, window_out, times[rest])
@@ -299,22 +320,28 @@ def _window_rows(lam: np.ndarray, fields: np.ndarray, couplings: np.ndarray,
     return ins / in_max, outs / out_max, np.log(in_max) + np.log(out_max)
 
 
-# A row is propagated where min(window_in, window_out) * K <= _PROPAGATE * n (README,
-# "How a chain is scored", has the measured crossover table).  The dropped Chebyshev
-# terms sum to at most _TAIL; Miller's recurrence starts where they sum to _MILLER_TAIL.
+# A row is propagated where K <= _PROPAGATE * n and _growth <= _GROWTH (README, "How a chain
+# is scored", has the measured crossover table and the oracle errors under the bound).  The
+# dropped Chebyshev terms sum to at most _TAIL; Miller's recurrence starts where they sum to
+# _MILLER_TAIL.
 _PROPAGATE = 9
+_GROWTH = 2.0 ** 16
 _TAIL = 1e-15
 _MILLER_TAIL = 1e-20
 
 
 def _gershgorin(fields: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and half-width of each row's Gershgorin interval, which holds its spectrum."""
+    """Centre and half-width of each row's Gershgorin interval, which holds its spectrum.
+
+    A half-width between 0 and 1e-300 is widened to 1e-300, an interval that still holds the
+    spectrum: _chebyshev_tops scales H' by 2 / half, which would overflow."""
     bonds = np.abs(couplings)
     radius = np.zeros(fields.shape)
     radius[:, :-1] = bonds
     radius[:, 1:] += bonds
     lo, hi = (fields - radius).min(axis=1), (fields + radius).max(axis=1)
-    return 0.5 * (hi + lo), 0.5 * (hi - lo)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo), np.where(half > 0, np.maximum(half, 1e-300), half)
 
 
 def _log_tail(k: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -369,8 +396,10 @@ def _chebyshev_coefficients(z: np.ndarray, counts: np.ndarray) -> np.ndarray:
     starts = _term_counts(z, _MILLER_TAIL)
     bessel = np.zeros((starts.max() + 2, z.size))
     bessel[starts - 1, np.arange(z.size)] = 1.0  # rows before their start stay 0
-    # 2k / z; z = 0 has start 1, so J_0 = 1 comes from the seed alone
-    ratios = np.arange(starts.max() + 1)[:, None] * (2.0 / np.where(z > 0, z, 1.0))
+    # 2k / z; z = 0 has start 1, so J_0 = 1 comes from the seed alone.  A z below 1e-300 is
+    # read as 1e-300, where 2 / z is still finite: J_0 = 1 and every other J_k is below 1e-300
+    # either way
+    ratios = np.arange(starts.max() + 1)[:, None] * (2.0 / np.maximum(z, 1e-300))
     even, step = np.zeros(z.size), np.empty(z.size)
     for k in range(starts.max(), 0, -1):
         np.multiply(ratios[k], bessel[k], out=step)
@@ -386,40 +415,80 @@ def _chebyshev_coefficients(z: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _growth(couplings: np.ndarray, fields: np.ndarray, window_in: int,
+            window_out: int) -> np.ndarray:
+    """Per row, the most the column recurrence of _chebyshev_tops can grow an error in U e_1.
+
+    On the chain it propagates (mirrored when window_out < window_in), with the reach the last
+    min(n, window_in + window_out - 1) sites: max A_i over i = 1..window_in, A_0 = 0, A_1 = 1,
+    A_{i+1} = (g_i A_i + |J_{i-1}| A_{i-1}) / |J_i|, g_i = max_s (|B_s - B_i| + |J_{s-1}| + |J_s|)
+    over the reach sites s; inf from a zero bond J_i on.
+    """
+    if window_out < window_in:
+        return _growth(couplings[:, ::-1], fields[:, ::-1], window_out, window_in)
+    m, n = fields.shape
+    worst = np.ones(m)
+    if window_in == 1:  # no recurrence step
+        return worst
+    reach = min(n, window_in + window_out - 1)
+    bonds = np.zeros((m, n + 1))  # bonds[:, s] = |J_s|, J_0 = J_n = 0
+    bonds[:, 1:n] = np.abs(couplings)
+    radius = bonds[:, n - reach:n] + bonds[:, n - reach + 1:]
+    prev, grow = np.zeros(m), np.ones(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, window_in):
+            g = (np.abs(fields[:, n - reach:] - fields[:, i - 1, None]) + radius).max(axis=1)
+            prev, grow = grow, np.divide(g * grow + bonds[:, i - 1] * prev, bonds[:, i],
+                                         out=np.full(m, np.inf), where=bonds[:, i] > 0)
+            worst = np.fmax(worst, grow)  # NaN (0 * inf past a zero bond) keeps inf
+    return worst
+
+
 def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, window_out: int,
                     times: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Top singular value of each row's window block, propagated from the smaller window.
+    """Top singular value of each row's window block from one propagated column, NaN where
+    _growth exceeds _GROWTH.
 
     With H' = (H - beta) / alpha on the row's Gershgorin interval, e^{-iHt} = e^{-i beta t}
-    sum_k c_k T_k(H'); the phase is dropped (it moves no singular value).  T_k e_i runs on
-    an (n + 2, window, rows) stack by T_{k+1} = 2 H' T_k - T_{k-1}, each step on the sites that
-    the window reaches and that can still reach the other window by step max(counts) - 1,
-    and the other window's rows are summed in k order.  U(t) is symmetric, so a smaller
-    output window is propagated on the mirrored chain.  counts[r] is row r's term count.
+    sum_k c_k T_k(H'); the phase is dropped (it moves no singular value).  T_k e_1 runs on an
+    (n + 2, rows) stack by T_{k+1} = 2 H' T_k - T_{k-1}, each step on the sites that e_1
+    reaches and that can still reach the last `reach` sites by step max(counts) - 1, and those
+    sites are summed in k order.  U(t) commutes with H', so the other input columns follow on
+    the output side, one site fewer each: U e_{i+1} = ((H' - B'_i) U e_i - J'_{i-1} U e_{i-1})
+    / J'_i.  U(t) is symmetric, so a smaller output window is propagated on the mirrored
+    chain.  counts[r] is row r's term count.
     """
+    top = np.full(fields.shape[0], np.nan)
+    ok = _growth(couplings, fields, window_in, window_out) <= _GROWTH
+    if not ok.any():
+        return top
+    if not ok.all():
+        couplings, fields, times, counts = couplings[ok], fields[ok], times[ok], counts[ok]
     if window_out < window_in:
         couplings, fields = couplings[:, ::-1], fields[:, ::-1]
         window_in, window_out = window_out, window_in
     m, n = fields.shape
+    reach = min(n, window_in + window_out - 1)
     centre, half = _gershgorin(fields, couplings)
-    coef = _chebyshev_coefficients(half * times, counts)[:, None, :]
+    coef = _chebyshev_coefficients(half * times, counts)
     scale = 2.0 / np.where(half > 0, half, 1.0)  # half 0: H' = 0
-    # sites 1..n padded by a zero row at each end; bond[p] joins rows p-1 and p.  diag and
-    # bond are written out over the window sites: broadcast in the steps, numpy can no
-    # longer run a step as one flat loop, and window 5 at N=201 measured 1.8x slower
-    diag, bond, prev, cur, tmp = (np.zeros((n + 2, window_in, m)) for _ in range(5))
-    diag[1:-1] = ((fields - centre[:, None]).T * scale)[:, None]
-    bond[2:-1] = (couplings.T * scale)[:, None]
-    cur[1 + np.arange(window_in), np.arange(window_in)] = 1.0  # T_0
-    out = slice(n + 1 - window_out, n + 1)
-    acc = np.zeros((2, window_out, window_in, m))  # real (even k) and imaginary (odd k)
-    first = n + 1 - window_out - window_in  # T_k is zero on the other window before this k
+    # sites 1..n padded by a zero row at each end; bond[p] joins rows p-1 and p
+    diag, bond, prev, cur, tmp = (np.zeros((n + 2, m)) for _ in range(5))
+    diag[1:-1] = (fields - centre[:, None]).T * scale
+    bond[2:-1] = couplings.T * scale
+    cur[1] = 1.0  # T_0 e_1
+    out = slice(n + 1 - reach, n + 1)
+    # cols[i]: real (even k) and imaginary (odd k) parts of U e_i on the reach sites, padded
+    # by a row at each end (below: site n - reach, or the zero boundary when reach = n)
+    cols = np.zeros((window_in + 1, 2, reach + 2, m))
+    acc = cols[1, :, 1:-1]
+    first = n - reach  # T_k e_1 is zero on the reach sites before this k
     if first <= 0:
         acc[0] += coef[0] * cur[out]
     count = coef.shape[0]
     for k in range(1, count):
-        lo = max(1, n + 2 - window_out - count + k)
-        hi = min(n, window_in + k) + 1
+        lo = max(1, n + 2 - reach - count + k)
+        hi = min(n, 1 + k) + 1
         nxt, t = prev[lo:hi], tmp[lo:hi]
         np.multiply(diag[lo:hi], cur[lo:hi], out=t)
         np.subtract(t, nxt, out=nxt)
@@ -432,8 +501,20 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
         if k >= first:
             acc[k % 2] += coef[k] * prev[out]
         prev, cur = cur, prev
-    blocks = (acc[0] + 1j * acc[1]).transpose(2, 0, 1)
-    return _top_singular(blocks)
+    # unless reach = n, column i + 1 is wrong on its lowest i padded rows (from the unknown
+    # site below the reach), which leaves exactly the window_out output sites of column
+    # window_in
+    shift = diag[out] - diag[1:window_in, None]
+    left, right = bond[n + 1 - reach:n + 1], bond[n + 2 - reach:]
+    for i in range(1, window_in):
+        step = shift[i - 1] * cols[i, :, 1:-1]
+        step += left * cols[i, :, :-2]
+        step += right * cols[i, :, 2:]
+        step -= bond[i] * cols[i - 1, :, 1:-1]
+        np.divide(step, bond[i + 1], out=cols[i + 1, :, 1:-1])
+    block = cols[1:, :, reach + 1 - window_out:-1]
+    top[ok] = _top_singular((block[:, 0] + 1j * block[:, 1]).transpose(2, 1, 0))
+    return top
 
 
 def quantile_interpolated(samples: np.ndarray, q: float) -> float:

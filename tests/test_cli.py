@@ -229,15 +229,37 @@ def test_non_finite_time_is_a_usage_error(command, time, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("j_axis, code, err", [
+    ("1e12", 0, ""),
+    ("1e16", 2, "error: window time 11.917012592443873 is too long for disordered "
+                "realization 0: t * max|E| = 3.32116e+17 is not below 2^52\n"),
+    ("1e308", 2, "error: disordered realization 0 is not finite: a coupling, a field or its "
+                 "spectral bound is beyond the double range\n")])
+def test_sweep_refuses_realizations_whose_phases_carry_no_information(j_axis, code, err,
+                                                                       tmp_path, capsys):
+    # the base chain's time is fine; its drawn realizations reach t * max|E| >= 2^52
+    # (1e16) or leave the double range (1e308) before any of them is scored
+    out = tmp_path / "z.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep", "--model", "uniform", "--n", "21", "--samples", "5",
+                    "--j-axis", j_axis, "--b-axis", "0", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("command", ["fidelity", "sweep"])
 def test_time_whose_phases_carry_no_information_is_a_usage_error(command, tmp_path, capsys):
     # uniform N=51 has max|E| = 2 on its Gershgorin interval: t * 2 must stay below 2^52
+    # (the sweep draws no disorder, so its realizations are the base chain; the drawn
+    # stacks have their own test below)
     out = tmp_path / "x.out"
     for time, code in (("1e300", 2), (repr(2.0 ** 51), 2),
                        (repr(float(np.nextafter(2.0 ** 51, 0.0))), 0)):
         args = [command, "--model", "uniform", "--n", "51", "--time", time, "--out", str(out)]
         if command == "sweep":
-            args += ["--j-axis", "0.1", "--b-axis", "0.1", "--samples", "4"]
+            args += ["--j-axis", "0", "--b-axis", "0", "--samples", "4"]
         assert run(args) == code, time
         captured = capsys.readouterr()
         if code == 2:

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ from spintransfer import (Chain, FidelityStats, NumericalFailure, SweepAxis, Tra
                           auto_transfer_time, grid_to_csv,
                           monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
                           quantile_interpolated, sample_fidelity, selection_probability,
-                          sweep, uniform_chain, zero_disorder)
+                          sweep, uniform_chain, uniform_disorder, zero_disorder)
+from spintransfer import montecarlo
+from spintransfer.disorder import Distribution, draw_realizations, errors_disorder
 from spintransfer.models import first_peak_time
 
 
@@ -49,6 +54,49 @@ def test_resolve_time_rejects_a_time_whose_phases_carry_no_information(field, re
         with pytest.raises(ValueError, match="window time"):
             monte_carlo(chain, zero_disorder(seed=1), TransferPolicy(1, 1, time=time),
                         samples=4)
+
+
+def test_drawn_realizations_past_the_phase_bound_are_refused_before_scoring(monkeypatch):
+    # the base chain passes resolve_time; each drawn stack is checked the same way, with its
+    # realizations' own Gershgorin intervals, before any row of it is scored
+    base = uniform_chain(21)
+    spec = uniform_disorder(3.0, 0.5, seed=11)
+    couplings, fields = draw_realizations(base, spec, 0, 8)
+    centre, half = montecarlo._gershgorin(fields, couplings)
+    reach = np.abs(centre) + half
+    worst = int(np.argmax(reach))
+    limit = 2.0 ** 52 / reach[worst]
+    inside = np.nextafter(limit, 0.0)
+    while inside * reach[worst] >= 2.0 ** 52:
+        inside = np.nextafter(inside, 0.0)
+    beyond = np.nextafter(inside, np.inf)
+    assert beyond * reach[worst] >= 2.0 ** 52 > beyond * 2.0  # the base chain's max|E| is 2
+    scored = []
+    kernel = montecarlo._score_fixed_time
+    monkeypatch.setattr(montecarlo, "_score_fixed_time",
+                        lambda *args: scored.append(1) or kernel(*args))
+    policy = TransferPolicy(1, 1)
+    assert monte_carlo(base, spec, replace(policy, time=inside), samples=8).samples == 8
+    scored.clear()
+    for call in (lambda p: monte_carlo(base, spec, p, samples=8),
+                 lambda p: sample_fidelity(base, spec, worst, p)):
+        with pytest.raises(ValueError, match=f"too long for disordered realization {worst}"):
+            call(replace(policy, time=beyond))
+    with pytest.raises(ValueError, match="is not below 2\\^52"):
+        sweep(base, SweepAxis("delta_J", [0.0, 3.0]), SweepAxis("delta_B", [0.5]),
+              replace(policy, time=beyond), samples=8, seed=11)
+    assert scored == [1]  # the sweep's disorder-free cell, before the refused one
+
+
+def test_non_finite_draws_are_refused_without_a_warning():
+    base = uniform_chain(11)
+    for spec in (normal_disorder(1e308, 0.0, seed=1), normal_disorder(0.0, 1e308, seed=1),
+                 errors_disorder(Distribution("uniform", 1e308), Distribution("uniform", 0.0),
+                                 seed=1, coupling_mode="multiplicative")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="realization 0 is not finite"):
+                monte_carlo(base, spec, TransferPolicy(1, 1, time=5.0), samples=3)
 
 
 def test_selection_probability():

@@ -4,7 +4,8 @@ The oracles are the full N x N propagator (full eigensystem), and
 scipy.special.jv for the expansion coefficients.  The hard regimes are the
 table in _helpers that test_ensemble_kernel.py scores by the spectral
 producer: here each one runs through propagate_rows, which propagates every
-row whatever the rule would pick, and needs no eigensystem.
+row whatever the rule would pick.  The only rows that need the eigensystem
+are those whose column recurrence _growth declines (declined below).
 """
 
 import contextlib
@@ -15,14 +16,27 @@ import pytest
 from scipy.special import jv
 
 from _helpers import (FALLBACK_CHAINS, FALLBACK_TIMES, FALLBACK_WINDOWS, OVERFLOWING_CHAIN,
-                      assert_matches_oracle, counted_eigendecompose, fallbacks_on_ensemble,
-                      fallbacks_on_mirror_chain, oracle_fidelity, score_rows)
+                      assert_matches_oracle, counted_eigendecompose, ensemble,
+                      fallbacks_on_ensemble, fallbacks_on_mirror_chain, oracle_fidelity,
+                      score_rows)
 from spintransfer import (TransferPolicy, cli, monte_carlo, normal_disorder, pst_chain,
                           pst_transfer_time, sample_disordered_chain, sample_fidelity,
                           uniform_chain)
 from spintransfer import montecarlo
 from spintransfer.disorder import draw_realizations
 from spintransfer.models import auto_transfer_time
+
+
+def declined(couplings, fields, window_in, window_out) -> int:
+    """Rows whose column recurrence _growth declines: _chebyshev_tops leaves them NaN, and
+    the shared tail scores them from the eigensystem."""
+    growth = montecarlo._growth(couplings, fields, window_in, window_out)
+    return int(np.count_nonzero(~(growth <= montecarlo._GROWTH)))
+
+
+def declined_in_ensemble(name, window_in, window_out) -> int:
+    couplings, fields, _ = ensemble(name)
+    return declined(couplings, fields, window_in, window_out)
 
 
 @pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])
@@ -34,8 +48,10 @@ def test_propagation_matches_full_propagator_oracle(window_in, window_out, monke
 @pytest.mark.parametrize("window_in, window_out", [(3, 3), (5, 5), (2, 4), (4, 2)])
 def test_propagation_matches_oracle_when_couplings_cross_zero(window_in, window_out,
                                                               monkeypatch):
+    # a coupling near zero on the input side can make the recurrence grow past the bound
     assert fallbacks_on_ensemble("chebyshev", "couplings_cross_zero", window_in, window_out,
-                                 monkeypatch) == 0
+                                 monkeypatch) == declined_in_ensemble(
+        "couplings_cross_zero", window_in, window_out)
 
 
 # the spectral producer takes the eigensystem for each of these (test_kernel.py)
@@ -44,13 +60,18 @@ SPECTRAL_FALLBACKS = {**FALLBACK_CHAINS, "overflowing_recurrence": OVERFLOWING_C
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_FALLBACKS))
 def test_propagation_needs_no_eigensystem_for_zero_couplings(name, monkeypatch):
+    # only a zero bond on the input side needs one: the recurrence divides by it
     chain = SPECTRAL_FALLBACKS[name]
     calls = counted_eigendecompose(monkeypatch, montecarlo)
+    want = 0
     for window_in, window_out in FALLBACK_WINDOWS:
+        want += len(FALLBACK_TIMES) * declined(chain.couplings[None], chain.fields[None],
+                                               window_in, window_out)
         for t in FALLBACK_TIMES:
             assert_matches_oracle("chebyshev", chain.couplings[None], chain.fields[None], t,
                                   window_in, window_out)
-    assert not calls
+    assert len(calls) == want
+    assert want == (3 if name == "all_couplings_zero" else 0)  # windows (2, 2)
 
 
 @pytest.mark.parametrize("weak", [1e-4, 1e-8, 1e-12])
@@ -63,15 +84,20 @@ def test_propagation_matches_oracle_on_near_degenerate_mirror_chains(n, weak, mo
 def test_propagation_matches_oracle_on_strongly_localized_chains(window_in, window_out,
                                                                 monkeypatch):
     assert fallbacks_on_ensemble("chebyshev", "strongly_localized", window_in, window_out,
-                                 monkeypatch) == 0
+                                 monkeypatch) == declined_in_ensemble(
+        "strongly_localized", window_in, window_out)
 
 
 @pytest.mark.parametrize("window_in, window_out", [
     (25, 26), (1, 51), (51, 1), (26, 26), (28, 28), (2, 50), (50, 2)])
 def test_propagation_matches_oracle_on_overlapping_windows(window_in, window_out,
                                                            monkeypatch):
+    # the recurrence runs over most of the chain under strong fields: every row of the
+    # three widest pairs is declined (growth 8e20 to 3e27), none of the others
+    want = declined_in_ensemble("overlapping_windows", window_in, window_out)
+    assert want == (16 if min(window_in, window_out) > 2 else 0)
     assert fallbacks_on_ensemble("chebyshev", "overlapping_windows", window_in, window_out,
-                                 monkeypatch) == 0
+                                 monkeypatch) == want
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-20, 1e-10, 0.3, 1.0, 7.5, 50.0, 260.0, 1000.0])
@@ -101,13 +127,15 @@ def test_coefficients_of_a_row_do_not_depend_on_its_neighbours():
 
 
 def producers(monkeypatch) -> dict:
-    """Count the rows each producer scores."""
+    """Count the rows each producer scores; a row _chebyshev_tops declines (NaN) goes on to
+    the spectral producer and counts there."""
     rows = {"chebyshev": 0, "spectral": 0}
     chebyshev, spectral = montecarlo._chebyshev_tops, montecarlo._spectral_tops
 
-    def counting_chebyshev(couplings, *args):
-        rows["chebyshev"] += couplings.shape[0]
-        return chebyshev(couplings, *args)
+    def counting_chebyshev(*args):
+        top = chebyshev(*args)
+        rows["chebyshev"] += np.count_nonzero(~np.isnan(top))
+        return top
 
     def counting_spectral(couplings, *args):
         rows["spectral"] += couplings.shape[0]
@@ -118,16 +146,18 @@ def producers(monkeypatch) -> dict:
     return rows
 
 
-def test_rule_propagates_uniform_window1_and_keeps_pst_window5_spectral(monkeypatch):
+def test_rule_propagates_uniform_window1_and_pst_window5_but_declined_rows(monkeypatch):
     rows = producers(monkeypatch)
     uniform = uniform_chain(201)
     monte_carlo(uniform, normal_disorder(0.1, 0.1, seed=3), TransferPolicy(1, 1), samples=70)
     assert rows == {"chebyshev": 70, "spectral": 0}
     pst = pst_chain(51)
+    spec = normal_disorder(0.2, 0.1, seed=3)
+    want = declined(*draw_realizations(pst, spec, 0, 200), 5, 5)
+    assert want == 5
     rows["chebyshev"] = 0
-    monte_carlo(pst, normal_disorder(0.1, 0.1, seed=3),
-                TransferPolicy(5, 5, time=pst_transfer_time(pst)), samples=70)
-    assert rows == {"chebyshev": 0, "spectral": 70}
+    monte_carlo(pst, spec, TransferPolicy(5, 5, time=pst_transfer_time(pst)), samples=200)
+    assert rows == {"chebyshev": 200 - want, "spectral": want}
 
 
 def test_per_sample_peak_rows_stay_spectral(monkeypatch):
@@ -137,16 +167,22 @@ def test_per_sample_peak_rows_stay_spectral(monkeypatch):
     assert rows == {"chebyshev": 0, "spectral": 10}
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_benchmark_pst_sweep_stays_spectral(seed, tmp_path, monkeypatch):
-    # the CLI sweep of the benchmark (window 5, PST N=51, 3 x 3 grid)
+@pytest.mark.parametrize("seed, want", [(1, 3), (2, 3), (3, 10)])
+def test_benchmark_pst_sweep_propagates_all_but_declined_rows(seed, want, tmp_path,
+                                                              monkeypatch):
+    # the CLI sweep of the benchmark (window 5, PST N=51, 3 x 3 grid): K is 135-152, under
+    # 9 N = 459, so only the rows whose recurrence _growth declines are solved
+    cells = [(j, b) for j in (0.0, 0.1, 0.2) for b in (0.0, 0.1, 0.2)]
+    pst = pst_chain(51)
+    assert sum(declined(*draw_realizations(pst, normal_disorder(j, b, seed), 0, 100), 5, 5)
+               for j, b in cells) == want
     rows = producers(monkeypatch)
     argv = ["sweep", "--model", "pst", "--n", "51", "--window", "5",
             "--j-axis", "0:0.2:0.1", "--b-axis", "0:0.2:0.1", "--samples", "100",
             "--seed", str(seed), "--out", str(tmp_path / "pst.csv")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert rows == {"chebyshev": 0, "spectral": 900}
+    assert rows == {"chebyshev": 900 - want, "spectral": want}
 
 
 def test_mixed_chunks_score_each_row_as_a_one_row_call(monkeypatch):
