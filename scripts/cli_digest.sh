@@ -1,0 +1,35 @@
+#!/bin/sh
+# Run the fixed CLI command set against one checkout and print a sha256sum
+# listing of its stdout and every file it wrote.
+#
+#   scripts/cli_digest.sh SRC
+#
+# SRC is the checkout's src directory.  Refactors are checked by running this
+# on the parent and on the change and diffing the two listings, which must
+# match line for line.  The commands run in a temporary directory that is
+# removed afterwards; the set takes about 20 s.
+set -eu
+if [ $# -ne 1 ] || [ ! -d "$1/spintransfer" ]; then
+    echo "usage: $0 SRC   (SRC: a checkout's src directory)" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+for c in \
+    "build --model pst --n 51 --out build.json" \
+    "fidelity --model apollaro --x 0.43 --y 0.73 --time auto --out fid.json --encoding-out enc.json" \
+    "fidelity --model uniform --n 51 --window 5 --encoding-out enc5.json" \
+    "sweep --model uniform --time auto --samples 50 --out uni.csv --descriptor uni.json" \
+    "sweep --model pst --n 51 --window 5 --j-axis 0:0.2:0.1 --b-axis 0:0.2:0.1 --samples 100 --seed 1 --out pst.csv" \
+    "optimize --n 51 --window 1 --out opt.json" \
+    "optimize --landscape --out land.csv" \
+    "oracle --n 8 --k 2 --t 3.7 --out oracle.json" \
+    "sweep --model uniform --n 201 --time 100 --j-axis 0:0.1:0.1 --b-axis 0.05 --samples 200 --seed 2 --out u201.csv" \
+    "sweep --model apollaro --x 0.43 --y 0.73 --n 51 --window 3 --j-axis 0:0.3:0.1 --b-axis 0:0.2:0.1 --samples 300 --seed 4 --out apo3.csv"
+do
+    # shellcheck disable=SC2086  # each command is split into its arguments on purpose
+    PYTHONPATH="$src" python -m spintransfer $c
+done > stdout.txt
+sha256sum *

@@ -1,4 +1,4 @@
-"""Chain descriptions, and the JSON writer and format check every file shares.
+"""Chain descriptions, the chain file format, and the JSON writer every file shares.
 
 A chain is the physical device: N sites, N-1 nearest-neighbour couplings
 J_1..J_{N-1} and N on-site fields B_1..B_N, all in the same energy units.
@@ -79,19 +79,7 @@ def write_json(data: dict, path=None) -> str:
     return text
 
 
-def _check_format(data, kind: str, keys: tuple[str, ...]) -> None:
-    """ValueError, naming kind, unless data is an object with keys and FORMAT_VERSION if any."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{kind} JSON must be an object, not {type(data).__name__}")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ValueError(f"{kind} JSON lacks {', '.join(missing)}")
-    version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported {kind} format_version {version!r}")
-
-
-def chain_to_dict(chain: Chain) -> dict:
+def _chain_to_dict(chain: Chain) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "n": chain.n,
@@ -101,9 +89,16 @@ def chain_to_dict(chain: Chain) -> dict:
     }
 
 
-def chain_from_dict(data: dict) -> Chain:
-    """Inverse of chain_to_dict; malformed input raises ValueError."""
-    _check_format(data, "chain", ("n", "couplings", "fields"))
+def _chain_from_dict(data) -> Chain:
+    """Inverse of _chain_to_dict; malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"chain JSON must be an object, not {type(data).__name__}")
+    missing = [key for key in ("n", "couplings", "fields") if key not in data]
+    if missing:
+        raise ValueError(f"chain JSON lacks {', '.join(missing)}")
+    version = data.get("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported chain format_version {version!r}")
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"chain JSON n must be an integer, not {n!r}")
@@ -119,9 +114,9 @@ def chain_from_dict(data: dict) -> Chain:
 
 
 def save_chain(chain: Chain, path) -> None:
-    write_json(chain_to_dict(chain), path)
+    write_json(_chain_to_dict(chain), path)
 
 
 def load_chain(path) -> Chain:
     with open(path) as fh:
-        return chain_from_dict(json.load(fh))
+        return _chain_from_dict(json.load(fh))

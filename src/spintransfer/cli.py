@@ -3,11 +3,11 @@
 Subcommands build chain files, score encodings, run disorder sweeps, tune
 Apollaro parameters, and cross-check the free-fermion reduction.  Everything
 is seeded, deterministic and runs in one thread: rerunning a command with the
-same flags reproduces its output files byte for byte, whatever --threads says
-(it must be >= 1 and is otherwise unused).
+same flags reproduces its output files byte for byte.  sweep still takes
+--threads, which must be >= 1 and runs nothing.
 
 Exit codes: 0 success, 2 usage error (bad flags, missing files, guard
-violations), 3 numerical failure.
+violations, not enough memory for the inputs), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--quantile", type=float, default=0.75)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="checked (must be >= 1) and runs nothing: scoring runs in one thread")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--descriptor", default=None, help="JSON descriptor output path")
     p.set_defaults(func=cmd_sweep)
@@ -266,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--y0", type=float, default=0.8)
     p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trace", action="store_true", help="include the evaluation trace")
     p.add_argument("--landscape", action="store_true", help="grid scan instead of optimizing")
     p.add_argument("--x-axis", default="0.3:0.7:0.05", help="landscape x grid")
@@ -299,6 +299,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"error: not enough memory: {exc}\n")
         return 2
     except NumericalFailure as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

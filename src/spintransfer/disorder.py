@@ -20,13 +20,12 @@ perturbed chains, not merely identical distributions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import FORMAT_VERSION, Chain, _check_format, write_json
+from .chain import Chain
 
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -49,7 +48,7 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def counter_uniform(seed: int, sample_index, sites: np.ndarray, kind) -> np.ndarray:
+def _counter_uniform(seed: int, sample_index, sites: np.ndarray, kind) -> np.ndarray:
     """Deterministic uniforms in (0, 1), one per (sample index, site index) pair.
 
     sample_index is an int or a uint64 array that broadcasts against sites: a
@@ -159,8 +158,8 @@ def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
     on_fields = spec.field_mode != "none" and spec.field_dist.param > 0
     # one hash over sites 0..n-1 for both kinds; couplings use sites 0..n-2
     kinds = [_KIND_COUPLING] * on_couplings + [_KIND_FIELD] * on_fields
-    u = counter_uniform(spec.master_seed, indices, np.arange(base.n, dtype=np.uint64),
-                        np.array(kinds)[:, None, None])
+    u = _counter_uniform(spec.master_seed, indices, np.arange(base.n, dtype=np.uint64),
+                         np.array(kinds)[:, None, None])
     # a draw past the double range is left inf or NaN, for the scorer to refuse
     with np.errstate(over="ignore", invalid="ignore"):
         if on_couplings:
@@ -178,42 +177,3 @@ def sample_disordered_chain(base: Chain, spec: DisorderSpec, sample_index: int) 
     return replace(base, couplings=couplings[0], fields=fields[0],
                    label=f"{base.label}#r{sample_index}")
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def disorder_to_dict(spec: DisorderSpec) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "coupling_mode": spec.coupling_mode,
-        "field_mode": spec.field_mode,
-        "coupling_dist": {"kind": spec.coupling_dist.kind, "param": spec.coupling_dist.param},
-        "field_dist": {"kind": spec.field_dist.kind, "param": spec.field_dist.param},
-        "seed": spec.master_seed,
-    }
-
-
-def disorder_from_dict(data: dict) -> DisorderSpec:
-    """Inverse of disorder_to_dict; malformed input raises ValueError."""
-    _check_format(data, "disorder",
-                  ("coupling_mode", "field_mode", "coupling_dist", "field_dist", "seed"))
-    try:
-        return DisorderSpec(
-            coupling_mode=data["coupling_mode"],
-            field_mode=data["field_mode"],
-            coupling_dist=Distribution(**data["coupling_dist"]),
-            field_dist=Distribution(**data["field_dist"]),
-            master_seed=int(data["seed"]),
-        )
-    except TypeError as exc:
-        raise ValueError(f"malformed disorder JSON: {exc}") from exc
-
-
-def save_disorder(spec: DisorderSpec, path) -> None:
-    write_json(disorder_to_dict(spec), path)
-
-
-def load_disorder(path) -> DisorderSpec:
-    with open(path) as fh:
-        return disorder_from_dict(json.load(fh))

@@ -155,7 +155,7 @@ def _vectors_to_json(sites: Sequence[int], vectors: np.ndarray) -> list[dict]:
     return out
 
 
-def encoding_to_dict(sol: EncodingSolution) -> dict:
+def _encoding_to_dict(sol: EncodingSolution) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "time": sol.window.time,
@@ -166,4 +166,4 @@ def encoding_to_dict(sol: EncodingSolution) -> dict:
 
 
 def save_encoding(sol: EncodingSolution, path) -> None:
-    write_json(encoding_to_dict(sol), path)
+    write_json(_encoding_to_dict(sol), path)

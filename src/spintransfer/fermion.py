@@ -16,7 +16,6 @@ k-dependent phase offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -29,23 +28,11 @@ MAX_SITES = 14
 MAX_EXCITATIONS = 3
 
 
-@dataclass
-class ExcitationBasis:
-    """Lexicographically ordered k-subsets of {1..N} (stored 0-based)."""
-
-    n: int
-    k: int
-    states: list
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-
-def excitation_basis(n: int, k: int) -> ExcitationBasis:
+def _excitation_basis(n: int, k: int) -> list[tuple[int, ...]]:
+    """Lexicographically ordered k-subsets of {1..N}, stored 0-based."""
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    return ExcitationBasis(n=n, k=k, states=list(combinations(range(n), k)))
+    return list(combinations(range(n), k))
 
 
 def _check_size_guard(n: int, k: int) -> None:
@@ -55,13 +42,13 @@ def _check_size_guard(n: int, k: int) -> None:
             f"(got n={n}, k={k}); sizes beyond that are what the determinant form is for")
 
 
-def build_subspace_hamiltonian(chain: Chain, k: int) -> tuple[np.ndarray, ExcitationBasis]:
-    """Dense symmetric matrix of the chain Hamiltonian in the k-excitation sector."""
+def _build_subspace_hamiltonian(chain: Chain, k: int) -> tuple[np.ndarray, list]:
+    """The k-excitation sector of the chain Hamiltonian (dense, symmetric) and its basis."""
     _check_size_guard(chain.n, k)
-    basis = excitation_basis(chain.n, k)
-    index = {s: i for i, s in enumerate(basis.states)}
-    h = np.zeros((basis.size, basis.size))
-    for s in basis.states:
+    basis = _excitation_basis(chain.n, k)
+    index = {s: i for i, s in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)))
+    for s in basis:
         i = index[s]
         h[i, i] = sum(chain.fields[p] for p in s)
         for p in s:
@@ -72,9 +59,9 @@ def build_subspace_hamiltonian(chain: Chain, k: int) -> tuple[np.ndarray, Excita
     return h, basis
 
 
-def subspace_propagator(chain: Chain, k: int, t: float) -> tuple[np.ndarray, ExcitationBasis]:
-    """e^{-iH_k t} in the k-excitation sector via dense eigendecomposition."""
-    h, basis = build_subspace_hamiltonian(chain, k)
+def _subspace_propagator(chain: Chain, k: int, t: float) -> tuple[np.ndarray, list]:
+    """e^{-iH_k t} in the k-excitation sector via dense eigendecomposition, with its basis."""
+    h, basis = _build_subspace_hamiltonian(chain, k)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.T, basis
 
@@ -99,13 +86,13 @@ def determinant_amplitude(eig: Eigensystem, from_set, to_set, t: float) -> compl
 
 def verify_free_fermion(chain: Chain, k: int, t: float) -> float:
     """Max deviation |direct sector evolution - determinant| over all subset pairs."""
-    u_k, basis = subspace_propagator(chain, k, t)
+    u_k, basis = _subspace_propagator(chain, k, t)
     eig = eigendecompose(chain)
     u_1 = full_propagator(eig, t)
     worst = 0.0
-    for a, sa in enumerate(basis.states):
+    for a, sa in enumerate(basis):
         cols = list(sa)
-        for b, sb in enumerate(basis.states):
+        for b, sb in enumerate(basis):
             det = np.linalg.det(u_1[np.ix_(list(sb), cols)])
             worst = max(worst, abs(u_k[b, a] - det))
     return worst

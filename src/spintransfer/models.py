@@ -28,7 +28,6 @@ steps on |f|^2, so the result depends only on which grid point wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,28 +43,6 @@ _ROUNDTRIP_TOL = 1e-8
 _MIRROR_TOL = 1e-9
 _SYMMETRY_TOL = 1e-10
 _SWAP_TRACE_TOL = 1e-8
-
-
-@dataclass
-class SpectrumTarget:
-    """Strictly increasing eigenvalue targets, symmetric about zero."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.ndim != 1 or lam.size < 2:
-            raise ValueError("need at least two target eigenvalues")
-        if not np.all(np.diff(lam) > 0):
-            raise ValueError("target eigenvalues must be strictly increasing")
-        scale = np.max(np.abs(lam))
-        if np.max(np.abs(lam + lam[::-1])) > 1e-12 * scale:
-            raise ValueError("target spectrum must be symmetric about 0")
-        self.eigenvalues = lam
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +81,17 @@ def pst_chain(n: int) -> Chain:
     return Chain(n=n, couplings=couplings, fields=np.zeros(n), label=f"pst-{n}")
 
 
-def quadratic_spectrum(n: int) -> SpectrumTarget:
+def _quadratic_spectrum(n: int) -> np.ndarray:
     """Signed-squares spectrum: +-1, +-4, ..., +-(N/2)^2, with 0 added for odd N."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        half = np.arange(1, n // 2 + 1, dtype=float) ** 2
-        lam = np.concatenate([-half[::-1], half])
-    else:
-        half = np.arange(1, (n - 1) // 2 + 1, dtype=float) ** 2
-        lam = np.concatenate([-half[::-1], [0.0], half])
-    return SpectrumTarget(eigenvalues=lam)
+    half = np.arange(1, n // 2 + 1, dtype=float) ** 2
+    return np.concatenate([-half[::-1], [0.0] * (n % 2), half])
 
 
 def quadratic_chain(n: int) -> Chain:
     """Chain realizing the quadratic spectrum (natural, unrescaled units)."""
-    chain = inverse_persymmetric_jacobi(quadratic_spectrum(n))
+    chain = inverse_persymmetric_jacobi(_quadratic_spectrum(n))
     chain.label = f"quadratic-{n}"
     return chain
 
@@ -190,35 +162,25 @@ _SCAN_ROWS = 128
 _AMP_THRESHOLD = 0.01
 
 
-def first_peak_time(chain: Chain, search_hint: float | None = None,
-                    step: float = 0.05, time_tol: float = 1e-8) -> tuple[float, float]:
+def first_peak_time(chain: Chain, search_hint: float | None = None) -> tuple[float, float]:
     """First local maximum of the end-to-end transfer fidelity.
 
-    Scans |<N|U(t)|1>| on the grid t_k = k step from 0 through twice the
-    hint, stops at the first grid-local maximum above _AMP_THRESHOLD and
-    refines it within time_tol on [t_{k-1}, t_{k+1}] (module docstring).
-    Returns (time, fidelity) where the fidelity is the state-averaged value
-    1/3 + (1+|f|)^2/6.
+    Scans |<N|U(t)|1>| on the grid t_k = 0.05 k from 0 through twice the
+    hint (default_peak_hint(n) when None), stops at the first grid-local
+    maximum above _AMP_THRESHOLD and refines it to within 1e-8 on
+    [t_{k-1}, t_{k+1}] (module docstring).  Returns (time, fidelity) where the
+    fidelity is the state-averaged value 1/3 + (1+|f|)^2/6.
 
-    Raises ValueError, before the eigensolve, unless step and time_tol are
-    finite and positive and the hint (when given) is finite and positive.
+    Raises ValueError, before the eigensolve, unless the hint is finite and
+    positive.
     """
-    search_hint = _check_peak_args(chain, search_hint, step, time_tol)
-    lam, w, _ = _end_weights(chain.fields, chain.couplings)
-    t = _first_peak(lam, w, search_hint, step, time_tol)
-    return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
-
-
-def _check_peak_args(chain: Chain, search_hint: float | None, step: float,
-                     time_tol: float) -> float:
-    """The search hint to use (the default for None), after checking the arguments."""
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
-    for name, value in (("search_hint", search_hint), ("step", step),
-                        ("time_tol", time_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return search_hint
+    if not (math.isfinite(search_hint) and search_hint > 0):
+        raise ValueError(f"search_hint must be finite and positive, got {search_hint!r}")
+    lam, w, _ = _end_weights(chain.fields, chain.couplings)
+    t = _first_peak(lam, w, search_hint)
+    return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
 
 def _phase_offsets(lam: np.ndarray, step: float, rows: int) -> np.ndarray:
@@ -337,21 +299,29 @@ def _lanczos_from_measure(lam: np.ndarray, weights: np.ndarray) -> tuple[np.ndar
     return diag, off
 
 
-def inverse_persymmetric_jacobi(target: SpectrumTarget) -> Chain:
-    """Field-free mirror-symmetric chain whose spectrum matches the target.
+def inverse_persymmetric_jacobi(eigenvalues) -> Chain:
+    """Field-free mirror-symmetric chain with the given spectrum.
 
-    The reconstruction uses the spectral weights of the first site, which for
-    a persymmetric zero-diagonal Jacobi matrix are determined by the target
-    spectrum alone.  The result is validated behaviorally: couplings must be
-    positive and mirror-symmetric, and re-diagonalizing must reproduce the
-    target within _ROUNDTRIP_TOL (relative to the spectral radius).
+    The eigenvalues must be at least two, strictly increasing and symmetric
+    about zero; anything else raises ValueError.  The reconstruction uses the
+    spectral weights of the first site, which for a persymmetric zero-diagonal
+    Jacobi matrix are determined by the target spectrum alone.  The result is
+    validated behaviorally: couplings must be positive and mirror-symmetric,
+    and re-diagonalizing must reproduce the target within _ROUNDTRIP_TOL
+    (relative to the spectral radius).
     """
-    lam = target.eigenvalues
+    lam = np.asarray(eigenvalues, dtype=float)
+    if lam.ndim != 1 or lam.size < 2:
+        raise ValueError("need at least two target eigenvalues")
+    if not np.all(np.diff(lam) > 0):
+        raise ValueError("target eigenvalues must be strictly increasing")
+    scale = np.max(np.abs(lam))
+    if np.max(np.abs(lam + lam[::-1])) > 1e-12 * scale:
+        raise ValueError("target spectrum must be symmetric about 0")
     n = lam.size
     weights = _persymmetric_weights(lam)
     diag, off = _lanczos_from_measure(lam, weights)
 
-    scale = np.max(np.abs(lam))
     if np.max(np.abs(diag)) > 1e-8 * scale:
         raise NumericalFailure("reconstruction produced a non-zero diagonal")
     if np.any(off <= 0):
@@ -372,7 +342,7 @@ def inverse_persymmetric_jacobi(target: SpectrumTarget) -> Chain:
 # swap-operator trace identities
 # ---------------------------------------------------------------------------
 
-def is_mirror_symmetric(chain: Chain) -> bool:
+def _is_mirror_symmetric(chain: Chain) -> bool:
     tol = _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(chain.couplings))))
     return bool(np.max(np.abs(chain.couplings - chain.couplings[::-1])) <= tol
                 and np.max(np.abs(chain.fields - chain.fields[::-1])) <= tol)
@@ -403,7 +373,7 @@ def swap_trace_second(chain: Chain) -> float:
 def _cross_checked(chain: Chain, structural: float, power: int) -> float:
     """structural, after checking it against the alternating sum of lam^power (+1 at the
     smallest eigenvalue) where the chain is mirror-symmetric."""
-    if is_mirror_symmetric(chain):
+    if _is_mirror_symmetric(chain):
         lam = eigendecompose(chain).eigenvalues
         spectral = float(np.sum(lam ** power * (-1.0) ** np.arange(lam.size)))
         if abs(abs(spectral) - abs(structural)) > _SWAP_TRACE_TOL * max(1.0, abs(structural)):

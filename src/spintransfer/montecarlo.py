@@ -517,13 +517,6 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
     return top
 
 
-def quantile_interpolated(samples: np.ndarray, q: float) -> float:
-    """Linear interpolation between closest ranks on the sorted samples."""
-    if not (0.0 < q < 1.0):
-        raise ValueError("quantile level must be in (0, 1)")
-    return float(np.quantile(samples, q, method="linear"))
-
-
 def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
                 samples: int = 1000, quantile: float = 0.75,
                 threads: int = 1) -> FidelityStats:
@@ -546,7 +539,7 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
         mean=float(np.mean(fids)),
         minimum=float(np.min(fids)),
         quantile_level=quantile,
-        quantile_value=quantile_interpolated(fids, quantile),
+        quantile_value=float(np.quantile(fids, quantile, method="linear")),
         seed=spec.master_seed,
     )
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from _helpers import dense_hamiltonian
-from spintransfer import (Chain, chain_from_dict, chain_to_dict, load_chain,
-                          rescale_to_unit_max, save_chain)
+from spintransfer import Chain, load_chain, rescale_to_unit_max, save_chain
+from spintransfer.chain import _chain_from_dict, _chain_to_dict
 from spintransfer.models import quadratic_chain, uniform_chain
 
 
@@ -80,6 +80,6 @@ def test_json_roundtrip(tmp_path):
 
 def test_dict_roundtrip_preserves_exact_floats():
     chain = Chain(n=2, couplings=np.array([1 / 3]), fields=np.array([0.1, -0.7]))
-    back = chain_from_dict(chain_to_dict(chain))
+    back = _chain_from_dict(_chain_to_dict(chain))
     assert back.couplings[0] == chain.couplings[0]
     assert np.array_equal(back.fields, chain.fields)

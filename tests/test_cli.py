@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spintransfer
-from spintransfer import cli, normal_disorder, save_disorder
+from spintransfer import cli
 from spintransfer.cli import main
 
 
@@ -128,14 +128,15 @@ def test_fidelity_chain_non_integer_n(n, tmp_path, capsys):
 
 def test_fidelity_encoding_out_bytes(tmp_path):
     # the file the command wrote inline before it called save_encoding
-    from spintransfer import (eigendecompose, encoding_to_dict, end_windows,
-                              optimal_encoding, pst_chain, pst_transfer_time)
+    from spintransfer import (eigendecompose, end_windows, optimal_encoding, pst_chain,
+                              pst_transfer_time)
+    from spintransfer.encoding import _encoding_to_dict
     chain = pst_chain(9)
     t = pst_transfer_time(chain)
     solution = optimal_encoding(eigendecompose(chain), end_windows(9, 2, 3, t))
     want = tmp_path / "want.json"
     with open(want, "w") as fh:
-        json.dump(encoding_to_dict(solution), fh, indent=2)
+        json.dump(_encoding_to_dict(solution), fh, indent=2)
         fh.write("\n")
     got = tmp_path / "got.json"
     assert run(["fidelity", "--model", "pst", "--n", "9", "--window-in", "2",
@@ -144,7 +145,7 @@ def test_fidelity_encoding_out_bytes(tmp_path):
 
 
 # Each JSON writer: argv with {a} (and {b}) for its JSON files, and whether stdout
-# repeats the first file.  None: save_disorder, which has no command.
+# repeats the first file.
 JSON_WRITERS = {
     "build": (["build", "--model", "pst", "--n", "9", "--out", "{a}"], False),
     "fidelity": (["fidelity", "--model", "pst", "--n", "9", "--window", "2",
@@ -153,7 +154,6 @@ JSON_WRITERS = {
     "oracle": (["oracle", "--n", "6", "--k", "2", "--out", "{a}"], True),
     "sweep": (["sweep", "--model", "uniform", "--n", "9", "--j-axis", "0", "--b-axis", "0.1",
                "--samples", "4", "--out", "{csv}", "--descriptor", "{a}"], False),
-    "save_disorder": (None, False),
 }
 
 
@@ -161,11 +161,8 @@ JSON_WRITERS = {
 def test_json_files_share_one_layout(case, tmp_path, capsys):
     argv, prints_report = JSON_WRITERS[case]
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    if argv is None:
-        save_disorder(normal_disorder(0.1, 0.05, seed=4), paths[0])
-    else:
-        names = {"a": paths[0], "b": paths[1], "csv": tmp_path / "x.csv"}
-        assert run([arg.format(**names) for arg in argv]) == 0
+    names = {"a": paths[0], "b": paths[1], "csv": tmp_path / "x.csv"}
+    assert run([arg.format(**names) for arg in argv]) == 0
     written = [path.read_bytes() for path in paths if path.exists()]
     assert len(written) == (2 if case == "fidelity" else 1)
     for data in written:
@@ -326,10 +323,11 @@ def test_sweep_csv_layout_and_descriptor(tmp_path):
 
 
 RANGE_ERRORS = [["--quantile", "1.5"], ["--quantile", "0"], ["--samples", "0"],
-                ["--threads", "0"], ["--threads", "-3"], ["--window", "0"], ["--window", "16"]]
+                ["--window", "0"], ["--window", "16"]]
 
 
-@pytest.mark.parametrize("bad", RANGE_ERRORS, ids=" ".join)
+@pytest.mark.parametrize("bad", RANGE_ERRORS + [["--threads", "0"], ["--threads", "-3"]],
+                         ids=" ".join)
 def test_sweep_rejects_argument_ranges_before_sampling(bad, tmp_path, capsys, monkeypatch):
     import spintransfer.montecarlo as montecarlo
 
@@ -340,7 +338,10 @@ def test_sweep_rejects_argument_ranges_before_sampling(bad, tmp_path, capsys, mo
     out = tmp_path / "x.csv"
     assert run(["sweep", "--model", "uniform", "--n", "11", "--j-axis", "0.1",
                 "--b-axis", "0.1", "--samples", "4", "--out", str(out)] + bad) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if bad[0] == "--threads":
+        assert err == "error: need at least one thread\n"
     assert not out.exists()
 
 
@@ -360,11 +361,23 @@ def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, tmp_path, 
         assert run(args) == 2
         err = capsys.readouterr().err
         assert "error:" in err
-        if bad[0] == "--threads":
-            assert err == "error: need at least one thread\n"
         if bad[0] == "--window":  # Objective checks it before any candidate is scored
             assert err == f"error: window must be in 1..15, got {bad[1]}\n"
     assert not out.exists()
+
+
+def test_optimize_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["optimize", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+def test_sweep_help_says_threads_runs_nothing(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "runs nothing" in " ".join(capsys.readouterr().out.split())
 
 
 def test_build_with_an_empty_out_path_is_a_usage_error(capsys):
@@ -554,6 +567,23 @@ def test_oracle_negative_tolerance_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert captured.err == "error: tolerance must be >= 0, got -1.0\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_oracle_k0_is_a_usage_error(capsys):
+    assert run(["oracle", "--n", "6", "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= k <= n\n"
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    def huge(n):
+        raise MemoryError(f"Unable to allocate an array for n={n}")
+
+    monkeypatch.setattr(cli, "pst_chain", huge)
+    assert run(["build", "--model", "pst", "--n", "99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: not enough memory: "
+                            "Unable to allocate an array for n=99999999999\n")
+    assert captured.out == ""
 
 
 def test_usage_error_exit_code():

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
-from spintransfer import (DisorderSpec, Distribution, counter_uniform, disorder_from_dict,
-                          disorder_to_dict, load_disorder, normal_disorder, save_disorder,
-                          sample_disordered_chain, uniform_chain, uniform_disorder,
-                          zero_disorder)
+from spintransfer import (DisorderSpec, Distribution, normal_disorder, sample_disordered_chain,
+                          uniform_chain, uniform_disorder, zero_disorder)
+from spintransfer.disorder import _counter_uniform
 
 
 def test_spec_validation():
@@ -64,11 +61,11 @@ def test_determinism_and_index_separation():
 
 def test_stream_positions_do_not_collide():
     # neighbouring (sample, site) pairs must not share draws
-    u_site = counter_uniform(9, 2, np.arange(6, dtype=np.uint64), 0)
+    u_site = _counter_uniform(9, 2, np.arange(6, dtype=np.uint64), 0)
     assert np.unique(u_site).size == 6
-    u_next = counter_uniform(9, 3, np.arange(6, dtype=np.uint64), 0)
+    u_next = _counter_uniform(9, 3, np.arange(6, dtype=np.uint64), 0)
     assert not np.any(np.isin(u_next, u_site))
-    u_field = counter_uniform(9, 2, np.arange(6, dtype=np.uint64), 1)
+    u_field = _counter_uniform(9, 2, np.arange(6, dtype=np.uint64), 1)
     assert not np.any(np.isin(u_field, u_site))
 
 
@@ -77,7 +74,7 @@ def test_empirical_moments_normal():
     draws = []
     spec = Distribution("normal", 0.2)
     for idx in range(1000):
-        draws.append(spec.draw(counter_uniform(2024, idx, sites, 0)))
+        draws.append(spec.draw(_counter_uniform(2024, idx, sites, 0)))
     draws = np.concatenate(draws)  # 1e5 values
     assert draws.size == 100_000
     assert abs(draws.mean()) <= 3 * 0.2 / np.sqrt(draws.size)
@@ -87,7 +84,7 @@ def test_empirical_moments_normal():
 def test_empirical_moments_uniform():
     sites = np.arange(100, dtype=np.uint64)
     dist = Distribution("uniform", 0.3)
-    draws = np.concatenate([dist.draw(counter_uniform(77, idx, sites, 0))
+    draws = np.concatenate([dist.draw(_counter_uniform(77, idx, sites, 0))
                             for idx in range(1000)])
     target_std = 0.3 / np.sqrt(3)
     assert abs(draws.mean()) <= 3 * target_std / np.sqrt(draws.size)
@@ -116,40 +113,6 @@ def test_sign_crossing_allowed():
     for idx in range(200):
         signs.update(np.sign(sample_disordered_chain(base, spec, idx).couplings))
     assert -1.0 in signs and 1.0 in signs
-
-
-def test_serialization_roundtrip(tmp_path):
-    spec = DisorderSpec(coupling_mode="multiplicative", field_mode="additive",
-                        coupling_dist=Distribution("normal", 0.05),
-                        field_dist=Distribution("uniform", 0.02), master_seed=99)
-    path = tmp_path / "disorder.json"
-    save_disorder(spec, path)
-    data = json.loads(path.read_text())
-    assert data["format_version"] == 1
-    assert data["coupling_dist"] == {"kind": "normal", "param": 0.05}
-    back = load_disorder(path)
-    assert back == spec
-    assert disorder_from_dict(disorder_to_dict(spec)) == spec
-
-
-VALID = disorder_to_dict(normal_disorder(0.1, 0.05, seed=5))
-
-
-@pytest.mark.parametrize("data, message", [
-    ([VALID], "must be an object"),
-    ({key: value for key, value in VALID.items() if key != "field_mode"}, "lacks field_mode"),
-    ({**VALID, "format_version": 2}, "format_version 2"),
-    ({**VALID, "coupling_dist": 0.1}, "malformed disorder JSON"),
-    ({**VALID, "field_dist": {"kind": "normal", "param": float("nan")}}, "must be finite"),
-], ids=["not_an_object", "missing_field_mode", "format_version_2", "dist_not_an_object",
-        "param_nan"])
-def test_malformed_disorder_json_raises_value_error(data, message, tmp_path):
-    with pytest.raises(ValueError, match=message):
-        disorder_from_dict(data)
-    path = tmp_path / "disorder.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=message):
-        load_disorder(path)
 
 
 def test_helper_constructors():

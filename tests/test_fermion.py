@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from _helpers import dense_hamiltonian
-from spintransfer import (Chain, build_subspace_hamiltonian, determinant_amplitude,
-                          eigendecompose, end_windows, excitation_basis,
+from spintransfer import (Chain, determinant_amplitude, eigendecompose, end_windows,
                           free_fermion_report, optimal_encoding, propagator_amplitude,
-                          pst_chain, pst_transfer_time, subspace_propagator, uniform_chain,
-                          verify_free_fermion)
+                          pst_chain, pst_transfer_time, uniform_chain, verify_free_fermion)
+from spintransfer.fermion import (_build_subspace_hamiltonian, _excitation_basis,
+                                  _subspace_propagator)
 
 
 def random_chain(rng, n):
@@ -15,27 +15,27 @@ def random_chain(rng, n):
 
 
 def test_basis_sizes():
-    basis = excitation_basis(6, 2)
-    assert basis.size == 15
-    assert basis.states[0] == (0, 1)
-    assert basis.states[-1] == (4, 5)
+    basis = _excitation_basis(6, 2)
+    assert len(basis) == 15
+    assert basis[0] == (0, 1)
+    assert basis[-1] == (4, 5)
     with pytest.raises(ValueError):
-        excitation_basis(4, 0)
+        _excitation_basis(4, 0)
 
 
 def test_k1_reduces_to_single_excitation_matrix():
     rng = np.random.default_rng(7)
     chain = random_chain(rng, 7)
-    h, basis = build_subspace_hamiltonian(chain, 1)
-    assert basis.size == 7
+    h, basis = _build_subspace_hamiltonian(chain, 1)
+    assert len(basis) == 7
     assert np.allclose(h, dense_hamiltonian(chain), atol=1e-15)
 
 
 def test_three_site_two_excitation_structure():
     # explicit enumeration: basis (12), (13), (23); holes hop with swapped couplings
     chain = Chain(n=3, couplings=np.array([0.7, 1.3]), fields=np.array([0.1, 0.2, 0.4]))
-    h, basis = build_subspace_hamiltonian(chain, 2)
-    assert basis.states == [(0, 1), (0, 2), (1, 2)]
+    h, basis = _build_subspace_hamiltonian(chain, 2)
+    assert basis == [(0, 1), (0, 2), (1, 2)]
     expected = np.array([
         [0.3, 1.3, 0.0],
         [1.3, 0.5, 0.7],
@@ -46,10 +46,10 @@ def test_three_site_two_excitation_structure():
 
 def test_two_site_fully_occupied_is_static():
     chain = Chain(n=2, couplings=np.array([0.9]), fields=np.array([0.2, -0.3]))
-    h, basis = build_subspace_hamiltonian(chain, 2)
+    h, basis = _build_subspace_hamiltonian(chain, 2)
     assert h.shape == (1, 1)
     assert h[0, 0] == pytest.approx(-0.1)
-    u, _ = subspace_propagator(chain, 2, 3.0)
+    u, _ = _subspace_propagator(chain, 2, 3.0)
     assert abs(u[0, 0]) == pytest.approx(1.0, abs=1e-12)
     det = determinant_amplitude(eigendecompose(chain), (1, 2), (1, 2), 3.0)
     assert det == pytest.approx(complex(u[0, 0]), abs=1e-12)
@@ -57,9 +57,9 @@ def test_two_site_fully_occupied_is_static():
 
 def test_size_guards():
     with pytest.raises(ValueError):
-        build_subspace_hamiltonian(uniform_chain(20), 2)
+        _build_subspace_hamiltonian(uniform_chain(20), 2)
     with pytest.raises(ValueError):
-        build_subspace_hamiltonian(uniform_chain(8), 4)
+        _build_subspace_hamiltonian(uniform_chain(8), 4)
 
 
 def test_determinant_amplitude_k1_and_t0():

@@ -3,13 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from _helpers import counted_eigendecompose, dense_hamiltonian
-from spintransfer import (NumericalFailure, SpectrumTarget, apollaro_chain,
-                          eigendecompose, end_to_end_fidelity, first_peak_time,
-                          inverse_persymmetric_jacobi, pst_chain, pst_transfer_time,
-                          quadratic_chain, quadratic_spectrum, quadratic_time_bound,
+from spintransfer import (NumericalFailure, apollaro_chain, eigendecompose, end_to_end_fidelity,
+                          first_peak_time, inverse_persymmetric_jacobi, pst_chain,
+                          pst_transfer_time, quadratic_chain, quadratic_time_bound,
                           rescale_to_unit_max, swap_trace_first, swap_trace_second, uniform_chain)
 from spintransfer import models, spectral
-from spintransfer.models import auto_transfer_time, default_peak_hint
+from spintransfer.models import _quadratic_spectrum, auto_transfer_time, default_peak_hint
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +92,29 @@ def test_quadratic_time_bound_values():
 # ---------------------------------------------------------------------------
 
 def test_quadratic_spectrum_values():
-    assert np.array_equal(quadratic_spectrum(4).eigenvalues, [-4, -1, 1, 4])
-    assert np.array_equal(quadratic_spectrum(5).eigenvalues, [-4, -1, 0, 1, 4])
-    assert np.array_equal(quadratic_spectrum(2).eigenvalues, [-1, 1])
+    assert np.array_equal(_quadratic_spectrum(4), [-4, -1, 1, 4])
+    assert np.array_equal(_quadratic_spectrum(5), [-4, -1, 0, 1, 4])
+    assert np.array_equal(_quadratic_spectrum(2), [-1, 1])
 
 
 def test_spectrum_target_validation():
     with pytest.raises(ValueError):
-        SpectrumTarget(np.array([-1.0, 0.5]))  # not symmetric
+        inverse_persymmetric_jacobi(np.array([-1.0, 0.5]))  # not symmetric
     with pytest.raises(ValueError):
-        SpectrumTarget(np.array([1.0, -1.0]))  # not increasing
+        inverse_persymmetric_jacobi(np.array([1.0, -1.0]))  # not increasing
+    with pytest.raises(ValueError):
+        inverse_persymmetric_jacobi(np.array([0.0]))  # fewer than two
 
 
 def test_inverse_two_site():
-    chain = inverse_persymmetric_jacobi(SpectrumTarget(np.array([-1.0, 1.0])))
+    chain = inverse_persymmetric_jacobi(np.array([-1.0, 1.0]))
     assert np.allclose(chain.couplings, [1.0], atol=1e-12)
 
 
 def test_inverse_equally_spaced_matches_pst_profile():
     # an equally spaced symmetric spectrum must come back as the sqrt(n(N-n)) profile
     n = 6
-    target = SpectrumTarget(np.arange(-(n - 1), n, 2, dtype=float))
+    target = np.arange(-(n - 1), n, 2, dtype=float)
     chain = inverse_persymmetric_jacobi(target)
     scaled, _ = rescale_to_unit_max(chain)
     pst_scaled, _ = rescale_to_unit_max(pst_chain(n))
@@ -135,7 +136,7 @@ def test_inverse_roundtrip_random_spectra():
         lam = np.concatenate([-pos[::-1], pos])
         if rng.random() < 0.5:
             lam = np.concatenate([-pos[::-1], [0.0], pos])
-        chain = inverse_persymmetric_jacobi(SpectrumTarget(lam))
+        chain = inverse_persymmetric_jacobi(lam)
         assert np.max(np.abs(chain.couplings - chain.couplings[::-1])) <= 1e-9
         assert np.all(chain.couplings > 0)
         achieved = eigendecompose(chain).eigenvalues

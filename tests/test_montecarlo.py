@@ -5,22 +5,12 @@ import numpy as np
 import pytest
 
 from spintransfer import (Chain, FidelityStats, NumericalFailure, SweepAxis, TransferPolicy,
-                          auto_transfer_time, grid_to_csv,
-                          monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
-                          quantile_interpolated, sample_fidelity, selection_probability,
+                          auto_transfer_time, grid_to_csv, monte_carlo, normal_disorder,
+                          pst_chain, pst_transfer_time, sample_fidelity, selection_probability,
                           sweep, uniform_chain, uniform_disorder, zero_disorder)
 from spintransfer import montecarlo
 from spintransfer.disorder import Distribution, draw_realizations, errors_disorder
 from spintransfer.models import first_peak_time
-
-
-def test_quantile_hand_computed():
-    samples = np.array([0.1, 0.2, 0.4, 0.8])
-    # type-7 interpolation: position q*(n-1) = 2.25 -> 0.4 + 0.25*(0.8-0.4)
-    assert quantile_interpolated(samples, 0.75) == pytest.approx(0.5, abs=1e-15)
-    assert quantile_interpolated(samples, 0.5) == pytest.approx(0.3, abs=1e-15)
-    with pytest.raises(ValueError):
-        quantile_interpolated(samples, 1.0)
 
 
 def test_window_sizes_are_checked_before_the_auto_time():
