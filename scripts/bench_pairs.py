@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload in alternated pairs of runs.
+
+    scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed0 K
+
+PARENT and CHANGE are checkout roots.  Pair i (0-based) runs each checkout's
+own bench/run.py on workload W with seed K + i for S seconds, the parent first
+in even pairs and the change first in odd ones.  For each end-to-end metric of
+the change's BENCHMARK.json it prints each side's median and quartiles, the
+change/parent ratio of the medians, their difference next to the parent's
+quartile distance, and in how many pairs the change was better and in how
+many the two read the same (a tie counts for neither side).  It exits 1 if
+any run exits nonzero or reports "correct": false, and prints no table then.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_args():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path, help="root of the parent checkout")
+    p.add_argument("change", type=Path, help="root of the changed checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
+    args = p.parse_args()
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    for root in (args.parent, args.change):
+        if not (root / "bench" / "run.py").is_file():
+            p.error(f"{root} has no bench/run.py")
+    return args
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The end-to-end metric values of one bench/run.py run, or None if it failed."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", repr(seconds)],
+                          cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        result = {}
+    if proc.returncode or not result.get("correct"):
+        sys.stderr.write(f"{root} seed {seed}: exit {proc.returncode}, "
+                         f"correct {result.get('correct')}\n{proc.stderr}")
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def main() -> int:
+    args = parse_args()
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    runs = {"parent": [], "change": []}
+    failed = False
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            values = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            failed |= values is None
+            runs[side].append(values)
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) done",
+              file=sys.stderr, flush=True)
+    if failed:
+        print("error: a run failed; no table", file=sys.stderr)
+        return 1
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
+          f"{args.seed0}..{args.seed0 + args.pairs - 1}")
+    print(f"{'metric':<14} {'parent q1/med/q3':<32} {'change q1/med/q3':<32} "
+          f"{'ratio':>7} {'med gap':>10} {'parent IQR':>10} {'wins':>7} {'ties':>7}")
+    for metric in spec["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        p, c = quartiles(parent), quartiles(change)
+        wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
+        ties = sum(b == a for a, b in zip(parent, change))
+        ratio = c[1] / p[1] if p[1] else float("nan")
+        print(f"{name:<14} {'/'.join(f'{v:.6g}' for v in p):<32} "
+              f"{'/'.join(f'{v:.6g}' for v in c):<32} {ratio:7.4f} {c[1] - p[1]:10.4g} "
+              f"{p[2] - p[0]:10.4g} {wins:>4}/{args.pairs} {ties:>4}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

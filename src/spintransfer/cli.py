@@ -13,6 +13,8 @@ violations, not enough memory for the inputs), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -78,6 +80,13 @@ def _parse_axis(text: str, flag: str) -> np.ndarray:
     return values
 
 
+def _refuse_empty_paths(*paths) -> None:
+    """Refuse an empty output path, as opening it would, before any work or output: a run
+    that would skip the file must not exit 0, nor leave the other files written."""
+    if "" in paths:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
+
+
 def _policy(args) -> TransferPolicy:
     """The window flags as a TransferPolicy; --time auto leaves the time to resolve_time."""
     return TransferPolicy(window_in=args.window_in, window_out=args.window_out,
@@ -105,6 +114,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
+    _refuse_empty_paths(args.out, args.encoding_out)
     chain = _build_chain_from_flags(args)
     t = _policy(args).resolve_time(chain)
     solution = optimal_encoding(eigendecompose(chain),
@@ -125,13 +135,14 @@ def cmd_fidelity(args) -> int:
         "best_excitation_count": n_opt,
         "best_fidelity": f_opt,
     }
-    if args.encoding_out:
+    if args.encoding_out is not None:
         save_encoding(solution, args.encoding_out)
     sys.stdout.write(write_json(report, args.out))
     return 0
 
 
 def cmd_sweep(args) -> int:
+    _refuse_empty_paths(args.out, args.descriptor)
     chain = _build_chain_from_flags(args)
     policy = _policy(args)
     grid = sweep(chain,
@@ -141,7 +152,7 @@ def cmd_sweep(args) -> int:
                  coupling_mode=args.coupling_mode,
                  samples=args.samples, quantile=args.quantile, seed=args.seed)
     save_grid_csv(grid, args.out)
-    if args.descriptor:
+    if args.descriptor is not None:
         save_grid_descriptor(grid, args.descriptor)
     sys.stdout.write(f"wrote {args.out}\n")
     return 0

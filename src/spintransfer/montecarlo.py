@@ -6,8 +6,11 @@ extraction time (the run's time, or each realization's own first peak).
 Realizations are drawn by one broadcast hash (disorder.draw_realizations) and
 scored in near-equal chunks sized by their stacks (_chunk_rows: about 2^16
 elements an (N + 2)-site array), in one thread (a thread pool measured slower;
-monte_carlo's threads argument runs nothing).  Two block producers feed one
-tail (top singular value, unitarity guard, fidelity):
+monte_carlo's threads argument runs nothing).  A sweep is one such run over
+its cells x M rows (_score_cells): each cell draws its own indices 0..M-1,
+and a chunk may hold the end of one cell and the start of the next.  Two
+block producers feed one tail (top singular value, unitarity guard,
+fidelity):
 
 - The spectral producer, _score_spectrum, computes no eigenvectors.  Each
   chain gets its eigenvalues and end weights w_k = v_k(1) v_k(N) from
@@ -169,7 +172,7 @@ def _chunk_rows(n: int, window_in: int, window_out: int) -> int:
 def _chunks(samples: int, rows: int) -> list[tuple[int, int]]:
     """Sample index ranges of ceil(samples / rows) near-equal chunks, in index order."""
     count = -(-samples // rows)
-    bounds = [samples * i // count for i in range(count + 1)]
+    bounds = [samples * i // max(count, 1) for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -199,16 +202,29 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
 def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: float,
                  start: int, stop: int) -> np.ndarray:
     """Fidelities of the realizations with sample indices start..stop-1."""
+    return _score_rows(*_draw_checked(base, spec, time, start, stop), policy, time)
+
+
+def _draw_checked(base: Chain, spec: DisorderSpec, time: float, start: int,
+                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings and fields of the realizations start..stop-1, refused (_check_phase)
+    before any of them is scored."""
     couplings, fields = draw_realizations(base, spec, start, stop)
     _check_phase(couplings, fields, time, start)
+    return couplings, fields
+
+
+def _score_rows(couplings: np.ndarray, fields: np.ndarray, policy: TransferPolicy,
+                time: float) -> np.ndarray:
+    """Fidelity of each drawn realization in a stack, at the resolved time or, under
+    per_sample_peak, at its own first peak."""
+    times = np.full(fields.shape[0], float(time))
     if not policy.per_sample_peak:
-        return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out,
-                                 np.full(stop - start, float(time)))
+        return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
     lam, w, spectrum = _end_weights(fields, couplings)
     hint = max(time, 1.0)  # time is finite and >= 0 (resolve_time)
-    times = np.full(stop - start, float(time))
-    lost = np.zeros(stop - start, dtype=bool)
-    for r in range(stop - start):
+    lost = np.zeros(times.size, dtype=bool)
+    for r in range(times.size):
         try:
             times[r] = _first_peak(lam[r], w[r], hint)
         except NumericalFailure:  # no peak of its own: keep the resolved time
@@ -219,6 +235,41 @@ def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: 
         fids[lost] = _score_fixed_time(couplings[lost], fields[lost], policy.window_in,
                                        policy.window_out, times[lost])
     return fids
+
+
+def _score_cells(base: Chain, specs: list[DisorderSpec], policy: TransferPolicy, time: float,
+                 samples: int) -> np.ndarray:
+    """(len(specs), samples) fidelities: row c holds realizations 0..samples-1 of specs[c].
+
+    The flattened (cell, sample) range is scored in _chunks of at most _chunk_rows rows, in
+    index order, so a chunk may hold the end of one cell and the start of the next.  Each
+    cell's part of a chunk is drawn and checked, in cell order, before any row of the chunk
+    is scored; a chunk within one cell is _score_range.  A row scores the same in any chunk.
+    """
+    fids = np.empty(len(specs) * samples)
+    for lo, hi in _chunks(fids.size, _chunk_rows(base.n, policy.window_in, policy.window_out)):
+        parts = [(specs[c], max(lo - c * samples, 0), min(hi - c * samples, samples))
+                 for c in range(lo // samples, (hi - 1) // samples + 1)]
+        if len(parts) == 1:  # no concatenate copy
+            (spec, start, stop), = parts
+            fids[lo:hi] = _score_range(base, spec, policy, time, start, stop)
+        else:
+            drawn = [_draw_checked(base, spec, time, start, stop) for spec, start, stop in parts]
+            couplings, fields = (np.concatenate(stack) for stack in zip(*drawn))
+            fids[lo:hi] = _score_rows(couplings, fields, policy, time)
+    return fids.reshape(len(specs), samples)
+
+
+def _summarize(fids: np.ndarray, quantile: float, seed: int) -> FidelityStats:
+    """The mean, minimum and quantile of one ensemble's fidelities."""
+    return FidelityStats(
+        samples=fids.size,
+        mean=float(np.mean(fids)),
+        minimum=float(np.min(fids)),
+        quantile_level=quantile,
+        quantile_value=float(np.quantile(fids, quantile, method="linear")),
+        seed=seed,
+    )
 
 
 def _score_fixed_time(couplings: np.ndarray, fields: np.ndarray, window_in: int,
@@ -530,43 +581,36 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
     """
     _check_ensemble_args(samples, quantile, threads)
     time = policy.resolve_time(base)  # checks windows and time, before any draw
-    rows = _chunk_rows(base.n, policy.window_in, policy.window_out)
-    fids = np.concatenate([_score_range(base, spec, policy, time, start, stop)
-                           for start, stop in _chunks(samples, rows)])
-
-    return FidelityStats(
-        samples=samples,
-        mean=float(np.mean(fids)),
-        minimum=float(np.min(fids)),
-        quantile_level=quantile,
-        quantile_value=float(np.quantile(fids, quantile, method="linear")),
-        seed=spec.master_seed,
-    )
+    return _summarize(_score_cells(base, [spec], policy, time, samples)[0], quantile,
+                      spec.master_seed)
 
 
 def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
           policy: TransferPolicy, coupling_mode: str = "additive",
           samples: int = 1000, quantile: float = 0.75, seed: int = 0) -> SweepGrid:
-    """Fill a 2-D disorder grid with monte_carlo statistics, cell by cell."""
+    """Fill a 2-D disorder grid with monte_carlo statistics.
+
+    The whole grid is one ensemble: its cells x samples rows are scored in the chunks
+    monte_carlo would use for that many samples, a chunk may span cells, and every cell's
+    statistics equal monte_carlo's on that cell at the resolved time.
+    """
     if coupling_axis.target != "coupling" or field_axis.target != "field":
         raise ValueError("first axis must be a coupling axis, second a field axis")
     _check_ensemble_args(samples, quantile)
-    fixed_policy = replace(policy, time=policy.resolve_time(base))  # checks, before any draw
-    cells = []
-    for jval in coupling_axis.values:
-        row = []
-        for bval in field_axis.values:
-            spec = errors_disorder(Distribution(coupling_axis.kind, float(jval)),
-                                   Distribution(field_axis.kind, float(bval)), seed,
-                                   coupling_mode)
-            row.append(monte_carlo(base, spec, fixed_policy, samples, quantile))
-        cells.append(row)
+    time = policy.resolve_time(base)  # checks, before any draw
+    specs = [errors_disorder(Distribution(coupling_axis.kind, float(jval)),
+                             Distribution(field_axis.kind, float(bval)), seed, coupling_mode)
+             for jval in coupling_axis.values for bval in field_axis.values]
+    stats = [_summarize(fids, quantile, spec.master_seed)
+             for spec, fids in zip(specs, _score_cells(base, specs, policy, time, samples))]
+    width = field_axis.values.size
+    cells = [stats[i * width:(i + 1) * width] for i in range(coupling_axis.values.size)]
     descriptor = {
         "chain": base.label,
         "n": base.n,
         "window_in": policy.window_in,
         "window_out": policy.window_out,
-        "time": fixed_policy.time,
+        "time": time,
         "coupling_mode": coupling_mode,
         "samples": samples,
         "quantile": quantile,

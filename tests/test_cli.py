@@ -390,6 +390,22 @@ def test_build_with_an_empty_out_path_is_a_usage_error(capsys):
     assert capsys.readouterr().err == captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "5", "--samples", "2", "--j-axis", "0", "--b-axis", "0",
+     "--out", "s.csv", "--descriptor", ""],
+    ["fidelity", "--n", "5", "--encoding-out", "", "--out", "f.json"],
+], ids=["sweep_descriptor", "fidelity_encoding_out"])
+def test_an_empty_descriptor_or_encoding_path_is_a_usage_error(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    # both exited 0 and skipped the file; now refused before the CSV or report is written
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_optimize_rejects_a_negative_delta(tmp_path, capsys, monkeypatch):
     import spintransfer.optimize as optimize
 

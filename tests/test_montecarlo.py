@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spintransfer import (Chain, FidelityStats, NumericalFailure, SweepAxis, TransferPolicy,
-                          auto_transfer_time, grid_to_csv, monte_carlo, normal_disorder,
+                          apollaro_chain, auto_transfer_time, grid_to_csv, monte_carlo, normal_disorder,
                           pst_chain, pst_transfer_time, sample_fidelity, selection_probability,
                           sweep, uniform_chain, uniform_disorder, zero_disorder)
 from spintransfer import montecarlo
@@ -72,10 +72,12 @@ def test_drawn_realizations_past_the_phase_bound_are_refused_before_scoring(monk
                  lambda p: sample_fidelity(base, spec, worst, p)):
         with pytest.raises(ValueError, match=f"too long for disordered realization {worst}"):
             call(replace(policy, time=beyond))
+    # the sweep's 2 x 8 rows are one chunk, the refused realization in its second cell
+    assert montecarlo._chunks(16, montecarlo._chunk_rows(base.n, 1, 1)) == [(0, 16)]
     with pytest.raises(ValueError, match="is not below 2\\^52"):
         sweep(base, SweepAxis("delta_J", [0.0, 3.0]), SweepAxis("delta_B", [0.5]),
               replace(policy, time=beyond), samples=8, seed=11)
-    assert scored == [1]  # the sweep's disorder-free cell, before the refused one
+    assert scored == []  # no row of that chunk, the disorder-free cell's included
 
 
 def test_non_finite_draws_are_refused_without_a_warning():
@@ -178,6 +180,48 @@ def test_sweep_single_cell():
     assert len(grid.cells) == 1 and len(grid.cells[0]) == 1
     assert isinstance(grid.cells[0][0], FidelityStats)
     assert grid.descriptor["n"] == 11
+
+
+# (base, policy, coupling axis, field axis, coupling mode, samples, quantile, rows per chunk
+# or None for the derived budget)
+SWEEP_GRIDS = {
+    "pst51_w5": (pst_chain(51), TransferPolicy(5, 5), SweepAxis("sigma_J", [0.0, 0.1, 0.2]),
+                 SweepAxis("sigma_B", [0.0, 0.1, 0.2]), "additive", 100, 0.75, None),
+    "uniform201_w1_fixed_time": (uniform_chain(201), TransferPolicy(1, 1, time=100.0),
+                                 SweepAxis("sigma_J", [0.0, 0.1]), SweepAxis("sigma_B", [0.05]),
+                                 "additive", 200, 0.75, None),
+    "per_sample_peak": (uniform_chain(15), TransferPolicy(2, 2, per_sample_peak=True),
+                        SweepAxis("delta_J", [0.0, 0.1]), SweepAxis("delta_B", [0.05, 0.1]),
+                        "multiplicative", 30, 0.9, None),
+    "one_sample": (apollaro_chain(21, 0.45, 0.75), TransferPolicy(3, 3),
+                   SweepAxis("sigma_J", [0.0, 0.1]), SweepAxis("sigma_B", [0.0, 0.1, 0.2]),
+                   "additive", 1, 0.75, None),
+    "small_stack": (uniform_chain(21), TransferPolicy(3, 2), SweepAxis("sigma_J", [0.0, 0.1, 0.2]),
+                    SweepAxis("sigma_B", [0.0, 0.1, 0.2]), "additive", 3, 0.5, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_GRIDS))
+def test_sweep_cells_equal_monte_carlo_on_each_cell(case, monkeypatch):
+    # the grid is one chunked ensemble; each cell must still be monte_carlo on that cell
+    base, policy, j_axis, b_axis, mode, samples, quantile, rows = SWEEP_GRIDS[case]
+    time = policy.resolve_time(base)
+    want = [[monte_carlo(base, errors_disorder(Distribution(j_axis.kind, jval),
+                                               Distribution(b_axis.kind, bval), 7, mode),
+                         replace(policy, time=time), samples, quantile)
+             for bval in b_axis.values] for jval in j_axis.values]
+    if rows is not None:
+        size = max(policy.window_in, policy.window_out)
+        monkeypatch.setattr(montecarlo, "_STACK", rows * (base.n + 2) * size)
+        chunks = montecarlo._chunks(j_axis.values.size * b_axis.values.size * samples,
+                                    montecarlo._chunk_rows(base.n, policy.window_in,
+                                                           policy.window_out))
+        assert any(lo % samples for lo, _ in chunks)  # a chunk starts inside a cell
+        assert any((hi - 1) // samples - lo // samples >= 2 for lo, hi in chunks)  # 3 cells
+    grid = sweep(base, j_axis, b_axis, policy, coupling_mode=mode, samples=samples,
+                 quantile=quantile, seed=7)
+    assert grid.descriptor["time"] == time
+    assert grid.cells == want  # field for field, bit for bit
 
 
 def test_sweep_zero_column_deterministic():
