@@ -3,9 +3,9 @@
 Run: python3 demos/02_windowed_encoding.py
 """
 
-from spintransfer import (best_excitation_count, eigendecompose, end_windows,
-                          fidelity_haselgrove, fidelity_multi, fidelity_single,
-                          first_peak_time, optimal_encoding, uniform_chain)
+from spintransfer import (best_excitation_count, eigendecompose, fidelity_haselgrove,
+                          fidelity_multi, fidelity_single, first_peak_time, optimal_encoding,
+                          uniform_chain)
 
 chain = uniform_chain(51)
 t0, f_bare = first_peak_time(chain)
@@ -14,14 +14,14 @@ print(f"uniform N=51 at its first peak (t = {t0:.3f}): bare fidelity {f_bare:.4f
 
 print("\nwindow size vs best single-excitation fidelity:")
 for k in (1, 2, 3, 5, 8, 12):
-    sol = optimal_encoding(eig, end_windows(51, k, k, t0))
+    sol = optimal_encoding(eig, k, k, t0)
     lam = sol.singular_values
     print(f"  {k:2d} sites: lambda_1 = {lam[0]:.4f} -> F = {fidelity_single(min(lam[0], 1.0)):.4f}"
           + (f"   (lambda_2 = {lam[1]:.4f})" if lam.size > 1 else ""))
 
 print("\nthe 5-site optimal input state (real amplitudes up to the fixed gauge):")
-sol = optimal_encoding(eig, end_windows(51, 5, 5, t0))
-for site, amp in zip(sol.window.input_sites, sol.input_vectors[0]):
+sol = optimal_encoding(eig, 5, 5, t0)
+for site, amp in zip(sol.input_sites, sol.input_vectors[0]):
     print(f"  site {site}: {amp.real:+.4f} {amp.imag:+.4f}i")
 
 print("\nmulti-excitation formulas on the 5-site window's singular values:")

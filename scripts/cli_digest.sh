@@ -7,7 +7,7 @@
 # SRC is the checkout's src directory.  Refactors are checked by running this
 # on the parent and on the change and diffing the two listings, which must
 # match line for line.  The commands run in a temporary directory that is
-# removed afterwards; the set takes about 20 s.
+# removed afterwards; the set takes 10-20 s.
 set -eu
 if [ $# -ne 1 ] || [ ! -d "$1/spintransfer" ]; then
     echo "usage: $0 SRC   (SRC: a checkout's src directory)" >&2
@@ -27,7 +27,9 @@ for c in \
     "optimize --landscape --out land.csv" \
     "oracle --n 8 --k 2 --t 3.7 --out oracle.json" \
     "sweep --model uniform --n 201 --time 100 --j-axis 0:0.1:0.1 --b-axis 0.05 --samples 200 --seed 2 --out u201.csv" \
-    "sweep --model apollaro --x 0.43 --y 0.73 --n 51 --window 3 --j-axis 0:0.3:0.1 --b-axis 0:0.2:0.1 --samples 300 --seed 4 --out apo3.csv"
+    "sweep --model apollaro --x 0.43 --y 0.73 --n 51 --window 3 --j-axis 0:0.3:0.1 --b-axis 0:0.2:0.1 --samples 300 --seed 4 --out apo3.csv" \
+    "fidelity --n 31 --window-in 3 --window-out 2 --encoding-out enc32.json --out fid32.json" \
+    "sweep --model pst --n 31 --window-in 2 --window-out 4 --j-axis 0:0.2:0.1 --b-axis 0.05 --samples 100 --seed 3 --out pst24.csv"
 do
     # shellcheck disable=SC2086  # each command is split into its arguments on purpose
     PYTHONPATH="$src" python -m spintransfer $c

@@ -20,7 +20,7 @@ from .montecarlo import (FidelityStats, SweepAxis, SweepGrid, TransferPolicy, gr
                          selection_probability, sweep)
 from .optimize import (Objective, OptimizationResult, evaluate_objective, first_order_response,
                        objective_landscape, optimize_apollaro)
-from .spectral import (Eigensystem, TransferWindow, eigendecompose, end_windows,
-                       full_propagator, propagator_amplitude, window_amplitudes)
+from .spectral import (Eigensystem, eigendecompose, end_windows, full_propagator,
+                       propagator_amplitude, window_amplitudes)
 
 __version__ = "0.1.0"

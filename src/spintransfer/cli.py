@@ -30,7 +30,7 @@ from .models import (apollaro_chain, pst_chain, quadratic_chain, quadratic_time_
 from .montecarlo import (SweepAxis, TransferPolicy, save_grid_csv, save_grid_descriptor,
                          sweep)
 from .optimize import Objective, objective_landscape, optimize_apollaro
-from .spectral import eigendecompose, end_windows
+from .spectral import eigendecompose
 
 # Points per sweep or landscape axis: a larger grid is a typo, not a run.
 MAX_AXIS_POINTS = 1000
@@ -117,8 +117,7 @@ def cmd_fidelity(args) -> int:
     _refuse_empty_paths(args.out, args.encoding_out)
     chain = _build_chain_from_flags(args)
     t = _policy(args).resolve_time(chain)
-    solution = optimal_encoding(eigendecompose(chain),
-                                end_windows(chain.n, args.window_in, args.window_out, t))
+    solution = optimal_encoding(eigendecompose(chain), args.window_in, args.window_out, t)
     lams = solution.singular_values
     n_opt, f_opt = best_excitation_count(lams)
     report = {

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import FORMAT_VERSION, write_json
-from .spectral import Eigensystem, TransferWindow, propagator_amplitude, window_amplitudes
+from .spectral import Eigensystem, propagator_amplitude, window_amplitudes
 
 
 @dataclass
@@ -34,14 +34,16 @@ class EncodingSolution:
     """Descending singular values with paired input/output singular vectors.
 
     input_vectors[k] lives on the input window sites, output_vectors[k] on the
-    output window sites, and the window block window_amplitudes(eig, window)
+    output window sites (1-based), and the window block at the extraction time
     maps input_vectors[k] to singular_values[k] * output_vectors[k].
     """
 
     singular_values: np.ndarray
-    input_vectors: np.ndarray   # shape (k, |in|), rows are vectors
-    output_vectors: np.ndarray  # shape (k, |out|)
-    window: TransferWindow
+    input_vectors: np.ndarray   # shape (k, window_in), rows are vectors
+    output_vectors: np.ndarray  # shape (k, window_out)
+    time: float
+    input_sites: range          # 1..window_in
+    output_sites: range         # n - window_out + 1..n
 
 
 def _check_unitary(top) -> None:
@@ -51,7 +53,8 @@ def _check_unitary(top) -> None:
                          "inputs are inconsistent")
 
 
-def optimal_encoding(eig: Eigensystem, window: TransferWindow) -> EncodingSolution:
+def optimal_encoding(eig: Eigensystem, window_in: int, window_out: int,
+                     time: float) -> EncodingSolution:
     """SVD of the window block M_ji = <out_j| e^{-iHt} |in_i> with a deterministic phase gauge.
 
     A top singular value above 1 raises ValueError.  Each input vector's
@@ -59,7 +62,8 @@ def optimal_encoding(eig: Eigensystem, window: TransferWindow) -> EncodingSoluti
     paired output vector absorbs the same phase, so M u_k = lambda_k v_k holds
     exactly in the returned gauge.
     """
-    u, s, vh = np.linalg.svd(window_amplitudes(eig, window), full_matrices=False)
+    u, s, vh = np.linalg.svd(window_amplitudes(eig, window_in, window_out, time),
+                             full_matrices=False)
     _check_unitary(s[0])
     inputs = vh.conj()           # rows: right singular vectors
     outputs = u.T                # rows: left singular vectors
@@ -70,8 +74,9 @@ def optimal_encoding(eig: Eigensystem, window: TransferWindow) -> EncodingSoluti
             phase = inputs[k][idx] / mag
             inputs[k] = inputs[k] * np.conj(phase)
             outputs[k] = outputs[k] * np.conj(phase)
-    return EncodingSolution(singular_values=s, input_vectors=inputs,
-                            output_vectors=outputs, window=window)
+    return EncodingSolution(singular_values=s, input_vectors=inputs, output_vectors=outputs,
+                            time=float(time), input_sites=range(1, window_in + 1),
+                            output_sites=range(eig.n - window_out + 1, eig.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +146,20 @@ def end_to_end_fidelity(eig: Eigensystem, t: float) -> float:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _vectors_to_json(sites: Sequence[int], vectors: np.ndarray) -> list[dict]:
+def _vectors_to_json(sites: range, vectors: np.ndarray) -> list[dict]:
     # components are interleaved [re_0, im_0, re_1, im_1, ...] in site order
-    out = []
-    for vec in vectors:
-        components = np.empty(2 * vec.size)
-        components[0::2] = vec.real
-        components[1::2] = vec.imag
-        out.append({
-            "sites": [int(s) for s in sites],
-            "components": [float(x) for x in components],
-        })
-    return out
+    return [{"sites": list(sites),
+             "components": np.column_stack([vec.real, vec.imag]).ravel().tolist()}
+            for vec in vectors]
 
 
 def _encoding_to_dict(sol: EncodingSolution) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "time": sol.window.time,
+        "time": sol.time,
         "singular_values": [float(s) for s in sol.singular_values],
-        "input_vectors": _vectors_to_json(sol.window.input_sites, sol.input_vectors),
-        "output_vectors": _vectors_to_json(sol.window.output_sites, sol.output_vectors),
+        "input_vectors": _vectors_to_json(sol.input_sites, sol.input_vectors),
+        "output_vectors": _vectors_to_json(sol.output_sites, sol.output_vectors),
     }
 
 

@@ -160,6 +160,9 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
 _SCAN_ROWS = 128
 # A grid-local maximum of |<N|U(t)|1>| at or below this is not an arrival peak.
 _AMP_THRESHOLD = 0.01
+# The scan's grid step, and the refinement's stopping step.
+_PEAK_STEP = 0.05
+_PEAK_TOL = 1e-8
 
 
 def first_peak_time(chain: Chain, search_hint: float | None = None) -> tuple[float, float]:
@@ -172,7 +175,8 @@ def first_peak_time(chain: Chain, search_hint: float | None = None) -> tuple[flo
     fidelity is the state-averaged value 1/3 + (1+|f|)^2/6.
 
     Raises ValueError, before the eigensolve, unless the hint is finite and
-    positive.
+    positive, and after it where the grid's phases carry no information
+    (0.05 max|E| >= 2^52).
     """
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
@@ -198,10 +202,14 @@ def _phase_offsets(lam: np.ndarray, step: float, rows: int) -> np.ndarray:
     return table.reshape(coarse * fine, lam.size)[:rows]
 
 
-def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float,
-                step: float = 0.05, time_tol: float = 1e-8) -> float:
-    ts = np.arange(0.0, 2.0 * search_hint + step, step)
-    offsets = _phase_offsets(lam, step, min(_SCAN_ROWS + 2, ts.size))
+def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float) -> float:
+    # lam ascends, as every solve returns it
+    phase = _PEAK_STEP * float(max(-lam[0], lam[-1]))
+    if phase >= 2.0 ** 52:  # one ulp of the first grid point's phases is a radian or more
+        raise ValueError(f"the first-peak scan's step {_PEAK_STEP!r} is too long for this "
+                         f"chain: step * max|E| = {phase:.6g} is not below 2^52")
+    ts = np.arange(0.0, 2.0 * search_hint + _PEAK_STEP, _PEAK_STEP)
+    offsets = _phase_offsets(lam, _PEAK_STEP, min(_SCAN_ROWS + 2, ts.size))
     # Chunk c tests grid points start+1 .. start+_SCAN_ROWS against their
     # neighbours, so consecutive chunks overlap by two points.
     for start in range(0, ts.size - 2, _SCAN_ROWS):
@@ -211,16 +219,15 @@ def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float,
         peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > _AMP_THRESHOLD))
         if peaks.size:
             i = start + 1 + int(peaks[0])
-            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1], time_tol)
+            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1])
     raise NumericalFailure("no transfer peak found in the search window")
 
 
-def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float,
-                 time_tol: float) -> float:
+def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float) -> float:
     """Maximum of |f| = |sum_k w_k e^{-i lam_k t}| in [lo, hi] by Newton on g = |f|^2 from t.
 
     [w, -i lam w, -lam^2 w] @ e^{-i lam t} gives f, f', f'': g' = 2 Re(conj(f) f'),
-    g'' = 2 (|f'|^2 + Re(conj(f) f'')).  Stops once a step is at most time_tol or
+    g'' = 2 (|f'|^2 + Re(conj(f) f'')).  Stops once a step is at most _PEAK_TOL or
     no longer shrinks (the rounding floor); golden-section search on |f| takes
     over where g'' >= 0 or a step would leave [lo, hi].
     """
@@ -232,11 +239,11 @@ def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float,
         g2 = abs(df) ** 2 + (f.conjugate() * d2f).real
         move = -(f.conjugate() * df).real / g2 if g2 < 0 else math.nan  # factors 2 cancel
         if not lo <= t + move <= hi:
-            return _golden_section_max(lambda s: abs(w @ np.exp(phase * s)), lo, hi, time_tol)
+            return _golden_section_max(lambda s: abs(w @ np.exp(phase * s)), lo, hi, _PEAK_TOL)
         if abs(move) >= last:
             return t
         t += move
-        if abs(move) <= time_tol:
+        if abs(move) <= _PEAK_TOL:
             return t
         last = abs(move)
 

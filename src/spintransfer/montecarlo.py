@@ -80,13 +80,16 @@ class TransferPolicy:
     per_sample_peak: bool = False
 
     def resolve_time(self, base: Chain) -> float:
-        """The extraction time on base.  ValueError unless the window sizes fit base
-        (checked first, before any solve), the time is finite and >= 0, and its phases
-        carry information on base (_check_phase)."""
+        """The extraction time on base.  ValueError unless the window sizes fit base and an
+        automatic time's chain is finite (both checked before any solve), the time is finite
+        and >= 0, and its phases carry information on base (_check_phase)."""
         end_windows(base.n, self.window_in, self.window_out)
-        time = auto_transfer_time(base) if self.time is None else float(self.time)
+        rows = base.couplings[None], base.fields[None]
+        if self.time is None:
+            _check_phase(*rows, 0.0)
+        time = float(auto_transfer_time(base) if self.time is None else self.time)
         end_windows(base.n, self.window_in, self.window_out, time)
-        _check_phase(base.couplings[None], base.fields[None], time)
+        _check_phase(*rows, time)
         return time
 
 
@@ -320,7 +323,7 @@ def _score_tops(top: np.ndarray, couplings: np.ndarray, fields: np.ndarray, wind
     n = fields.shape[1]
     for r in np.flatnonzero(np.isnan(top)):
         eig = eigendecompose(Chain(n=n, couplings=couplings[r], fields=fields[r]))
-        block = window_amplitudes(eig, end_windows(n, window_in, window_out, times[r]))
+        block = window_amplitudes(eig, window_in, window_out, times[r])
         top[r] = np.linalg.svd(block, compute_uv=False)[0]
     _check_unitary(top)
     return fidelity_single(top)  # clips to [0, 1]

@@ -72,11 +72,11 @@ class OptimizationResult:
     hit_boundary: bool = False
 
 
-def _fold_into_box(v: float, lo: float = BOX_LO, hi: float = BOX_HI) -> float:
-    # reflect the real line into [lo, hi] (triangle wave)
-    span = hi - lo
-    r = (v - lo) % (2.0 * span)
-    return lo + (span - abs(r - span))
+def _fold_into_box(v: float) -> float:
+    # reflect the real line into [BOX_LO, BOX_HI] (triangle wave)
+    span = BOX_HI - BOX_LO
+    r = (v - BOX_LO) % (2.0 * span)
+    return BOX_LO + (span - abs(r - span))
 
 
 def evaluate_objective(obj: Objective, x: float, y: float) -> float:

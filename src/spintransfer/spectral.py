@@ -42,44 +42,16 @@ class Eigensystem:
         return self.eigenvalues.size
 
 
-@dataclass
-class TransferWindow:
-    """Input/output site sets (1-based) and the extraction time."""
-
-    input_sites: tuple[int, ...]
-    output_sites: tuple[int, ...]
-    time: float
-
-    def __post_init__(self):
-        self.input_sites = tuple(int(s) for s in self.input_sites)
-        self.output_sites = tuple(int(s) for s in self.output_sites)
-        self.time = float(self.time)
-        for name, sites in (("input", self.input_sites), ("output", self.output_sites)):
-            if not sites:
-                raise ValueError(f"{name} site set is empty")
-            if len(set(sites)) != len(sites):
-                raise ValueError(f"{name} site set has duplicates")
-            if min(sites) < 1:
-                raise ValueError(f"{name} sites must be >= 1")
-        if not math.isfinite(self.time):
-            raise ValueError(f"window time must be finite, got {self.time!r}")
-        if self.time < 0:
-            raise ValueError("window time must be >= 0")
-
-    def validate_for(self, n: int) -> None:
-        if max(max(self.input_sites), max(self.output_sites)) > n:
-            raise ValueError(f"window sites exceed chain length {n}")
-
-
-def end_windows(n: int, size_in: int, size_out: int, time: float = 0.0) -> TransferWindow:
-    """Contiguous windows at the two chain ends: sites 1..size_in in, the last size_out out."""
+def end_windows(n: int, size_in: int, size_out: int, time: float = 0.0) -> None:
+    """ValueError unless the end windows, sites 1..size_in in and the last size_out out,
+    fit an n-site chain and time is finite and >= 0."""
     if not (1 <= size_in <= n and 1 <= size_out <= n):
         raise ValueError("window sizes must be in 1..n")
-    return TransferWindow(
-        input_sites=tuple(range(1, size_in + 1)),
-        output_sites=tuple(range(n - size_out + 1, n + 1)),
-        time=time,
-    )
+    time = float(time)
+    if not math.isfinite(time):
+        raise ValueError(f"window time must be finite, got {time!r}")
+    if time < 0:
+        raise ValueError("window time must be >= 0")
 
 
 def _fix_sign_gauge(vectors: np.ndarray) -> np.ndarray:
@@ -121,16 +93,16 @@ def full_propagator(eig: Eigensystem, t: float) -> np.ndarray:
     return (eig.eigenvectors * phases) @ eig.eigenvectors.T
 
 
-def window_amplitudes(eig: Eigensystem, window: TransferWindow) -> np.ndarray:
-    """Propagator entries <j|e^{-iHt}|i> for j in the output set, i in the input set.
+def window_amplitudes(eig: Eigensystem, window_in: int, window_out: int,
+                      time: float) -> np.ndarray:
+    """Propagator entries <j|e^{-iHt}|i>, j in the last window_out sites, i in the first window_in.
 
-    Equivalent to slicing full_propagator but O(|out| * |in| * N).
+    Equivalent to slicing full_propagator but O(window_out * window_in * N).
     """
-    window.validate_for(eig.n)
-    rows = np.asarray(window.output_sites) - 1
-    cols = np.asarray(window.input_sites) - 1
-    phases = np.exp(-1j * eig.eigenvalues * window.time)
-    return (eig.eigenvectors[rows, :] * phases) @ eig.eigenvectors[cols, :].T
+    n = eig.n
+    end_windows(n, window_in, window_out, time)
+    phases = np.exp(-1j * eig.eigenvalues * time)
+    return (eig.eigenvectors[n - window_out:] * phases) @ eig.eigenvectors[:window_in].T
 
 
 def end_spectrum(fields: np.ndarray, couplings: np.ndarray

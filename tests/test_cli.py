@@ -128,12 +128,11 @@ def test_fidelity_chain_non_integer_n(n, tmp_path, capsys):
 
 def test_fidelity_encoding_out_bytes(tmp_path):
     # the file the command wrote inline before it called save_encoding
-    from spintransfer import (eigendecompose, end_windows, optimal_encoding, pst_chain,
-                              pst_transfer_time)
+    from spintransfer import eigendecompose, optimal_encoding, pst_chain, pst_transfer_time
     from spintransfer.encoding import _encoding_to_dict
     chain = pst_chain(9)
     t = pst_transfer_time(chain)
-    solution = optimal_encoding(eigendecompose(chain), end_windows(9, 2, 3, t))
+    solution = optimal_encoding(eigendecompose(chain), 2, 3, t)
     want = tmp_path / "want.json"
     with open(want, "w") as fh:
         json.dump(_encoding_to_dict(solution), fh, indent=2)
@@ -266,6 +265,44 @@ def test_time_whose_phases_carry_no_information_is_a_usage_error(command, tmp_pa
         else:
             assert captured.err == "" and out.exists()
             out.unlink()
+
+
+def write_uniform(path, n, coupling):
+    path.write_text(json.dumps({"format_version": 1, "n": n, "couplings": [coupling] * (n - 1),
+                                "fields": [0.0] * n}))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, coupling, err", [
+    *[(n, j, "error: the first-peak scan's step 0.05 is too long for this chain")
+      for j in (1e200, 1e300) for n in (4, 5, 8)],
+    *[(n, 1e308, "error: this chain is not finite") for n in (3, 5)]])
+@pytest.mark.parametrize("command", ["fidelity", "sweep"])
+def test_auto_time_on_huge_couplings_is_refused_in_one_line(command, n, coupling, err,
+                                                             tmp_path, capsys):
+    # the peak scan's Newton step once overflowed a Python float here (a traceback, exit 1):
+    # its grid phases, or the chain's spectral bound, carry no information
+    out = tmp_path / "x.out"
+    args = [command, "--chain", write_uniform(tmp_path / "huge.json", n, coupling),
+            "--out", str(out)]
+    if command == "sweep":
+        args += ["--j-axis", "0", "--b-axis", "0", "--samples", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_pst_chain_with_huge_couplings_needs_no_peak_scan(tmp_path, capsys):
+    # the uniform 3-site chain is a PST chain: t = pi / (sqrt(2) J), no scan runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fidelity", "--chain", write_uniform(tmp_path / "pst.json", 3, 1e300)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["time"] == pytest.approx(np.pi / (np.sqrt(2.0) * 1e300), rel=1e-12)
+    assert report["best_fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
 NON_FINITE_FLAGS = {

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spintransfer import Chain, eigendecompose, end_windows, full_propagator, montecarlo
+from spintransfer import Chain, eigendecompose, full_propagator, montecarlo
 
 # hypothesis imports libcst to print a patch for a failing example, and libcst's import
 # raises a DeprecationWarning, which this suite turns into an error inside pytest's report
@@ -35,9 +35,8 @@ WEAK = (1e-4, 1e-8, 1e-12)
 def oracle_top(couplings, fields, window_in, window_out, t) -> float:
     """Top singular value of the window slice of the full N x N propagator."""
     n = fields.size
-    window = end_windows(n, window_in, window_out, t)
     u = full_propagator(eigendecompose(Chain(n=n, couplings=couplings, fields=fields)), t)
-    block = u[np.ix_(np.array(window.output_sites) - 1, np.array(window.input_sites) - 1)]
+    block = u[n - window_out:, :window_in]
     return float(np.linalg.svd(block, compute_uv=False)[0])
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from spintransfer import (Chain, best_excitation_count, eigendecompose, end_to_end_fidelity,
-                          end_windows, fidelity_haselgrove, fidelity_multi, fidelity_single,
-                          first_peak_time, full_propagator, optimal_encoding, pst_chain,
-                          pst_transfer_time, save_encoding, uniform_chain, window_amplitudes)
-from spintransfer.spectral import TransferWindow
+                          fidelity_haselgrove, fidelity_multi, fidelity_single, first_peak_time,
+                          full_propagator, optimal_encoding, pst_chain, pst_transfer_time,
+                          save_encoding, uniform_chain, window_amplitudes)
 
 SQRT2M1 = np.sqrt(2) - 1
 
@@ -22,8 +21,7 @@ def random_chain(rng, n):
 
 def test_full_window_is_unitary():
     eig = eigendecompose(uniform_chain(6))
-    window = TransferWindow(tuple(range(1, 7)), tuple(range(1, 7)), time=2.3)
-    block = window_amplitudes(eig, window)
+    block = window_amplitudes(eig, 6, 6, 2.3)
     s = np.linalg.svd(block, compute_uv=False)
     assert np.allclose(s, 1.0, atol=1e-10)
     assert np.allclose(block, full_propagator(eig, 2.3), atol=1e-12)
@@ -31,14 +29,14 @@ def test_full_window_is_unitary():
 
 def test_disjoint_windows_at_t0_are_dark():
     eig = eigendecompose(uniform_chain(8))
-    block = window_amplitudes(eig, end_windows(8, 3, 3, time=0.0))
+    block = window_amplitudes(eig, 3, 3, 0.0)
     assert np.max(np.abs(block)) < 1e-14
 
 
 def test_pst_end_to_end_entry():
     chain = pst_chain(6)
     t0 = pst_transfer_time(chain)
-    block = window_amplitudes(eigendecompose(chain), end_windows(6, 1, 1, t0))
+    block = window_amplitudes(eigendecompose(chain), 1, 1, t0)
     assert block.shape == (1, 1)
     assert abs(block[0, 0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -50,8 +48,7 @@ def test_singular_values_bounded_random_ensemble():
         eig = eigendecompose(random_chain(rng, n))
         kin = int(rng.integers(1, n + 1))
         kout = int(rng.integers(1, n + 1))
-        window = end_windows(n, kin, kout, rng.uniform(0, 40))
-        sol = optimal_encoding(eig, window)
+        sol = optimal_encoding(eig, kin, kout, rng.uniform(0, 40))
         assert np.all(sol.singular_values <= 1 + 1e-10)
         assert np.all(np.diff(sol.singular_values) <= 1e-12)
 
@@ -64,9 +61,8 @@ def test_encoding_gauge_and_pairing():
     rng = np.random.default_rng(59)
     chain = random_chain(rng, 12)
     eig = eigendecompose(chain)
-    window = end_windows(12, 4, 5, time=6.0)
-    block = window_amplitudes(eig, window)
-    sol = optimal_encoding(eig, window)
+    block = window_amplitudes(eig, 4, 5, 6.0)
+    sol = optimal_encoding(eig, 4, 5, 6.0)
     k = sol.singular_values.size
     gram_in = sol.input_vectors.conj() @ sol.input_vectors.T
     gram_out = sol.output_vectors.conj() @ sol.output_vectors.T
@@ -83,14 +79,13 @@ def test_encoding_guard_rejects_a_block_beyond_unitary():
     eig = eigendecompose(uniform_chain(9))
     inflated = type(eig)(eigenvalues=eig.eigenvalues, eigenvectors=2.0 * eig.eigenvectors)
     with pytest.raises(ValueError, match="window block has singular value"):
-        optimal_encoding(inflated, end_windows(9, 3, 3, time=4.0))
+        optimal_encoding(inflated, 3, 3, 4.0)
 
 
 def test_encoding_1x1_magnitude():
     eig = eigendecompose(uniform_chain(5))
-    window = end_windows(5, 1, 1, time=1.3)
-    sol = optimal_encoding(eig, window)
-    assert sol.singular_values[0] == pytest.approx(abs(window_amplitudes(eig, window)[0, 0]),
+    sol = optimal_encoding(eig, 1, 1, 1.3)
+    assert sol.singular_values[0] == pytest.approx(abs(window_amplitudes(eig, 1, 1, 1.3)[0, 0]),
                                                    abs=1e-12)
 
 
@@ -98,8 +93,8 @@ def test_encoding_beats_bare_transfer_on_uniform51():
     chain = uniform_chain(51)
     t0, _ = first_peak_time(chain)
     eig = eigendecompose(chain)
-    bare = abs(window_amplitudes(eig, end_windows(51, 1, 1, t0))[0, 0])
-    sol = optimal_encoding(eig, end_windows(51, 5, 5, t0))
+    bare = abs(window_amplitudes(eig, 1, 1, t0)[0, 0])
+    sol = optimal_encoding(eig, 5, 5, t0)
     assert sol.singular_values[0] > bare
 
 
@@ -110,7 +105,7 @@ def test_window_growth_never_hurts():
     t = 5.0
     tops = []
     for k in range(1, 8):
-        sol = optimal_encoding(eig, end_windows(14, k, k, t))
+        sol = optimal_encoding(eig, k, k, t)
         tops.append(sol.singular_values[0])
     assert np.all(np.diff(tops) >= -1e-12)
 
@@ -120,7 +115,7 @@ def test_central_overlap_gives_perfect_code():
     for n in (7, 10):
         k = (n + 1 + 1) // 2
         eig = eigendecompose(uniform_chain(n))
-        sol = optimal_encoding(eig, end_windows(n, k, k, time=0.0))
+        sol = optimal_encoding(eig, k, k, 0.0)
         assert sol.singular_values[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -229,8 +224,7 @@ def test_end_to_end_fidelity_reference_points():
 def test_encoding_serialization(tmp_path):
     chain = uniform_chain(9)
     eig = eigendecompose(chain)
-    window = end_windows(9, 3, 3, time=4.0)
-    sol = optimal_encoding(eig, window)
+    sol = optimal_encoding(eig, 3, 3, 4.0)
     path = tmp_path / "encoding.json"
     save_encoding(sol, path)
     data = json.loads(path.read_text())
@@ -242,3 +236,32 @@ def test_encoding_serialization(tmp_path):
     flat = np.array(vec["components"])
     recon = flat[0::2] + 1j * flat[1::2]
     assert np.allclose(recon, sol.input_vectors[0], atol=1e-15)
+
+
+def test_asymmetric_encoding_writes_its_end_sites(tmp_path):
+    n = 9
+    sol = optimal_encoding(eigendecompose(uniform_chain(n)), 3, 2, 4.0)
+    path = tmp_path / "encoding.json"
+    save_encoding(sol, path)
+    data = json.loads(path.read_text())
+    assert len(data["singular_values"]) == 2
+    for vec in data["input_vectors"]:
+        assert vec["sites"] == [1, 2, 3] and len(vec["components"]) == 6
+    for vec in data["output_vectors"]:
+        assert vec["sites"] == [n - 1, n] and len(vec["components"]) == 4
+
+
+@pytest.mark.parametrize("scorer", [window_amplitudes, optimal_encoding])
+@pytest.mark.parametrize("size_in, size_out, time, match", [
+    (1, 1, np.nan, "window time must be finite"),
+    (1, 1, np.inf, "window time must be finite"),
+    (2, 3, -0.5, "window time must be >= 0"),
+    (0, 1, 1.0, "window sizes must be in"),
+    (1, 0, 1.0, "window sizes must be in"),
+    (7, 1, 1.0, "window sizes must be in"),
+    (1, 7, 1.0, "window sizes must be in"),
+])
+def test_window_scorers_refuse_bad_windows_and_times(scorer, size_in, size_out, time, match):
+    eig = eigendecompose(uniform_chain(6))
+    with pytest.raises(ValueError, match=match):
+        scorer(eig, size_in, size_out, time)

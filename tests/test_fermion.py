@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from _helpers import dense_hamiltonian
-from spintransfer import (Chain, determinant_amplitude, eigendecompose, end_windows,
-                          free_fermion_report, optimal_encoding, propagator_amplitude,
-                          pst_chain, pst_transfer_time, uniform_chain, verify_free_fermion)
+from spintransfer import (Chain, determinant_amplitude, eigendecompose, free_fermion_report,
+                          optimal_encoding, propagator_amplitude, pst_chain, pst_transfer_time,
+                          uniform_chain, verify_free_fermion)
 from spintransfer.fermion import (_build_subspace_hamiltonian, _excitation_basis,
                                   _subspace_propagator)
 
@@ -111,9 +111,8 @@ def test_window_singular_product_equals_determinant():
     chain = pst_chain(6)
     eig = eigendecompose(chain)
     for t in (pst_transfer_time(chain), 1.234):
-        window = end_windows(6, 2, 2, t)
-        sol = optimal_encoding(eig, window)
-        det = determinant_amplitude(eig, window.input_sites, window.output_sites, t)
+        sol = optimal_encoding(eig, 2, 2, t)
+        det = determinant_amplitude(eig, sol.input_sites, sol.output_sites, t)
         product = sol.singular_values[0] * sol.singular_values[1]
         assert product == pytest.approx(abs(det), abs=1e-8)
 

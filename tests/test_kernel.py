@@ -10,7 +10,7 @@ import pytest
 
 from _helpers import (FALLBACK_CHAINS, FALLBACK_TIMES, FALLBACK_WINDOWS, OVERFLOWING_CHAIN,
                       counted_eigendecompose, oracle_fidelity, score_chain)
-from spintransfer import (Chain, eigendecompose, end_windows, fidelity_single, full_propagator,
+from spintransfer import (Chain, eigendecompose, fidelity_single, full_propagator,
                           normal_disorder, optimal_encoding, pst_chain, pst_transfer_time,
                           quadratic_chain, sample_disordered_chain, uniform_chain,
                           uniform_disorder)
@@ -41,7 +41,7 @@ def end_amplitude(chain: Chain, t: float) -> complex:
 
 def eigenvector_fidelity(chain: Chain, t: float, window_in: int, window_out: int) -> float:
     """The eigenvector path of the scorer, called directly."""
-    sol = optimal_encoding(eigendecompose(chain), end_windows(chain.n, window_in, window_out, t))
+    sol = optimal_encoding(eigendecompose(chain), window_in, window_out, t)
     return fidelity_single(min(float(sol.singular_values[0]), 1.0))
 
 

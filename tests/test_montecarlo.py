@@ -46,6 +46,15 @@ def test_resolve_time_rejects_a_time_whose_phases_carry_no_information(field, re
                         samples=4)
 
 
+def test_resolved_auto_time_is_a_python_float(monkeypatch):
+    # a numpy scalar would print as np.float64(...) in the phase check's message
+    monkeypatch.setattr(montecarlo, "auto_transfer_time", lambda chain: np.float64(1e300))
+    with pytest.raises(ValueError, match=r"^window time 1e\+300 is too long for this chain"):
+        TransferPolicy().resolve_time(uniform_chain(5))
+    time = TransferPolicy(time=np.float64(2.5)).resolve_time(uniform_chain(5))
+    assert type(time) is float and time == 2.5
+
+
 def test_drawn_realizations_past_the_phase_bound_are_refused_before_scoring(monkeypatch):
     # the base chain passes resolve_time; each drawn stack is checked the same way, with its
     # realizations' own Gershgorin intervals, before any row of it is scored

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spintransfer import (NumericalFailure, Objective, apollaro_chain, eigendecompose,
+from spintransfer import (Chain, NumericalFailure, Objective, apollaro_chain, eigendecompose,
                           fidelity_single, first_peak_time, normal_disorder,
                           optimize_apollaro, sample_disordered_chain, uniform_chain)
 from spintransfer import models, optimize, spectral
@@ -15,7 +15,7 @@ from spintransfer.models import _golden_section_max, _refine_peak, default_peak_
 from spintransfer.optimize import BOX_HI, BOX_LO
 
 
-def dense_first_peak(lam, w, search_hint, step=0.05, amp_threshold=0.01, time_tol=1e-8):
+def dense_first_peak(lam, w, search_hint, step=0.05, amp_threshold=0.01):
     """The whole-grid scan: every grid point's amplitude at once, then a loop.
 
     It takes the same spectrum (lam, w) and the same refinement as the
@@ -26,7 +26,7 @@ def dense_first_peak(lam, w, search_hint, step=0.05, amp_threshold=0.01, time_to
     mags = np.abs(np.exp(-1j * np.outer(ts, lam)) @ w)
     for i in range(1, ts.size - 1):
         if mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1] and mags[i] > amp_threshold:
-            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1], time_tol)
+            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1])
     raise NumericalFailure("no transfer peak found in the search window")
 
 
@@ -41,11 +41,6 @@ def scan_peak_time(scan, chain, search_hint=None, **kwargs):
 
 def dense_first_peak_time(chain, **kwargs):
     return scan_peak_time(dense_first_peak, chain, **kwargs)
-
-
-def chunked_first_peak_time(chain, **kwargs):
-    """first_peak_time with models._first_peak's step and time_tol open to the caller."""
-    return scan_peak_time(models._first_peak, chain, **kwargs)
 
 
 def outcome(scan, chain, **kwargs):
@@ -131,12 +126,13 @@ def test_offset_table_scan_on_disordered_chains(n, sigma):
 
 @pytest.mark.parametrize("step", [0.01, 0.2])
 @pytest.mark.parametrize("hint_scale", [0.3, 1.0, 1.7])
-def test_offset_table_scan_at_other_steps_and_hints(step, hint_scale):
+def test_offset_table_scan_at_other_steps_and_hints(step, hint_scale, monkeypatch):
+    monkeypatch.setattr(models, "_PEAK_STEP", step)
     for chain in (uniform_chain(51), apollaro_chain(51, 0.4322, 0.7338),
                   apollaro_chain(201, 0.25, 0.55)):
         hint = hint_scale * default_peak_hint(chain.n)
         want = outcome(dense_first_peak_time, chain, search_hint=hint, step=step)
-        assert outcome(chunked_first_peak_time, chain, search_hint=hint, step=step) == want
+        assert outcome(first_peak_time, chain, search_hint=hint) == want
 
 
 def test_tuning_run_matches_the_dense_scan(monkeypatch):
@@ -166,6 +162,15 @@ def test_bad_search_arguments_raise_before_the_eigensolve(name, value, monkeypat
         first_peak_time(uniform_chain(21), **{name: value})
 
 
+def test_scan_refuses_a_chain_its_grid_cannot_resolve():
+    # 0.05 * max|E| >= 2^52: one ulp of the first grid point's phases is a radian or more,
+    # and the Newton moments would leave the double range
+    for coupling in (1e17, 1e200):
+        chain = Chain(n=6, couplings=np.full(5, coupling), fields=np.zeros(6))
+        with pytest.raises(ValueError, match="first-peak scan's step 0.05 is too long"):
+            first_peak_time(chain)
+
+
 def test_tolerance_below_double_spacing_returns(monkeypatch):
     chain = uniform_chain(51)
     t, f = first_peak_time(chain)
@@ -175,7 +180,8 @@ def test_tolerance_below_double_spacing_returns(monkeypatch):
 
     # the Newton steps stop shrinking at the rounding level: no fallback needed
     monkeypatch.setattr(models, "_golden_section_max", no_golden)
-    t_fine, f_fine = chunked_first_peak_time(chain, time_tol=1e-20)
+    monkeypatch.setattr(models, "_PEAK_TOL", 1e-20)
+    t_fine, f_fine = first_peak_time(chain)
     assert abs(t_fine - t) < 1e-8
     assert abs(f_fine - f) < 1e-12
 
@@ -235,6 +241,6 @@ def test_newton_falls_back_to_golden_section(start, lo, hi, monkeypatch):
     # t = 1.2 the Newton step lands near 1.658, outside [1.0, 1.3]
     lam, w = np.array([-1.0, 1.0]), np.array([0.5, -0.5])
     calls = counted_golden(monkeypatch)
-    got = _refine_peak(lam, w, lo, start, hi, 1e-8)
+    got = _refine_peak(lam, w, lo, start, hi)
     assert calls == [(lo, hi, 1e-8)]
     assert got == _golden_section_max(lambda s: abs(w @ np.exp(-1j * lam * s)), lo, hi, 1e-8)

@@ -3,9 +3,8 @@ import pytest
 
 from _helpers import dense_hamiltonian
 from spintransfer import (Chain, eigendecompose, end_windows, full_propagator,
-                          propagator_amplitude, window_amplitudes)
+                          optimal_encoding, propagator_amplitude, window_amplitudes)
 from spintransfer.models import pst_chain, pst_transfer_time, uniform_chain
-from spintransfer.spectral import TransferWindow
 
 
 def random_chain(rng, n):
@@ -142,28 +141,31 @@ def test_window_amplitudes_match_full_propagator():
     rng = np.random.default_rng(43)
     chain = random_chain(rng, 9)
     eig = eigendecompose(chain)
-    window = TransferWindow(input_sites=(1, 2, 5), output_sites=(4, 9), time=2.2)
-    block = window_amplitudes(eig, window)
     u = full_propagator(eig, 2.2)
-    assert np.allclose(block, u[np.ix_([3, 8], [0, 1, 4])], atol=1e-12)
+    # rows: the last window_out sites; columns: the first window_in sites
+    want = {(3, 2): u[np.ix_([7, 8], [0, 1, 2])], (2, 4): u[np.ix_([5, 6, 7, 8], [0, 1])],
+            (1, 9): u[:, [0]], (9, 1): u[[8], :]}
+    for (window_in, window_out), block in want.items():
+        got = window_amplitudes(eig, window_in, window_out, 2.2)
+        assert got.shape == (window_out, window_in)
+        assert np.allclose(got, block, atol=1e-12)
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        TransferWindow(input_sites=(), output_sites=(1,), time=0.0)
-    with pytest.raises(ValueError):
-        TransferWindow(input_sites=(1, 1), output_sites=(2,), time=0.0)
-    with pytest.raises(ValueError):
-        TransferWindow(input_sites=(1,), output_sites=(2,), time=-1.0)
-    window = TransferWindow(input_sites=(1,), output_sites=(9,), time=0.0)
-    with pytest.raises(ValueError):
-        window.validate_for(5)
-    with pytest.raises(ValueError):
-        end_windows(4, 5, 1)
+    for size_in, size_out in ((0, 1), (1, 0), (5, 1), (1, 5)):
+        with pytest.raises(ValueError, match=r"window sizes must be in 1\.\.n"):
+            end_windows(4, size_in, size_out)
+    for time in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="window time must be finite"):
+            end_windows(4, 1, 1, time)
+    with pytest.raises(ValueError, match="window time must be >= 0"):
+        end_windows(4, 1, 1, -1.0)
+    assert end_windows(4, 4, 4, 0.0) is None
 
 
 def test_end_windows_layout():
-    w = end_windows(10, 3, 2, time=1.5)
-    assert w.input_sites == (1, 2, 3)
-    assert w.output_sites == (9, 10)
-    assert w.time == 1.5
+    sol = optimal_encoding(eigendecompose(uniform_chain(10)), 3, 2, 1.5)
+    assert list(sol.input_sites) == [1, 2, 3]
+    assert list(sol.output_sites) == [9, 10]
+    assert sol.time == 1.5
+    assert sol.input_vectors.shape == (2, 3) and sol.output_vectors.shape == (2, 2)
