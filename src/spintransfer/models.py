@@ -105,9 +105,23 @@ def pst_transfer_time(chain: Chain) -> float:
 
     The spectrum must be equally spaced within _SPACING_TOL and the returned
     time must achieve |<N|U(t0)|1>| >= 1 - 1e-9, otherwise the chain is not
-    accepted as a perfect-transfer chain.
+    accepted as a perfect-transfer chain.  ValueError where the chain's spectrum is wider
+    than the double range.
     """
-    return _pst_time(*_end_weights(chain.fields, chain.couplings)[:2])
+    return _pst_time(*_chain_weights(chain))
+
+
+def _chain_weights(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and end weights of one chain (_end_weights).  ValueError where its
+    spectrum is wider than the double range: its eigenvalue gaps overflow, and no time on
+    it carries information (_first_peak refuses such a chain too)."""
+    with np.errstate(over="ignore"):  # the overflowing gaps, refused here
+        lam, w, _ = _end_weights(chain.fields, chain.couplings)
+        width = lam[-1] - lam[0]
+    if not np.isfinite(width):
+        raise ValueError("this chain's spectrum is wider than the double range: "
+                         "its eigenvalue gaps overflow")
+    return lam, w
 
 
 def _pst_time(lam: np.ndarray, w: np.ndarray) -> float:
@@ -175,14 +189,14 @@ def first_peak_time(chain: Chain, search_hint: float | None = None) -> tuple[flo
     fidelity is the state-averaged value 1/3 + (1+|f|)^2/6.
 
     Raises ValueError, before the eigensolve, unless the hint is finite and
-    positive, and after it where the grid's phases carry no information
-    (0.05 max|E| >= 2^52).
+    positive, and after it where the spectrum is wider than the double range or
+    the grid's phases carry no information (0.05 max|E| >= 2^52).
     """
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
     if not (math.isfinite(search_hint) and search_hint > 0):
         raise ValueError(f"search_hint must be finite and positive, got {search_hint!r}")
-    lam, w, _ = _end_weights(chain.fields, chain.couplings)
+    lam, w = _chain_weights(chain)
     t = _first_peak(lam, w, search_hint)
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
@@ -250,8 +264,9 @@ def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float)
 
 def auto_transfer_time(chain: Chain) -> float:
     """Perfect-transfer time when the spectrum is linear, else the first peak time from
-    default_peak_hint.  Both tests share one end_spectrum solve of the chain."""
-    lam, w, _ = _end_weights(chain.fields, chain.couplings)
+    default_peak_hint.  Both tests share one end_spectrum solve of the chain, refused
+    (ValueError) where the spectrum is wider than the double range."""
+    lam, w = _chain_weights(chain)
     try:
         return _pst_time(lam, w)
     except NumericalFailure:

@@ -27,11 +27,15 @@ fidelity):
   e_1 alone (the chain mirrored so that the input window is the smaller),
   H' = (H - beta) / alpha on the Gershgorin interval, with K terms (dropped
   tail at most 1e-15) and J_k by Miller's recurrence (Tal-Ezer & Kosloff,
-  J. Chem. Phys. 81, 3967 (1984)).  U(t) commutes with H, so the other input
-  columns follow from U e_1 near the output end by the chain's three-term
-  recurrence, U e_{i+1} = ((H - B_i) U e_i - J_{i-1} U e_{i-1}) / J_i, the
-  operator form of the spectral producer's window rows.  A row whose bound on
-  that recurrence's error growth (_growth) exceeds _GROWTH comes back NaN.
+  J. Chem. Phys. 81, 3967 (1984)).  Where no row of a call has a field left
+  after the centring, H' only joins sites of opposite parity and T_k e_1 is
+  exactly zero on half the sites, so each step computes one sublattice
+  (_sum_bipartite_terms), with the bits of the full loop (_sum_terms).  U(t)
+  commutes with H, so the other input columns follow from U e_1 near the
+  output end by the chain's three-term recurrence, U e_{i+1} = ((H - B_i)
+  U e_i - J_{i-1} U e_{i-1}) / J_i, the operator form of the spectral
+  producer's window rows.  A row whose bound on that recurrence's error
+  growth (_growth) exceeds _GROWTH comes back NaN.
 
 Rows scored at a fixed time (_score_fixed_time) are propagated where
 K <= _PROPAGATE * N and _growth admits them, and solved otherwise; the rule
@@ -504,13 +508,12 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
     _growth exceeds _GROWTH.
 
     With H' = (H - beta) / alpha on the row's Gershgorin interval, e^{-iHt} = e^{-i beta t}
-    sum_k c_k T_k(H'); the phase is dropped (it moves no singular value).  T_k e_1 runs on an
-    (n + 2, rows) stack by T_{k+1} = 2 H' T_k - T_{k-1}, each step on the sites that e_1
-    reaches and that can still reach the last `reach` sites by step max(counts) - 1, and those
-    sites are summed in k order.  U(t) commutes with H', so the other input columns follow on
-    the output side, one site fewer each: U e_{i+1} = ((H' - B'_i) U e_i - J'_{i-1} U e_{i-1})
-    / J'_i.  U(t) is symmetric, so a smaller output window is propagated on the mirrored
-    chain.  counts[r] is row r's term count.
+    sum_k c_k T_k(H'); the phase is dropped (it moves no singular value).  T_k e_1 is summed
+    on the last `reach` sites by _sum_terms, or by _sum_bipartite_terms where no row has a
+    field left after the centring.  U(t) commutes with H', so the other input columns follow
+    on the output side, one site fewer each: U e_{i+1} = ((H' - B'_i) U e_i - J'_{i-1}
+    U e_{i-1}) / J'_i.  U(t) is symmetric, so a smaller output window is propagated on the
+    mirrored chain.  counts[r] is row r's term count.
     """
     top = np.full(fields.shape[0], np.nan)
     ok = _growth(couplings, fields, window_in, window_out) <= _GROWTH
@@ -526,35 +529,18 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
     centre, half = _gershgorin(fields, couplings)
     coef = _chebyshev_coefficients(half * times, counts)
     scale = 2.0 / np.where(half > 0, half, 1.0)  # half 0: H' = 0
-    # sites 1..n padded by a zero row at each end; bond[p] joins rows p-1 and p
-    diag, bond, prev, cur, tmp = (np.zeros((n + 2, m)) for _ in range(5))
+    # 2 H' on sites 1..n padded by a zero row at each end; bond[p] joins rows p-1 and p
+    diag, bond = np.zeros((n + 2, m)), np.zeros((n + 2, m))
     diag[1:-1] = (fields - centre[:, None]).T * scale
     bond[2:-1] = couplings.T * scale
-    cur[1] = 1.0  # T_0 e_1
     out = slice(n + 1 - reach, n + 1)
     # cols[i]: real (even k) and imaginary (odd k) parts of U e_i on the reach sites, padded
     # by a row at each end (below: site n - reach, or the zero boundary when reach = n)
     cols = np.zeros((window_in + 1, 2, reach + 2, m))
-    acc = cols[1, :, 1:-1]
-    first = n - reach  # T_k e_1 is zero on the reach sites before this k
-    if first <= 0:
-        acc[0] += coef[0] * cur[out]
-    count = coef.shape[0]
-    for k in range(1, count):
-        lo = max(1, n + 2 - reach - count + k)
-        hi = min(n, 1 + k) + 1
-        nxt, t = prev[lo:hi], tmp[lo:hi]
-        np.multiply(diag[lo:hi], cur[lo:hi], out=t)
-        np.subtract(t, nxt, out=nxt)
-        np.multiply(bond[lo:hi], cur[lo - 1:hi - 1], out=t)
-        nxt += t
-        np.multiply(bond[lo + 1:hi + 1], cur[lo + 1:hi + 1], out=t)
-        nxt += t
-        if k == 1:
-            nxt *= 0.5  # T_1 = H' T_0
-        if k >= first:
-            acc[k % 2] += coef[k] * prev[out]
-        prev, cur = cur, prev
+    if diag.any():
+        _sum_terms(diag, bond, coef, cols[1, :, 1:-1])
+    else:
+        _sum_bipartite_terms(bond, coef, cols[1, :, 1:-1])
     # unless reach = n, column i + 1 is wrong on its lowest i padded rows (from the unknown
     # site below the reach), which leaves exactly the window_out output sites of column
     # window_in
@@ -569,6 +555,83 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
     block = cols[1:, :, reach + 1 - window_out:-1]
     top[ok] = _top_singular((block[:, 0] + 1j * block[:, 1]).transpose(2, 1, 0))
     return top
+
+
+def _light_cone(n: int, reach: int, count: int, k: int) -> tuple[int, int]:
+    """Padded rows lo..hi-1 that step k of count computes: the sites e_1 reaches in k steps
+    that can still reach the last reach sites by step count - 1."""
+    return max(1, n + 2 - reach - count + k), min(n, 1 + k) + 1
+
+
+def _sum_terms(diag: np.ndarray, bond: np.ndarray, coef: np.ndarray, acc: np.ndarray) -> None:
+    """Add coef[k] T_k(H') e_1 on the last reach = acc.shape[1] sites to acc[k % 2], in k order.
+
+    diag and bond are 2 H' on (n + 2, rows) padded stacks.  T_k e_1 runs on such stacks by
+    T_{k+1} = 2 H' T_k - T_{k-1}, six ufunc calls a step on the rows of _light_cone.
+    """
+    n, reach, count = diag.shape[0] - 2, acc.shape[1], coef.shape[0]
+    prev, cur, tmp = (np.zeros(diag.shape) for _ in range(3))
+    cur[1] = 1.0  # T_0 e_1
+    out = slice(n + 1 - reach, n + 1)
+    first = n - reach  # T_k e_1 is zero on the reach sites before this k
+    if first <= 0:
+        acc[0] += coef[0] * cur[out]
+    for k in range(1, count):
+        lo, hi = _light_cone(n, reach, count, k)
+        nxt, t = prev[lo:hi], tmp[lo:hi]
+        np.multiply(diag[lo:hi], cur[lo:hi], out=t)
+        np.subtract(t, nxt, out=nxt)
+        np.multiply(bond[lo:hi], cur[lo - 1:hi - 1], out=t)
+        nxt += t
+        np.multiply(bond[lo + 1:hi + 1], cur[lo + 1:hi + 1], out=t)
+        nxt += t
+        if k == 1:
+            nxt *= 0.5  # T_1 = H' T_0
+        if k >= first:
+            acc[k % 2] += coef[k] * prev[out]
+        prev, cur = cur, prev
+
+
+def _sum_bipartite_terms(bond: np.ndarray, coef: np.ndarray, acc: np.ndarray) -> None:
+    """_sum_terms where 2 H' has a zero diagonal: each step computes one sublattice.
+
+    H' then only joins sites of opposite parity, so T_k e_1 is exactly zero on the sites i
+    with i - 1 - k odd.  The padded rows are kept as two contiguous sublattices, the rows of
+    parity p in sub[p] (row 2 j + p at index j), each with its own copy of the bonds that
+    join its rows to the rows below.  T_k lives in sub[(k + 1) % 2], where it overwrites
+    T_{k-2}; each step computes its light-cone rows from the other sublattice as
+    (b_lo c_lo - T_{k-2}) + b_hi c_hi, four ufunc calls on half the rows.  Every nonzero
+    entry has _sum_terms' bits, since x - prev is (0 c - prev) + x in IEEE arithmetic.  Only
+    the sign of a zero entry of T_k can differ, and acc, which starts at +0, stays +0 when
+    either zero is added.
+    """
+    n, reach, count = bond.shape[0] - 2, acc.shape[1], coef.shape[0]
+    sub = [np.zeros(((n + 3 - p) // 2, bond.shape[1])) for p in (0, 1)]
+    bonds = [np.ascontiguousarray(bond[p::2]) for p in (0, 1)]
+    tmp = np.empty(sub[0].shape)
+    sub[1][0] = 1.0  # T_0 e_1, on row 1
+    # the reach rows of parity p, first at row start[p]: where T_k of that parity (k + 1 - p
+    # even) adds into acc[1 - p], and its view in sub[p]
+    low = n + 1 - reach
+    start = [low + (p - low) % 2 for p in (0, 1)]
+    into = [acc[1 - p, start[p] - low::2] for p in (0, 1)]
+    reads = [sub[p][start[p] // 2:start[p] // 2 + into[p].shape[0]] for p in (0, 1)]
+    first = n - reach  # T_k e_1 is zero on the reach sites before this k
+    if first <= 0:
+        into[1] += coef[0] * reads[1]
+    for k in range(1, count):
+        lo, hi = _light_cone(n, reach, count, k)
+        p = (k + 1) % 2
+        a, b = (lo - p + 1) // 2, (hi - p + 1) // 2  # rows 2 a + p .. 2 (b - 1) + p
+        nxt, other, t = sub[p][a:b], sub[1 - p], tmp[:b - a]
+        np.multiply(bonds[p][a:b], other[a + p - 1:b + p - 1], out=t)
+        np.subtract(t, nxt, out=nxt)
+        np.multiply(bonds[1 - p][a + p:b + p], other[a + p:b + p], out=t)
+        nxt += t
+        if k == 1:
+            nxt *= 0.5  # T_1 = H' T_0
+        if k >= first:
+            into[p] += coef[k] * reads[p]
 
 
 def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,

@@ -2,7 +2,8 @@
 generated chains.
 
 Chains of 3-40 sites with couplings that are zero, tiny or cross zero, near-degenerate mirror
-pairs and strong fields, windows up to 8 on each side and times from 0 to 3N.  For each
+pairs and strong fields, windows up to 8 on each side and times from 0 to 3N; about half the
+stacks are field-free, the case _chebyshev_tops propagates one sublattice a step.  For each
 generated stack:
 
 - rows that _growth admits are within 1e-12 of the full propagator's top singular value;
@@ -60,11 +61,15 @@ def chain(draw, n):
 
 @st.composite
 def stacks(draw):
-    """(couplings, fields, window_in, window_out, times) of a stack of 1-4 chains."""
+    """(couplings, fields, window_in, window_out, times) of a stack of 1-4 chains, or of a
+    field-free stack: every row's fields exactly 0, which _chebyshev_tops propagates one
+    sublattice a step."""
     n = draw(st.integers(3, 40))
     window_in = draw(st.integers(1, min(8, n)))
     window_out = draw(st.integers(1, min(8, n)))
     rows = [draw(chain(n)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows = [(couplings, np.zeros(n)) for couplings, _ in rows]
     times = [draw(st.floats(0.0, 3.0 * n)) for _ in rows]
     return (np.array([c for c, _ in rows]), np.array([f for _, f in rows]), window_in,
             window_out, np.array(times))

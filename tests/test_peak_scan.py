@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spintransfer import (Chain, NumericalFailure, Objective, apollaro_chain, eigendecompose,
-                          fidelity_single, first_peak_time, normal_disorder,
-                          optimize_apollaro, sample_disordered_chain, uniform_chain)
+from spintransfer import (Chain, NumericalFailure, Objective, apollaro_chain,
+                          auto_transfer_time, eigendecompose, fidelity_single, first_peak_time,
+                          normal_disorder, optimize_apollaro, pst_transfer_time,
+                          sample_disordered_chain, uniform_chain)
 from spintransfer import models, optimize, spectral
 from spintransfer.models import _golden_section_max, _refine_peak, default_peak_hint
 from spintransfer.optimize import BOX_HI, BOX_LO
@@ -169,6 +170,22 @@ def test_scan_refuses_a_chain_its_grid_cannot_resolve():
         chain = Chain(n=6, couplings=np.full(5, coupling), fields=np.zeros(6))
         with pytest.raises(ValueError, match="first-peak scan's step 0.05 is too long"):
             first_peak_time(chain)
+
+
+@pytest.mark.parametrize("time_of", [first_peak_time, auto_transfer_time, pst_transfer_time])
+def test_time_of_a_chain_wider_than_the_double_range_is_one_value_error(time_of):
+    # eigenvalues +-1.41e308 are doubles, their gap is not.  The suite turns warnings into
+    # errors, so this also checks that neither the solve nor _pst_time warns on the way
+    chain = Chain(n=3, couplings=np.array([1e308, 1e308]), fields=np.zeros(3))
+    with pytest.raises(ValueError, match="wider than the double range"):
+        time_of(chain)
+    # one step narrower the gaps fit: the uniform 3-site chain is a perfect-transfer chain
+    narrow = Chain(n=3, couplings=np.array([6e307, 6e307]), fields=np.zeros(3))
+    if time_of is first_peak_time:
+        with pytest.raises(ValueError, match="first-peak scan's step"):
+            time_of(narrow)
+    else:
+        assert time_of(narrow) == pytest.approx(np.pi / (np.sqrt(2.0) * 6e307), rel=1e-12)
 
 
 def test_tolerance_below_double_spacing_returns(monkeypatch):

@@ -19,9 +19,10 @@ from _helpers import (FALLBACK_CHAINS, FALLBACK_TIMES, FALLBACK_WINDOWS, OVERFLO
                       assert_matches_oracle, counted_eigendecompose, ensemble,
                       fallbacks_on_ensemble, fallbacks_on_mirror_chain, oracle_fidelity,
                       score_rows)
-from spintransfer import (TransferPolicy, cli, monte_carlo, normal_disorder, pst_chain,
-                          pst_transfer_time, sample_disordered_chain, sample_fidelity,
-                          uniform_chain)
+from spintransfer import (Chain, Objective, TransferPolicy, cli, evaluate_objective,
+                          monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
+                          sample_disordered_chain, sample_fidelity, uniform_chain,
+                          uniform_disorder)
 from spintransfer import montecarlo
 from spintransfer.disorder import draw_realizations
 from spintransfer.models import auto_transfer_time
@@ -146,6 +147,19 @@ def producers(monkeypatch) -> dict:
     return rows
 
 
+def loops(monkeypatch) -> dict:
+    """Count the _chebyshev_tops calls that sum their terms by each loop: one sublattice a
+    step where no row has a field after the centring, both otherwise."""
+    calls = {"bipartite": 0, "full": 0}
+    for name, key in (("_sum_bipartite_terms", "bipartite"), ("_sum_terms", "full")):
+        def counting(*args, loop=getattr(montecarlo, name), key=key):
+            calls[key] += 1
+            return loop(*args)
+
+        monkeypatch.setattr(montecarlo, name, counting)
+    return calls
+
+
 def test_rule_propagates_uniform_window1_and_pst_window5_but_declined_rows(monkeypatch):
     rows = producers(monkeypatch)
     uniform = uniform_chain(201)
@@ -176,13 +190,15 @@ def test_benchmark_pst_sweep_propagates_all_but_declined_rows(seed, want, tmp_pa
     pst = pst_chain(51)
     assert sum(declined(*draw_realizations(pst, normal_disorder(j, b, seed), 0, 100), 5, 5)
                for j, b in cells) == want
-    rows = producers(monkeypatch)
+    rows, calls = producers(monkeypatch), loops(monkeypatch)
     argv = ["sweep", "--model", "pst", "--n", "51", "--window", "5",
             "--j-axis", "0:0.2:0.1", "--b-axis", "0:0.2:0.1", "--samples", "100",
             "--seed", str(seed), "--out", str(tmp_path / "pst.csv")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert rows == {"chebyshev": 900 - want, "spectral": want}
+    # each of its four 225-row chunks holds a cell with fields: none takes the field-free loop
+    assert calls == {"bipartite": 0, "full": 4}
 
 
 def test_mixed_chunks_score_each_row_as_a_one_row_call(monkeypatch):
@@ -212,3 +228,47 @@ def test_propagated_ensemble_elements_are_sample_fidelities():
         assert sample_fidelity(base, spec, i, policy, time=t) == chunked[i]
         chain = sample_disordered_chain(base, spec, i)
         assert chunked[i] == pytest.approx(oracle_fidelity(chain, 1, 1, t), abs=1e-12)
+
+
+def field_free_stack(n, seed):
+    """Field-free realizations at times up to 1.6 N: couplings that cross zero, a zero bond,
+    fields of -0.0 in one row in three."""
+    couplings, fields = draw_realizations(uniform_chain(n), normal_disorder(0.6, 0.0, seed),
+                                          0, 24)
+    couplings[5, n // 3] = 0.0
+    fields[::3] = -0.0
+    times = np.linspace(0.0, 1.6 * n, 24)
+    return couplings, fields, times
+
+
+@pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (1, 5), (5, 2)])
+def test_field_free_loop_scores_rows_as_the_full_loop_does(window_in, window_out,
+                                                         monkeypatch):
+    couplings, fields, times = field_free_stack(31, seed=52)
+    assert (couplings < 0).any() and not fields.any() and np.signbit(fields[0]).all()
+    # one row with fields sends the whole call through the full loop
+    field = draw_realizations(uniform_chain(31), normal_disorder(0.1, 0.1, seed=53), 0, 1)
+    calls = loops(monkeypatch)
+    alone = montecarlo._score_fixed_time(couplings, fields, window_in, window_out, times)
+    assert calls == {"bipartite": 1, "full": 0}
+    mixed = montecarlo._score_fixed_time(np.vstack([couplings, field[0]]),
+                                         np.vstack([fields, field[1]]), window_in, window_out,
+                                         np.r_[times, 20.0])
+    assert calls == {"bipartite": 1, "full": 1}
+    assert alone.tobytes() == mixed[:-1].tobytes()
+    # and both agree with the full propagator, the zero-bond row included
+    for r in (0, 5, 13, 23):
+        chain = Chain(n=31, couplings=couplings[r], fields=fields[r])
+        assert alone[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out,
+                                                         times[r]), abs=1e-12)
+
+
+def test_quantile_objective_takes_the_field_free_loop(monkeypatch):
+    # the chunk of the benchmark's quantile tuning: Apollaro N=51, window 3, 200 samples of
+    # coupling disorder alone, one kernel call (the benchmark's PST sweep takes the full loop:
+    # test_benchmark_pst_sweep_propagates_all_but_declined_rows)
+    calls = loops(monkeypatch)
+    obj = Objective(n=51, window=3, metric="quantile", samples=200, quantile=0.75,
+                    disorder=uniform_disorder(0.1, 0, 1))
+    evaluate_objective(obj, 0.43, 0.73)
+    assert calls == {"bipartite": 1, "full": 0}
