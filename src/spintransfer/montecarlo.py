@@ -622,7 +622,10 @@ def _sum_bipartite_terms(bond: np.ndarray, coef: np.ndarray, acc: np.ndarray) ->
     for k in range(1, count):
         lo, hi = _light_cone(n, reach, count, k)
         p = (k + 1) % 2
-        a, b = (lo - p + 1) // 2, (hi - p + 1) // 2  # rows 2 a + p .. 2 (b - 1) + p
+        # rows 2 a + p .. 2 (b - 1) + p; none where the light cone is empty (lo >= hi,
+        # which leaves k < first), as every slice of _sum_terms is then empty
+        a = (lo - p + 1) // 2
+        b = max(a, (hi - p + 1) // 2)
         nxt, other, t = sub[p][a:b], sub[1 - p], tmp[:b - a]
         np.multiply(bonds[p][a:b], other[a + p - 1:b + p - 1], out=t)
         np.subtract(t, nxt, out=nxt)

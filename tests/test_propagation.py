@@ -263,6 +263,32 @@ def test_field_free_loop_scores_rows_as_the_full_loop_does(window_in, window_out
                                                          times[r]), abs=1e-12)
 
 
+@pytest.mark.parametrize("window_in, window_out, t", [(1, 1, 5.0), (3, 2, 4.0), (2, 4, 3.0)])
+def test_field_free_loop_at_times_its_terms_cannot_reach_the_output(window_in, window_out, t,
+                                                                   monkeypatch):
+    # a short time leaves fewer terms than sites between e_1 and the output window, so the
+    # light cone of the later steps is empty
+    n = 51
+    couplings, fields = draw_realizations(uniform_chain(n), normal_disorder(0.1, 0.0, seed=54),
+                                          0, 12)
+    times = np.full(12, t)
+    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
+                                     montecarlo._TAIL)
+    assert counts.max() < n - (window_in + window_out - 1) - 1
+    field = draw_realizations(uniform_chain(n), normal_disorder(0.1, 0.1, seed=55), 0, 1)
+    calls = loops(monkeypatch)
+    alone = montecarlo._score_fixed_time(couplings, fields, window_in, window_out, times)
+    mixed = montecarlo._score_fixed_time(np.vstack([couplings, field[0]]),
+                                         np.vstack([fields, field[1]]), window_in, window_out,
+                                         np.r_[times, t])
+    assert calls == {"bipartite": 1, "full": 1}
+    assert alone.tobytes() == mixed[:-1].tobytes()
+    for r in (0, 7):
+        chain = Chain(n=n, couplings=couplings[r], fields=fields[r])
+        assert alone[r] == pytest.approx(oracle_fidelity(chain, window_in, window_out, t),
+                                         abs=1e-12)
+
+
 def test_quantile_objective_takes_the_field_free_loop(monkeypatch):
     # the chunk of the benchmark's quantile tuning: Apollaro N=51, window 3, 200 samples of
     # coupling disorder alone, one kernel call (the benchmark's PST sweep takes the full loop:
