@@ -31,7 +31,9 @@ for c in \
     "fidelity --n 31 --window-in 3 --window-out 2 --encoding-out enc32.json --out fid32.json" \
     "sweep --model pst --n 31 --window-in 2 --window-out 4 --j-axis 0:0.2:0.1 --b-axis 0.05 --samples 100 --seed 3 --out pst24.csv" \
     "sweep --model apollaro --x 0.43 --y 0.73 --n 51 --window 3 --j-axis 0:0.2:0.1 --b-axis 0 --samples 200 --seed 5 --out apo3j.csv" \
-    "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.6:0.1 --y-axis 0.7:0.9:0.1 --out land3.csv"
+    "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.6:0.1 --y-axis 0.7:0.9:0.1 --out land3.csv" \
+    "optimize --landscape --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out land3d.csv" \
+    "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out landfloor.csv"
 do
     # shellcheck disable=SC2086  # each command is split into its arguments on purpose
     PYTHONPATH="$src" python -m spintransfer $c

@@ -51,13 +51,11 @@ def _mix64(z):
 def _counter_uniform(seed: int, sample_index, sites: np.ndarray, kind) -> np.ndarray:
     """Deterministic uniforms in (0, 1), one per (sample index, site index) pair.
 
-    sample_index is an int or a uint64 array that broadcasts against sites: a
-    column of M indices against N sites gives an M x N array whose row r
-    equals the draw for index r alone.  kind is an int or an array of kinds
-    that broadcasts against that result.
+    sample_index is a Python int in [0, 2^64) or a uint64 array that
+    broadcasts against sites: a column of M indices against N sites gives an
+    M x N array whose row r equals the draw for index r alone.  kind is an int
+    or an array of kinds that broadcasts against that result.
     """
-    if np.ndim(sample_index) == 0:  # hashed as a Python int, like the seed
-        sample_index = int(sample_index) & _MASK
     h = _mix64(_mix64(int(seed) & _MASK) ^ sample_index)
     h = _mix64(h ^ sites.astype(np.uint64))
     h = _mix64(h ^ np.asarray(kind, dtype=np.uint64))
@@ -150,8 +148,7 @@ def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
     if stop <= start:
         raise ValueError("need at least one sample index")
     count = stop - start
-    indices = start if count == 1 else (
-        np.uint64(start & _MASK) + np.arange(count, dtype=np.uint64))[:, None]
+    indices = (np.uint64(start & _MASK) + np.arange(count, dtype=np.uint64))[:, None]
     couplings = np.repeat(base.couplings[None], count, axis=0)
     fields = np.repeat(base.fields[None], count, axis=0)
     on_couplings = spec.coupling_mode != "none" and spec.coupling_dist.param > 0

@@ -116,12 +116,12 @@ def _chain_weights(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     spectrum is wider than the double range: its eigenvalue gaps overflow, and no time on
     it carries information (_first_peak refuses such a chain too)."""
     with np.errstate(over="ignore"):  # the overflowing gaps, refused here
-        lam, w, _ = _end_weights(chain.fields, chain.couplings)
-        width = lam[-1] - lam[0]
+        lam, w, _ = _end_weights(chain.fields[None], chain.couplings[None])
+        width = lam[0, -1] - lam[0, 0]
     if not np.isfinite(width):
         raise ValueError("this chain's spectrum is wider than the double range: "
                          "its eigenvalue gaps overflow")
-    return lam, w
+    return lam[0], w[0]
 
 
 def _pst_time(lam: np.ndarray, w: np.ndarray) -> float:

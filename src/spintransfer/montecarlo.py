@@ -3,14 +3,15 @@
 A run draws M disordered realizations of a base chain (sample indices
 0..M-1) and scores the best single-excitation encoding of each at its
 extraction time (the run's time, or each realization's own first peak).
-Realizations are drawn by one broadcast hash (disorder.draw_realizations) and
-scored in near-equal chunks sized by their stacks (_chunk_rows: about 2^16
-elements an (N + 2)-site array), in one thread (a thread pool measured slower;
-monte_carlo's threads argument runs nothing).  A sweep is one such run over
-its cells x M rows (_score_cells): each cell draws its own indices 0..M-1,
-and a chunk may hold the end of one cell and the start of the next.  Two
-block producers feed one tail (top singular value, unitarity guard,
-fidelity):
+_score_cells is the one driver from a draw to a score: its cells are (base
+chain, disorder spec, resolved time) triples, monte_carlo one cell, sweep one
+base under many specs and the quantile tuning objective many bases.  Each
+cell draws its indices 0..M-1 by one broadcast hash (draw_realizations), and
+the cells x M rows are scored in near-equal chunks sized by their stacks
+(_chunk_rows: about 2^16 elements an (N + 2)-site array), a chunk may span
+cells, in one thread (a pool measured slower; monte_carlo's threads argument
+runs nothing).  Two block producers feed one tail (top singular value,
+unitarity guard, fidelity):
 
 - The spectral producer, _score_spectrum, computes no eigenvectors.  Each
   chain gets its eigenvalues and end weights w_k = v_k(1) v_k(N) from
@@ -41,12 +42,12 @@ Rows scored at a fixed time (_score_fixed_time) are propagated where
 K <= _PROPAGATE * N and _growth admits them, and solved otherwise; the rule
 reads the row alone, so a row scores the same in any chunk.
 
-sample_fidelity and the deterministic tuning objective are the one-row case
-of the same kernel.  The summary keeps three numbers: the mean (what you
-expect on average), the minimum (the guarantee), and an upper quantile (what
-you get if you manufacture several chains and keep the best).  Runs are
-bit-reproducible: draws are counter-based, a sample's result does not depend
-on its chunk, and reductions happen in index order.
+sample_fidelity is a one-row draw scored by the same _score_rows.  The
+summary keeps three numbers: the mean (what you expect on average), the
+minimum (the guarantee), and an upper quantile (what you get if you
+manufacture several chains and keep the best).  Runs are bit-reproducible:
+draws are counter-based, a sample's result does not depend on its chunk, and
+reductions happen in index order.
 """
 
 from __future__ import annotations
@@ -203,13 +204,8 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     if time is not None:
         policy = replace(policy, time=time)
     time = policy.resolve_time(base)  # checks windows and time, before any draw
-    return _score_range(base, spec, policy, time, sample_index, sample_index + 1)[0]
-
-
-def _score_range(base: Chain, spec: DisorderSpec, policy: TransferPolicy, time: float,
-                 start: int, stop: int) -> np.ndarray:
-    """Fidelities of the realizations with sample indices start..stop-1."""
-    return _score_rows(*_draw_checked(base, spec, time, start, stop), policy, time)
+    drawn = _draw_checked(base, spec, time, sample_index, sample_index + 1)
+    return _score_rows(*drawn, policy, np.full(1, time))[0]
 
 
 def _draw_checked(base: Chain, spec: DisorderSpec, time: float, start: int,
@@ -222,18 +218,17 @@ def _draw_checked(base: Chain, spec: DisorderSpec, time: float, start: int,
 
 
 def _score_rows(couplings: np.ndarray, fields: np.ndarray, policy: TransferPolicy,
-                time: float) -> np.ndarray:
-    """Fidelity of each drawn realization in a stack, at the resolved time or, under
+                times: np.ndarray) -> np.ndarray:
+    """Fidelity of each drawn realization in a stack, at its resolved time times[r] or, under
     per_sample_peak, at its own first peak."""
-    times = np.full(fields.shape[0], float(time))
     if not policy.per_sample_peak:
         return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
     lam, w, spectrum = _end_weights(fields, couplings)
-    hint = max(time, 1.0)  # time is finite and >= 0 (resolve_time)
+    times = times.copy()
     lost = np.zeros(times.size, dtype=bool)
     for r in range(times.size):
-        try:
-            times[r] = _first_peak(lam[r], w[r], hint)
+        try:  # times are finite and >= 0 (resolve_time)
+            times[r] = _first_peak(lam[r], w[r], max(float(times[r]), 1.0))
         except NumericalFailure:  # no peak of its own: keep the resolved time
             lost[r] = True
     fids = _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
@@ -244,27 +239,26 @@ def _score_rows(couplings: np.ndarray, fields: np.ndarray, policy: TransferPolic
     return fids
 
 
-def _score_cells(base: Chain, specs: list[DisorderSpec], policy: TransferPolicy, time: float,
+def _score_cells(cells: list[tuple[Chain, DisorderSpec, float]], policy: TransferPolicy,
                  samples: int) -> np.ndarray:
-    """(len(specs), samples) fidelities: row c holds realizations 0..samples-1 of specs[c].
+    """(len(cells), samples) fidelities: row c holds realizations 0..samples-1 of the cell
+    (base, spec, time) = cells[c], scored at its resolved time.  Every base has the same n.
 
     The flattened (cell, sample) range is scored in _chunks of at most _chunk_rows rows, in
     index order, so a chunk may hold the end of one cell and the start of the next.  Each
     cell's part of a chunk is drawn and checked, in cell order, before any row of the chunk
-    is scored; a chunk within one cell is _score_range.  A row scores the same in any chunk.
+    is scored.  A row scores the same in any chunk.
     """
-    fids = np.empty(len(specs) * samples)
-    for lo, hi in _chunks(fids.size, _chunk_rows(base.n, policy.window_in, policy.window_out)):
-        parts = [(specs[c], max(lo - c * samples, 0), min(hi - c * samples, samples))
+    fids = np.empty(len(cells) * samples)
+    rows = _chunk_rows(cells[0][0].n, policy.window_in, policy.window_out)
+    for lo, hi in _chunks(fids.size, rows):
+        parts = [(*cells[c], max(lo - c * samples, 0), min(hi - c * samples, samples))
                  for c in range(lo // samples, (hi - 1) // samples + 1)]
-        if len(parts) == 1:  # no concatenate copy
-            (spec, start, stop), = parts
-            fids[lo:hi] = _score_range(base, spec, policy, time, start, stop)
-        else:
-            drawn = [_draw_checked(base, spec, time, start, stop) for spec, start, stop in parts]
-            couplings, fields = (np.concatenate(stack) for stack in zip(*drawn))
-            fids[lo:hi] = _score_rows(couplings, fields, policy, time)
-    return fids.reshape(len(specs), samples)
+        drawn = [(*_draw_checked(base, spec, time, start, stop), np.full(stop - start, time))
+                 for base, spec, time, start, stop in parts]
+        couplings, fields, times = (np.concatenate(stack) for stack in zip(*drawn))
+        fids[lo:hi] = _score_rows(couplings, fields, policy, times)
+    return fids.reshape(len(cells), samples)
 
 
 def _summarize(fids: np.ndarray, quantile: float, seed: int) -> FidelityStats:
@@ -650,7 +644,7 @@ def monte_carlo(base: Chain, spec: DisorderSpec, policy: TransferPolicy,
     """
     _check_ensemble_args(samples, quantile, threads)
     time = policy.resolve_time(base)  # checks windows and time, before any draw
-    return _summarize(_score_cells(base, [spec], policy, time, samples)[0], quantile,
+    return _summarize(_score_cells([(base, spec, time)], policy, samples)[0], quantile,
                       spec.master_seed)
 
 
@@ -670,8 +664,8 @@ def sweep(base: Chain, coupling_axis: SweepAxis, field_axis: SweepAxis,
     specs = [errors_disorder(Distribution(coupling_axis.kind, float(jval)),
                              Distribution(field_axis.kind, float(bval)), seed, coupling_mode)
              for jval in coupling_axis.values for bval in field_axis.values]
-    stats = [_summarize(fids, quantile, spec.master_seed)
-             for spec, fids in zip(specs, _score_cells(base, specs, policy, time, samples))]
+    fids = _score_cells([(base, spec, time) for spec in specs], policy, samples)
+    stats = [_summarize(row, quantile, spec.master_seed) for spec, row in zip(specs, fids)]
     width = field_axis.values.size
     cells = [stats[i * width:(i + 1) * width] for i in range(coupling_axis.values.size)]
     descriptor = {

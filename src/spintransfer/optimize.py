@@ -5,7 +5,9 @@ parameters against a configurable objective: deterministic best-encoding
 fidelity, or an upper-quantile fidelity under disorder.  Disordered
 objectives reuse one fixed set of disorder draws for every candidate (common
 random numbers), which makes the objective deterministic and lets a simplex
-search make progress despite the sampling.
+search make progress despite the sampling.  evaluate_objective is the one-point
+case of _evaluate_points, which objective_landscape calls once per x value:
+one stacked spectrum solve, then one stacked score or one _score_cells ensemble.
 
 first_order_response gives dF/d(eps) of the end-to-end transfer
 probability F = |<N|U(t0)|1>|^2 under a chain perturbation, exactly, from
@@ -23,7 +25,7 @@ import numpy as np
 from .chain import Chain, NumericalFailure
 from .disorder import DisorderSpec
 from .models import _first_peak, apollaro_chain, default_peak_hint
-from .montecarlo import TransferPolicy, _check_ensemble_args, _score_spectrum, monte_carlo
+from .montecarlo import TransferPolicy, _check_ensemble_args, _score_cells, _score_spectrum
 from .spectral import _end_weights, eigendecompose
 
 BOX_LO = 1e-6
@@ -80,22 +82,34 @@ def _fold_into_box(v: float) -> float:
 
 
 def evaluate_objective(obj: Objective, x: float, y: float) -> float:
-    x = _fold_into_box(float(x))
-    y = _fold_into_box(float(y))
-    chain = apollaro_chain(obj.n, x, y)
-    lam, w, spectrum = _end_weights(chain.fields, chain.couplings)
-    try:
-        t0 = _first_peak(lam, w, default_peak_hint(obj.n))
-    except NumericalFailure:
-        # no arrival inside the search window (extreme end couplings):
-        # score it at the fidelity floor instead of aborting the search
-        return 0.5
-    if obj.metric == "deterministic":
-        return _score_spectrum(chain.couplings[None], chain.fields[None], spectrum,
-                               obj.window, obj.window, np.array([t0]))[0]
-    policy = TransferPolicy(window_in=obj.window, window_out=obj.window, time=t0)
-    return monte_carlo(chain, obj.disorder, policy, samples=obj.samples,
-                       quantile=obj.quantile).quantile_value
+    return float(_evaluate_points(obj, [x], [y])[0])
+
+
+def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
+    """The objective at each point (xs[i], ys[i]), folded into the box: one stacked solve, a
+    first-peak search per point, then one stacked score or one ensemble of the points."""
+    chains = [apollaro_chain(obj.n, _fold_into_box(float(x)), _fold_into_box(float(y)))
+              for x, y in zip(xs, ys)]
+    couplings = np.array([c.couplings for c in chains]).reshape(len(chains), obj.n - 1)
+    fields = np.zeros((len(chains), obj.n))
+    lam, w, spectrum = _end_weights(fields, couplings)
+    values, peaks = np.full(len(chains), 0.5), {}
+    for r in range(len(chains)):
+        try:
+            peaks[r] = _first_peak(lam[r], w[r], default_peak_hint(obj.n))
+        except NumericalFailure:  # no arrival inside the search window (extreme end
+            pass  # couplings): the point scores the floor instead of aborting the search
+    rows, policy = list(peaks), TransferPolicy(obj.window, obj.window)
+    if rows and obj.metric == "deterministic":
+        values[rows] = _score_spectrum(couplings[rows], fields[rows],
+                                       tuple(part[rows] for part in spectrum),
+                                       obj.window, obj.window, np.array(list(peaks.values())))
+    elif rows:
+        cells = [(chains[r], obj.disorder, TransferPolicy(obj.window, obj.window, t)
+                  .resolve_time(chains[r])) for r, t in peaks.items()]
+        values[rows] = np.quantile(_score_cells(cells, policy, obj.samples), obj.quantile,
+                                   axis=1, method="linear")
+    return values
 
 
 def optimize_apollaro(obj: Objective, x0: float, y0: float,
@@ -150,17 +164,15 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
 def objective_landscape(obj: Objective, x_values, y_values) -> np.ndarray:
     """Objective on a grid; entry [i, j] pairs x_values[i] with y_values[j].
 
-    Points must lie in the box, where evaluate_objective folds none onto another."""
+    Points must lie in the box, where evaluate_objective folds none onto another.  Each x
+    value's row is one _evaluate_points call, so memory is bounded by one axis."""
     x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
     y_values = np.atleast_1d(np.asarray(y_values, dtype=float))
     outside = [v for v in (*x_values, *y_values) if not 0 < v <= BOX_HI]
     if outside:
         raise ValueError(f"landscape points must lie in (0, {BOX_HI}]^2, got {outside[0]:g}")
-    out = np.empty((x_values.size, y_values.size))
-    for i, x in enumerate(x_values):
-        for j, y in enumerate(y_values):
-            out[i, j] = evaluate_objective(obj, x, y)
-    return out
+    rows = [_evaluate_points(obj, np.full(y_values.size, x), y_values) for x in x_values]
+    return np.array(rows).reshape(x_values.size, y_values.size)
 
 
 def first_order_response(chain: Chain, t0: float, couplings_delta, fields_delta) -> float:

@@ -138,11 +138,7 @@ def _end_weights(fields: np.ndarray, couplings: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(lam, w, spectrum): eigenvalues and weights w_k = v_k(1) v_k(N) of each chain from
     spectrum = end_spectrum(fields, couplings), or from eigendecompose in a row that is
-    not ok or whose w is not finite (the kernel's fallback).  One chain's 1-D fields and
-    couplings give its lam and w, with the one-row spectrum."""
-    if fields.ndim == 1:
-        lam, w, spectrum = _end_weights(fields[None], couplings[None])
-        return lam[0], w[0], spectrum
+    not ok or whose w is not finite (the kernel's fallback)."""
     spectrum = end_spectrum(fields, couplings)
     lam, log_weights, signs, ok = spectrum
     with np.errstate(over="ignore", invalid="ignore"):

@@ -391,7 +391,7 @@ def test_optimize_rejects_argument_ranges_before_sampling(bad, delta, tmp_path, 
     def no_evaluation(*args, **kwargs):
         raise AssertionError("objective evaluated before the argument check")
 
-    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
     common = ["optimize", "--n", "15", "--delta", delta, "--samples", "4", "--restarts", "0"]
     out = tmp_path / "land.csv"
     for args in (common + bad, common + ["--landscape", "--out", str(out)] + bad):
@@ -449,7 +449,7 @@ def test_optimize_rejects_a_negative_delta(tmp_path, capsys, monkeypatch):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("objective evaluated for a negative --delta")
 
-    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
     out = tmp_path / "x.json"
     assert run(["optimize", "--delta", "-0.1", "--restarts", "0", "--samples", "3",
                 "--n", "15", "--out", str(out)]) == 2
@@ -506,7 +506,7 @@ def test_optimize_rejects_negative_restarts(capsys, monkeypatch):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("objective evaluated for a negative --restarts")
 
-    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
     assert run(["optimize", "--n", "15", "--restarts", "-2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: restarts must be >= 0, got -2\n"
@@ -537,13 +537,13 @@ def test_optimize_landscape_single_cell(tmp_path):
 @pytest.mark.parametrize("axis", ["--x-axis=1.5", "--x-axis=-0.1:0.1:0.1", "--x-axis=0",
                                   "--y-axis=1.5"])
 def test_landscape_axis_outside_the_box_is_a_usage_error(axis, tmp_path, capsys, monkeypatch):
-    # evaluate_objective folds a point outside the box onto another, which the CSV would misname
+    # the objective folds a point outside the box onto another, which the CSV would misname
     import spintransfer.optimize as optimize
 
     def no_evaluation(*args, **kwargs):
-        raise AssertionError("objective evaluated for an axis outside the box")
+        raise AssertionError("chain solved for an axis outside the box")
 
-    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
     out = tmp_path / "land.csv"
     assert run(["optimize", "--n", "15", "--landscape", "--x-axis", "0.5", "--y-axis", "0.7",
                 axis, "--out", str(out)]) == 2

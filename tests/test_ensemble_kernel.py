@@ -83,17 +83,17 @@ def test_empty_index_range_is_rejected():
 
 def ensemble_elements(monkeypatch, base, spec, policy, samples, threads=1):
     """(stats, per-sample fidelities) of one monte_carlo run, recorded by chunk."""
-    scored = {}
-    score_range = montecarlo._score_range
+    scored = []
+    original = montecarlo._score_rows
 
-    def recording(b, s, p, time, start, stop):
-        scored[start] = score_range(b, s, p, time, start, stop)
-        return scored[start]
+    def recording(*args):
+        scored.append(original(*args))
+        return scored[-1]
 
-    monkeypatch.setattr(montecarlo, "_score_range", recording)
+    monkeypatch.setattr(montecarlo, "_score_rows", recording)
     stats = monte_carlo(base, spec, policy, samples=samples, threads=threads)
     monkeypatch.undo()
-    return stats, np.concatenate([scored[start] for start in sorted(scored)])
+    return stats, np.concatenate(scored)  # one call per chunk, in index order
 
 
 def two_chunks(monkeypatch, base, policy, rows=64):
@@ -141,9 +141,10 @@ def test_ensemble_elements_do_not_depend_on_the_chunk_split(case, monkeypatch):
     _, ensemble = ensemble_elements(monkeypatch, base, spec, policy, samples)
     rows = montecarlo._chunk_rows(base.n, policy.window_in, policy.window_out)
     for size in (1, 7, rows, samples):
-        forced = np.concatenate([montecarlo._score_range(base, spec, policy, t, start,
-                                                         min(start + size, samples))
-                                 for start in range(0, samples, size)])
+        bounds = [(start, min(start + size, samples)) for start in range(0, samples, size)]
+        forced = np.concatenate([montecarlo._score_rows(*draw_realizations(base, spec, *b),
+                                                        policy, np.full(b[1] - b[0], t))
+                                 for b in bounds])
         assert forced.tobytes() == ensemble.tobytes(), size
 
 
@@ -157,11 +158,11 @@ def test_monte_carlo_chunks_hold_at_most_the_derived_rows(base, window, samples,
     rows = montecarlo._chunk_rows(base.n, window, window)
     assert rows == 65536 // ((base.n + 2) * window)
     ranges, handed = [], []
-    score_range = montecarlo._score_range
+    draw_checked = montecarlo._draw_checked
 
-    def recording_range(b, s, p, time, start, stop):
+    def recording_range(b, s, time, start, stop):
         ranges.append((start, stop))
-        return score_range(b, s, p, time, start, stop)
+        return draw_checked(b, s, time, start, stop)
 
     def recording(producer):
         def call(couplings, fields, *args):
@@ -169,7 +170,7 @@ def test_monte_carlo_chunks_hold_at_most_the_derived_rows(base, window, samples,
             return producer(couplings, fields, *args)
         return call
 
-    monkeypatch.setattr(montecarlo, "_score_range", recording_range)
+    monkeypatch.setattr(montecarlo, "_draw_checked", recording_range)
     for name in ("_chebyshev_tops", "_spectral_tops"):
         monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
     monte_carlo(base, normal_disorder(0.1, 0.1, seed=45), TransferPolicy(window, window),

@@ -34,9 +34,9 @@ def oracle_amplitude(chain: Chain, t: float) -> complex:
 
 def end_amplitude(chain: Chain, t: float) -> complex:
     """<N| e^{-iHt} |1> from the chain's end weights, which must need no eigenvectors."""
-    lam, w, (*_, ok) = spectral._end_weights(chain.fields, chain.couplings)
+    lam, w, (*_, ok) = spectral._end_weights(chain.fields[None], chain.couplings[None])
     assert ok[0] and np.isfinite(w).all()
-    return complex(w @ np.exp(-1j * lam * t))
+    return complex(w[0] @ np.exp(-1j * lam[0] * t))
 
 
 def eigenvector_fidelity(chain: Chain, t: float, window_in: int, window_out: int) -> float:
@@ -101,7 +101,7 @@ def test_stacked_rows_equal_one_row_calls(monkeypatch):
     assert_eigenvector_weights(Chain(n=21, couplings=couplings[4], fields=fields[4]),
                                lam[4], w[4])
     for r in range(12):
-        lam_r, w_r, _ = spectral._end_weights(fields[r], couplings[r])
+        lam_r, w_r, _ = spectral._end_weights(fields[r:r + 1], couplings[r:r + 1])
         assert lam_r.tobytes() == lam[r].tobytes() and w_r.tobytes() == w[r].tobytes()
 
 
@@ -136,9 +136,9 @@ def test_fallback_takes_the_eigenvector_path(name, monkeypatch):
     weight_calls = counted_eigendecompose(monkeypatch, spectral)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # decided before any log(0) or 1/0
-        lam, w, _ = spectral._end_weights(chain.fields, chain.couplings)
+        lam, w, _ = spectral._end_weights(chain.fields[None], chain.couplings[None])
     assert len(weight_calls) == 1
-    assert_eigenvector_weights(chain, lam, w)
+    assert_eigenvector_weights(chain, lam[0], w[0])
     calls = counted_eigendecompose(monkeypatch, montecarlo)
     for window_in, window_out in FALLBACK_WINDOWS:
         for t in FALLBACK_TIMES:
@@ -158,7 +158,7 @@ def test_overflowing_recurrence_takes_the_eigenvector_path(monkeypatch):
     calls = counted_eigendecompose(monkeypatch, montecarlo)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spectral._end_weights(chain.fields, chain.couplings)  # the weights themselves are fine
+        spectral._end_weights(chain.fields[None], chain.couplings[None])  # the weights are fine
         score = score_chain(chain, 4, 1, 3.0)
     assert not weight_calls and len(calls) == 1
     assert score == eigenvector_fidelity(chain, 3.0, 4, 1)

@@ -82,7 +82,16 @@ def test_landscape_single_cell_matches_objective():
     obj = Objective(n=21, window=1)
     grid = objective_landscape(obj, [0.5], [0.8])
     assert grid.shape == (1, 1)
-    assert grid[0, 0] == pytest.approx(evaluate_objective(obj, 0.5, 0.8), abs=1e-14)
+    assert grid.tobytes() == np.array([[evaluate_objective(obj, 0.5, 0.8)]]).tobytes()
+    # a small grid, bit for bit, with floor points (no arrival peak) in the rows of peaks
+    xs, ys = [1e-6, 0.5], [1e-6, 0.4, 0.8]
+    spec = uniform_disorder(0.1, 0.05, seed=3)
+    for obj in (obj, Objective(n=21, window=3),
+                Objective(n=21, window=3, metric="quantile", samples=40, disorder=spec)):
+        grid = objective_landscape(obj, xs, ys)
+        want = np.array([[evaluate_objective(obj, x, y) for y in ys] for x in xs])
+        assert grid.tobytes() == want.tobytes()
+        assert (grid == 0.5).tolist() == [[True, True, True], [True, False, False]]
 
 
 @pytest.mark.parametrize("xs, ys", [([1.5], [0.8]), ([0.5], [0.0]), ([-0.1, 0.5], [0.8]),
@@ -91,9 +100,9 @@ def test_landscape_rejects_points_outside_the_box(xs, ys, monkeypatch):
     import spintransfer.optimize as optimize
 
     def no_evaluation(*args, **kwargs):
-        raise AssertionError("objective evaluated for a point outside the box")
+        raise AssertionError("chain solved for a point outside the box")
 
-    monkeypatch.setattr(optimize, "evaluate_objective", no_evaluation)
+    monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
     with pytest.raises(ValueError, match=r"must lie in \(0, 1\.2\]"):
         objective_landscape(Objective(n=11), xs, ys)
 

@@ -35,7 +35,8 @@ def scan_peak_time(scan, chain, search_hint=None, **kwargs):
     """(time, fidelity) as first_peak_time returns them, with scan finding the time."""
     if search_hint is None:
         search_hint = default_peak_hint(chain.n)
-    lam, w, _ = spectral._end_weights(chain.fields, chain.couplings)
+    lam, w, _ = spectral._end_weights(chain.fields[None], chain.couplings[None])
+    lam, w = lam[0], w[0]
     t = scan(lam, w, search_hint, **kwargs)
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 

@@ -222,8 +222,9 @@ def test_propagated_ensemble_elements_are_sample_fidelities():
     policy = TransferPolicy(1, 1)
     t = auto_transfer_time(base)
     couplings, fields = draw_realizations(base, spec, 0, 70)
-    chunked = np.concatenate([montecarlo._score_range(base, spec, policy, t, 0, 64),
-                              montecarlo._score_range(base, spec, policy, t, 64, 70)])
+    chunked = np.concatenate([montecarlo._score_rows(couplings[rows], fields[rows], policy,
+                                                     np.full(70, t)[rows])
+                              for rows in (slice(0, 64), slice(64, 70))])
     for i in (0, 13, 63, 64, 69):
         assert sample_fidelity(base, spec, i, policy, time=t) == chunked[i]
         chain = sample_disordered_chain(base, spec, i)
