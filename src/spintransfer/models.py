@@ -106,7 +106,7 @@ def pst_transfer_time(chain: Chain) -> float:
     The spectrum must be equally spaced within _SPACING_TOL and the returned
     time must achieve |<N|U(t0)|1>| >= 1 - 1e-9, otherwise the chain is not
     accepted as a perfect-transfer chain.  ValueError where the chain's spectrum is wider
-    than the double range.
+    than the double range, or its gap so narrow that pi/gap overflows.
     """
     return _pst_time(*_chain_weights(chain))
 
@@ -130,6 +130,9 @@ def _pst_time(lam: np.ndarray, w: np.ndarray) -> float:
     if gap <= 0 or np.max(np.abs(gaps - gap)) > _SPACING_TOL * max(1.0, abs(gap)):
         raise NumericalFailure("not a linear-spectrum PST chain (spectrum not equally spaced)")
     t0 = float(np.pi / gap)
+    if not math.isfinite(t0):  # a subnormal gap: no time on the chain is a double
+        raise ValueError(f"this chain's transfer time pi / gap is beyond the double range: "
+                         f"its eigenvalue gap is {gap:.6g}")
     if abs(w @ np.exp(-1j * lam * t0)) < 1.0 - 1e-9:
         raise NumericalFailure("equally spaced spectrum but end-to-end transfer is not perfect")
     return t0

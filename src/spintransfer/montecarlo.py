@@ -19,9 +19,10 @@ unitarity guard, fidelity):
   recurrence, run from site 1 (r_i) and from site N (s_j), and the blocks
   U_ji(t) = sum_k s_j w_k e^{-i lam_k t} r_i of the whole chunk are one
   stacked product.  The full eigensystem scores a chain the identity cannot
-  take (zero coupling, repeated eigenvalue) or whose block is not finite,
-  and every chain once the two recurrences would share a site
-  (window_in + window_out > N, both windows above 1).  Callers holding a
+  take (zero coupling, repeated eigenvalue), whose block is not finite or
+  whose rows' rounding estimate is too large (a weak link), and every chain
+  once the two recurrences would share a site (window_in + window_out > N,
+  both windows above 1).  Callers holding a
   spectrum (the deterministic tuning objective, per-sample peaks) call it.
 - The Chebyshev producer, _chebyshev_tops, needs no spectrum.  It applies
   e^{-iHt} = e^{-i beta t} sum_k (2 - [k=0]) (-i)^k J_k(alpha t) T_k(H') to
@@ -330,14 +331,18 @@ def _score_tops(top: np.ndarray, couplings: np.ndarray, fields: np.ndarray, wind
 def _spectral_tops(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
                    window_in: int, window_out: int, times: np.ndarray) -> np.ndarray:
     """Top singular value of each row's window block from its spectrum, NaN where the
-    identity does not apply (not ok, overflow) or the recurrences would share a site."""
+    identity does not apply (not ok, overflow), the recurrences would share a site, or the
+    rows' estimated rounding error (_window_rows) moves the block by more than _ROUNDING."""
     m, n = fields.shape
     if not (min(window_in, window_out) == 1 or window_in + window_out <= n):
         return np.full(m, np.nan)
     lam, log_weights, signs, ok = spectrum
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ins, outs, log_scale = _window_rows(lam, fields, couplings, window_in, window_out)
+        ins, outs, log_scale, errors = _window_rows(lam, fields, couplings, window_in,
+                                                    window_out)
         weights = signs * np.exp(log_weights + log_scale)
+        if max(window_in, window_out) > 1:  # window 1 runs no recurrence; NaN declines too
+            ok = ok & (np.sum(np.abs(weights) * errors, axis=1) <= _ROUNDING)
         phases = np.exp(-1j * lam * times[:, None])
         blocks = ((outs.transpose(1, 0, 2) * weights[:, None, :])
                   @ (ins.transpose(1, 2, 0) * phases[:, :, None]))
@@ -345,13 +350,19 @@ def _spectral_tops(couplings: np.ndarray, fields: np.ndarray, spectrum: tuple,
 
 
 def _window_rows(lam: np.ndarray, fields: np.ndarray, couplings: np.ndarray,
-                 window_in: int, window_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows r_i = v(i)/v(1) and s_j = v(j)/v(N) of the window sites, and log scale.
+                 window_in: int, window_out: int) -> tuple[np.ndarray, ...]:
+    """Rows r_i = v(i)/v(1) and s_j = v(j)/v(N) of the window sites, log scale, and an
+    estimate of the rows' rounding error per eigenvalue.
 
     r_1 = 1, r_2 = (lam - B_1)/J_1, r_{i+1} = ((lam - B_i) r_i - J_{i-1} r_{i-1})/J_i
     on the chain, and s the same on its mirror image.  Each side is divided by
     its largest entry per eigenvalue, the logs summed: a weight far below the
-    smallest double can meet rows far above 1.
+    smallest double can meet rows far above 1.  The error estimate is eps max|lam| times
+    max_i |dr_i/dlam| / max_i |r_i|, summed over the two sides, with the derivatives from
+    the differentiated recurrence.  A solved eigenvalue is off by about eps max|lam|, and
+    each step's rounding perturbs the rows alike; the estimate is large where the rows are
+    the recurrence's recessive solution, across a weak bond or at a pair of near-degenerate
+    eigenvalues mirrored about the chain's centre.
     """
     m = lam.shape[0]
     size = max(window_in, window_out)
@@ -359,27 +370,36 @@ def _window_rows(lam: np.ndarray, fields: np.ndarray, couplings: np.ndarray,
     rows[0] = 1.0
     ins, outs = rows[:window_in, :m], rows[window_out - 1::-1, m:]
     if size == 1:
-        return ins, outs, 0.0
+        return ins, outs, 0.0, 0.0
     b = np.concatenate([fields, fields[:, ::-1]]).T[:size - 1, :, None]
     j = np.concatenate([couplings, couplings[:, ::-1]]).T[:size - 1, :, None]
     shift = np.concatenate([lam, lam]) - b
+    slopes = np.zeros(rows.shape)  # dr_i/dlam
     for i in range(size - 1):
         step = shift[i] * rows[i]
+        slope = shift[i] * slopes[i] + rows[i]
         if i:
             step -= j[i - 1] * rows[i - 1]
+            slope -= j[i - 1] * slopes[i - 1]
         np.divide(step, j[i], out=rows[i + 1])
+        np.divide(slope, j[i], out=slopes[i + 1])
     in_max, out_max = np.abs(ins).max(axis=0), np.abs(outs).max(axis=0)
-    return ins / in_max, outs / out_max, np.log(in_max) + np.log(out_max)
+    errors = (np.finfo(float).eps * np.abs(lam).max(axis=1, keepdims=True)
+              * (np.abs(slopes[:window_in, :m]).max(axis=0) / in_max
+                 + np.abs(slopes[:window_out, m:]).max(axis=0) / out_max))
+    return ins / in_max, outs / out_max, np.log(in_max) + np.log(out_max), errors
 
 
 # A row is propagated where K <= _PROPAGATE * n and _growth <= _GROWTH (README, "How a chain
 # is scored", has the measured crossover table and the oracle errors under the bound).  The
 # dropped Chebyshev terms sum to at most _TAIL; Miller's recurrence starts where they sum to
-# _MILLER_TAIL.
+# _MILLER_TAIL.  A spectral row whose window rows' estimated rounding error moves its block by
+# more than _ROUNDING is solved instead (README, "How a chain is scored", has the sweep).
 _PROPAGATE = 9
 _GROWTH = 2.0 ** 16
 _TAIL = 1e-15
 _MILLER_TAIL = 1e-20
+_ROUNDING = 1e-10
 
 
 def _gershgorin(fields: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

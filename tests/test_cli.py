@@ -305,6 +305,56 @@ def test_pst_chain_with_huge_couplings_needs_no_peak_scan(tmp_path, capsys):
     assert report["best_fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["fidelity", "sweep"])
+def test_subnormal_gap_is_refused_in_one_line(command, tmp_path, capsys):
+    # four numpy warnings, then "window time must be finite, got inf", before
+    out = tmp_path / "x.out"
+    args = [command, "--chain", write_uniform(tmp_path / "sub.json", 2, 1e-310),
+            "--out", str(out)]
+    if command == "sweep":
+        args += ["--j-axis", "0", "--b-axis", "0", "--samples", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: this chain's transfer time pi / gap is beyond the double "
+                            "range: its eigenvalue gap is 2e-310\n")
+    assert captured.out == "" and not out.exists()
+    args[2] = write_uniform(tmp_path / "tiny.json", 2, 1e-300)  # t = 1.57e300 still works
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 0
+
+
+WEAK_BOND_FILES = {
+    # mirror chain joined by two bonds of 1e-12: sweep wrote 0.890945066239 (exit 0); a
+    # 40-digit mpmath expm gives 0.78300312394825
+    "w7": ([1.088144150911419, 1.501175971082208, 1e-12, 1e-12, 1.501175971082208,
+            1.088144150911419], 6, "170.11354350264628"),
+    # sweep exited 2 with "singular value 1.0000000111022274 > 1"
+    "weak": ([1.5, 1e-8, 1.5], 4, "7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEAK_BOND_FILES))
+def test_sweep_across_a_weak_bond_matches_fidelity(name, tmp_path, capsys):
+    couplings, window_out, time = WEAK_BOND_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"format_version": 1, "n": len(couplings) + 1,
+                                "couplings": couplings, "fields": [0.0] * (len(couplings) + 1)}))
+    window = ["--chain", str(path), "--window-in", "1", "--window-out", str(window_out),
+              "--time", time]
+    assert run(["fidelity", *window]) == 0
+    want = json.loads(capsys.readouterr().out)["fidelity_single"]
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", *window, "--j-axis", "0", "--b-axis", "0", "--samples", "1",
+                "--out", str(out)]) == 0
+    mean = float(out.read_text().splitlines()[2].split(",")[2])
+    assert mean == pytest.approx(want, abs=1e-12)
+    if name == "w7":
+        assert want == pytest.approx(0.78300312394825, abs=1e-13)
+
+
 NON_FINITE_FLAGS = {
     # each ran and exited 0 before: a passed fermion check on a NaN time, a NaN
     # disorder width scored as none, a NaN delta written into the JSON report

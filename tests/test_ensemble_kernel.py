@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from _helpers import (assert_matches_oracle, counted_eigendecompose, fallbacks_on_ensemble,
-                      fallbacks_on_mirror_chain, oracle_fidelity, score_chain, score_rows)
+                      fallbacks_on_mirror_chain, fallbacks_on_weak_bond_chain, oracle_fidelity,
+                      score_chain, score_rows)
 from spintransfer import (DisorderSpec, Distribution, NumericalFailure, TransferPolicy,
                           apollaro_chain, first_peak_time, monte_carlo, normal_disorder,
                           pst_chain, sample_disordered_chain, sample_fidelity, uniform_chain,
@@ -215,6 +216,14 @@ def test_kernel_matches_oracle_on_near_degenerate_mirror_chains(n, weak, monkeyp
     # one eigensystem per window and time
     calls = fallbacks_on_mirror_chain("spectral", n, weak, monkeypatch)
     assert calls == (10 if (n, weak) == (21, 1e-12) else 0)
+
+
+@pytest.mark.parametrize("name, solved", [("w7", 12), ("weak4", 8), ("pair", 8),
+                                          ("mirror_fields", 8), ("weak_end", 0)])
+def test_kernel_solves_window_rows_across_a_weak_bond(name, solved, monkeypatch):
+    # every row but weak4's (2, 2), pair's (2, 4), (4, 2), (3, 3) and mirror_fields' (4, 4)
+    # runs a recurrence across the weak link; their rounding estimate declines them
+    assert fallbacks_on_weak_bond_chain("spectral", name, monkeypatch) == solved
 
 
 @pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])

@@ -189,6 +189,16 @@ def test_time_of_a_chain_wider_than_the_double_range_is_one_value_error(time_of)
         assert time_of(narrow) == pytest.approx(np.pi / (np.sqrt(2.0) * 6e307), rel=1e-12)
 
 
+@pytest.mark.parametrize("time_of", [auto_transfer_time, pst_transfer_time])
+def test_time_of_a_chain_whose_gap_is_subnormal_is_one_value_error(time_of):
+    # pi / 2e-310 overflows: the time came back inf, with numpy warnings from its phases
+    chain = Chain(n=2, couplings=np.array([1e-310]), fields=np.zeros(2))
+    with pytest.raises(ValueError, match=r"pi / gap is beyond the double range"):
+        time_of(chain)
+    tiny = Chain(n=2, couplings=np.array([1e-300]), fields=np.zeros(2))
+    assert time_of(tiny) == pytest.approx(np.pi / 2e-300, rel=1e-12)  # 1.57e300
+
+
 def test_tolerance_below_double_spacing_returns(monkeypatch):
     chain = uniform_chain(51)
     t, f = first_peak_time(chain)

@@ -16,9 +16,9 @@ import pytest
 from scipy.special import jv
 
 from _helpers import (FALLBACK_CHAINS, FALLBACK_TIMES, FALLBACK_WINDOWS, OVERFLOWING_CHAIN,
-                      assert_matches_oracle, counted_eigendecompose, ensemble,
-                      fallbacks_on_ensemble, fallbacks_on_mirror_chain, oracle_fidelity,
-                      score_rows)
+                      WEAK_BOND_CHAINS, assert_matches_oracle, counted_eigendecompose, ensemble,
+                      fallbacks_on_ensemble, fallbacks_on_mirror_chain,
+                      fallbacks_on_weak_bond_chain, oracle_fidelity, score_rows)
 from spintransfer import (Chain, Objective, TransferPolicy, cli, evaluate_objective,
                           monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
                           sample_disordered_chain, sample_fidelity, uniform_chain,
@@ -79,6 +79,14 @@ def test_propagation_needs_no_eigensystem_for_zero_couplings(name, monkeypatch):
 @pytest.mark.parametrize("n", [20, 21])
 def test_propagation_matches_oracle_on_near_degenerate_mirror_chains(n, weak, monkeypatch):
     assert fallbacks_on_mirror_chain("chebyshev", n, weak, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("name", sorted(WEAK_BOND_CHAINS))
+def test_propagation_matches_oracle_across_a_weak_bond(name, monkeypatch):
+    chain, windows, times = WEAK_BOND_CHAINS[name]
+    want = len(times) * sum(declined(chain.couplings[None], chain.fields[None], *window)
+                            for window in windows)
+    assert fallbacks_on_weak_bond_chain("chebyshev", name, monkeypatch) == want
 
 
 @pytest.mark.parametrize("window_in, window_out", [(1, 1), (3, 3), (5, 5), (2, 4), (4, 2)])
