@@ -99,16 +99,18 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
             peaks[r] = _first_peak(lam[r], w[r], default_peak_hint(obj.n))
         except NumericalFailure:  # no arrival inside the search window (extreme end
             pass  # couplings): the point scores the floor instead of aborting the search
-    rows, policy = list(peaks), TransferPolicy(obj.window, obj.window)
-    if rows and obj.metric == "deterministic":
+    # where every point has a peak (the one-point objective's case), rows copies nothing
+    rows = slice(None) if len(peaks) == len(chains) else list(peaks)
+    if peaks and obj.metric == "deterministic":
         values[rows] = _score_spectrum(couplings[rows], fields[rows],
                                        tuple(part[rows] for part in spectrum),
                                        obj.window, obj.window, np.array(list(peaks.values())))
-    elif rows:
+    elif peaks:
         cells = [(chains[r], obj.disorder, TransferPolicy(obj.window, obj.window, t)
                   .resolve_time(chains[r])) for r, t in peaks.items()]
-        values[rows] = np.quantile(_score_cells(cells, policy, obj.samples), obj.quantile,
-                                   axis=1, method="linear")
+        values[rows] = np.quantile(_score_cells(cells, TransferPolicy(obj.window, obj.window),
+                                                obj.samples),
+                                   obj.quantile, axis=1, method="linear")
     return values
 
 
