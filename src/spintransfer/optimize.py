@@ -97,8 +97,8 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
     for r in range(len(chains)):
         try:
             peaks[r] = _first_peak(lam[r], w[r], default_peak_hint(obj.n))
-        except NumericalFailure:  # no arrival inside the search window (extreme end
-            pass  # couplings): the point scores the floor instead of aborting the search
+        except NumericalFailure:  # no arrival in the search window (extreme end couplings):
+            pass  # the point keeps the fidelity floor instead of aborting the search
     # where every point has a peak (the one-point objective's case), rows copies nothing
     rows = slice(None) if len(peaks) == len(chains) else list(peaks)
     if peaks and obj.metric == "deterministic":
@@ -108,9 +108,8 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
     elif peaks:
         cells = [(chains[r], obj.disorder, TransferPolicy(obj.window, obj.window, t)
                   .resolve_time(chains[r])) for r, t in peaks.items()]
-        values[rows] = np.quantile(_score_cells(cells, TransferPolicy(obj.window, obj.window),
-                                                obj.samples),
-                                   obj.quantile, axis=1, method="linear")
+        fids = _score_cells(cells, TransferPolicy(obj.window, obj.window), obj.samples)
+        values[rows] = np.quantile(fids, obj.quantile, axis=1, method="linear")
     return values
 
 
