@@ -33,7 +33,9 @@ for c in \
     "sweep --model apollaro --x 0.43 --y 0.73 --n 51 --window 3 --j-axis 0:0.2:0.1 --b-axis 0 --samples 200 --seed 5 --out apo3j.csv" \
     "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.6:0.1 --y-axis 0.7:0.9:0.1 --out land3.csv" \
     "optimize --landscape --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out land3d.csv" \
-    "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out landfloor.csv"
+    "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out landfloor.csv" \
+    "optimize --n 31 --window 1 --restarts 3 --trace --out optt.json" \
+    "optimize --n 31 --window 3 --delta 0.1 --samples 50 --restarts 2 --trace --out optq.json"
 do
     # shellcheck disable=SC2086  # each command is split into its arguments on purpose
     PYTHONPATH="$src" python -m spintransfer $c
