@@ -8,6 +8,10 @@ random numbers), which makes the objective deterministic and lets a simplex
 search make progress despite the sampling.  evaluate_objective is the one-point
 case of _evaluate_points, which objective_landscape calls once per x value:
 one stacked spectrum solve, then one stacked score or one _score_cells ensemble.
+optimize_apollaro runs up to W starts' Nelder-Mead searches in lockstep
+(_lockstep) and scores each round of their points with one _evaluate_points
+call, in the caller's thread; each search's path, and so the result, is the
+one it takes alone.
 
 first_order_response gives dF/d(eps) of the end-to-end transfer
 probability F = |<N|U(t0)|1>|^2 under a chain perturbation, exactly, from
@@ -18,6 +22,7 @@ zero to first order; imperfect chains generically are not.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,9 @@ BOX_LO = 1e-6
 BOX_HI = 1.2
 # Nelder-Mead's xatol, and how close to the box edge an optimum counts as a boundary hit.
 SIMPLEX_TOL = 1e-4
+# How many optimizer starts search at once, in lockstep: one on the caller's thread, the
+# rest on worker threads.
+W = 4
 
 
 @dataclass(frozen=True)
@@ -113,27 +121,139 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
     return values
 
 
+class _Cancelled(Exception):
+    """Ends a search whose result no longer counts: a lower start failed, or the caller left."""
+
+
+def _lockstep(count: int, search, score) -> list:
+    """Run search(i, ask) for i in range(count), at most W at a time; return the results in order.
+
+    ask(point) blocks until every search in flight has asked.  The caller's thread then calls
+    score(asked) on the round's (start, point) pairs, in start order, for a value or an
+    exception per point, and each ask returns its value or raises its exception.  The
+    caller's thread runs one search itself and worker threads run the others, so a lone
+    search starts no thread, and a later search begins when an earlier one ends.  A failed
+    search ends every search above it, and none begins after it; its exception is raised
+    once every search below it has ended, unless one of those failed too, when the lowest
+    one's is.  If the caller's thread is interrupted, every worker is released and joined.
+    """
+    import queue  # deferred: only a search uses it
+
+    results, failed = [None] * count, {}
+    asks = queue.SimpleQueue()  # (i, "ask", point) and (i, "end", outcome) from the workers
+    replies, workers, round_ = {}, {}, []  # worker i's answers; its thread; (i, point) asked
+    begun = 0
+
+    def work(i, reply):
+        def ask(point):
+            asks.put((i, "ask", point))
+            value = reply.get()
+            if isinstance(value, BaseException):
+                raise value
+            return value
+        try:
+            outcome = search(i, ask)
+        except BaseException as exc:
+            outcome = exc
+        asks.put((i, "end", outcome))
+
+    def settle(i, outcome):
+        if not isinstance(outcome, BaseException):
+            results[i] = outcome
+        elif not isinstance(outcome, _Cancelled):
+            failed[i] = outcome
+
+    def begin_workers(in_caller):
+        nonlocal begun
+        while not failed and begun < count and len(workers) + in_caller < W:
+            replies[begun] = queue.SimpleQueue()
+            workers[begun] = threading.Thread(target=work, args=(begun, replies[begun]),
+                                              daemon=True, name=f"apollaro-start-{begun}")
+            workers[begun].start()
+            begun += 1
+
+    def serve(own=None, point=None):
+        """Gather one ask from every worker in flight, add the caller's own search `own` and its
+        point, score the round, answer the workers and return the answer to `own`."""
+        while len(round_) < len(workers):
+            i, kind, payload = asks.get()
+            if kind == "end":
+                workers.pop(i).join()
+                settle(i, payload)
+                begin_workers(own is not None)
+            elif failed and i > min(failed):
+                replies[i].put(_Cancelled())
+            else:
+                round_.append((i, payload))
+        if own is not None:
+            round_.append((own, point))
+        round_.sort()  # by start: no two asks share one
+        values = score(round_) if round_ else []
+        mine = None
+        for (i, _), value in zip(round_, values):
+            if i == own:
+                mine = value
+            else:
+                replies[i].put(value)
+        round_.clear()
+        return mine
+
+    try:
+        while begun < count and not failed:
+            own, begun = begun, begun + 1
+            begin_workers(True)
+
+            def ask(point, own=own):
+                value = serve(own, point)
+                if isinstance(value, BaseException):
+                    raise value
+                if failed and own > min(failed):
+                    raise _Cancelled()
+                return value
+
+            try:
+                outcome = search(own, ask)
+            except Exception as exc:
+                outcome = exc
+            settle(own, outcome)
+        while workers:
+            serve()
+    finally:  # normally no worker is left; if the caller was interrupted, release each one
+        for i in workers:
+            replies[i].put(_Cancelled())
+        for thread in workers.values():
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def optimize_apollaro(obj: Objective, x0: float, y0: float,
                       restarts: int = 3, max_iter: int = 400) -> OptimizationResult:
     """Nelder-Mead maximization of the objective inside the box (0, 1.2]^2.
 
     Candidates outside the box are reflected back in.  On top of the run from
     (x0, y0), `restarts` perturbed starting simplices are tried and the best
-    result is kept.  With a fixed master seed the whole search is
-    deterministic, so objective_value always equals a re-evaluation at the
-    returned point.
+    result is kept (the first in start order on a tie).  With a fixed master
+    seed the whole search is deterministic, so objective_value always equals a
+    re-evaluation at the returned point.
+
+    Up to W starts search in lockstep (_lockstep): each runs scipy's own
+    Nelder-Mead, and once every search in flight has asked for a point, the
+    caller's thread scores the round with one _evaluate_points call.  A point's
+    value does not depend on its round, so every search takes the path it would
+    take alone, and trace, evaluations and result are those of the starts run
+    one after another; so is the exception raised when a start fails (the
+    lowest failed start's).  If a round's stacked call raises, its points are
+    scored one at a time, so each start gets its own value or exception.
     """
     if not (0 < x0 <= BOX_HI and 0 < y0 <= BOX_HI):
         raise ValueError(f"start must lie in (0, {BOX_HI}]^2")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     from scipy.optimize import minimize  # deferred: the only caller, ~0.2 s to import
-    trace: list[tuple[float, float, float]] = []
-
-    def negated(p: np.ndarray) -> float:
-        value = evaluate_objective(obj, p[0], p[1])
-        trace.append((_fold_into_box(float(p[0])), _fold_into_box(float(p[1])), value))
-        return -value
 
     rng = np.random.default_rng(obj.disorder.master_seed if obj.disorder else 0)
     starts = [np.array([x0, y0])]
@@ -142,15 +262,34 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
             _fold_into_box(x0 + rng.uniform(-0.15, 0.15)),
             _fold_into_box(y0 + rng.uniform(-0.15, 0.15)),
         ]))
+    traces: list[list[tuple[float, float, float]]] = [[] for _ in starts]
+
+    def search(i, ask):
+        return minimize(lambda p: -ask(p.tolist()), starts[i], method="Nelder-Mead",
+                        options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
+                                 "maxiter": max_iter, "maxfev": 4 * max_iter})
+
+    def score(asked):
+        xs, ys = [p[0] for _, p in asked], [p[1] for _, p in asked]
+        try:
+            values = _evaluate_points(obj, xs, ys).tolist()
+        except Exception:  # score the round one point at a time
+            values = []
+            for x, y in zip(xs, ys):
+                try:
+                    values.append(evaluate_objective(obj, x, y))
+                except Exception as exc:
+                    values.append(exc)
+        for (i, _), x, y, value in zip(asked, xs, ys, values):
+            if not isinstance(value, Exception):
+                traces[i].append((_fold_into_box(x), _fold_into_box(y), value))
+        return values
 
     best = None
-    for start in starts:
-        res = minimize(negated, start, method="Nelder-Mead",
-                       options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
-                                "maxiter": max_iter, "maxfev": 4 * max_iter})
+    for res in _lockstep(len(starts), search, score):
         if best is None or res.fun < best.fun:
             best = res
-
+    trace = [entry for start_trace in traces for entry in start_trace]
     x_best = _fold_into_box(float(best.x[0]))
     y_best = _fold_into_box(float(best.x[1]))
     hit_boundary = (x_best <= BOX_LO + SIMPLEX_TOL or x_best >= BOX_HI - SIMPLEX_TOL

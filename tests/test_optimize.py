@@ -1,13 +1,17 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from spintransfer import (Chain, Objective, eigendecompose, evaluate_objective,
                           first_order_response, first_peak_time, objective_landscape,
                           optimize_apollaro, propagator_amplitude, pst_chain,
                           pst_transfer_time, uniform_chain, uniform_disorder)
-from spintransfer.optimize import _fold_into_box
+import spintransfer.optimize as optimize
+from spintransfer.optimize import BOX_HI, BOX_LO, SIMPLEX_TOL, _evaluate_points, _fold_into_box
 
 
 def exact_probability_derivative(chain, t0, dj, db):
@@ -152,6 +156,215 @@ def test_optimizer_finds_small_chain_optimum():
 def test_optimizer_rejects_bad_start():
     with pytest.raises(ValueError):
         optimize_apollaro(Objective(n=15), -0.1, 0.5)
+
+
+def test_optimizer_rejects_max_iter_below_one(monkeypatch):
+    # max_iter=0 used to skip the search and return the start as the optimum
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a point was scored before the argument checks")
+
+    monkeypatch.setattr(optimize, "_evaluate_points", no_evaluation)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1, got {bad}"):
+            optimize_apollaro(Objective(n=15), 0.5, 0.8, max_iter=bad)
+
+
+# ---------------------------------------------------------------------------
+# lockstep search against the sequential loop
+# ---------------------------------------------------------------------------
+
+def sequential_optimize(obj, x0, y0, restarts, max_iter, asked=None):
+    """The sequential oracle: each start through scipy's Nelder-Mead in turn, every point
+    through evaluate_objective.  `asked`, if given, collects each start's raw points."""
+    trace = []
+
+    def negated(p, points):
+        points.append((p[0], p[1]))
+        value = evaluate_objective(obj, p[0], p[1])
+        trace.append((_fold_into_box(float(p[0])), _fold_into_box(float(p[1])), value))
+        return -value
+
+    rng = np.random.default_rng(obj.disorder.master_seed if obj.disorder else 0)
+    starts = [np.array([x0, y0])]
+    for _ in range(restarts):
+        starts.append(np.array([_fold_into_box(x0 + rng.uniform(-0.15, 0.15)),
+                                _fold_into_box(y0 + rng.uniform(-0.15, 0.15))]))
+    best = None
+    for start in starts:
+        points = []
+        if asked is not None:
+            asked.append(points)
+        res = minimize(negated, start, args=(points,), method="Nelder-Mead",
+                       options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
+                                "maxiter": max_iter, "maxfev": 4 * max_iter})
+        if best is None or res.fun < best.fun:
+            best = res
+    x, y = _fold_into_box(float(best.x[0])), _fold_into_box(float(best.x[1]))
+    hit = (x <= BOX_LO + SIMPLEX_TOL or x >= BOX_HI - SIMPLEX_TOL
+           or y <= BOX_LO + SIMPLEX_TOL or y >= BOX_HI - SIMPLEX_TOL)
+    return x, y, evaluate_objective(obj, x, y), len(trace), hit, trace
+
+
+def outcome(result):
+    return (result.x, result.y, result.objective_value, result.evaluations,
+            result.hit_boundary, result.trace)
+
+
+QUANTILE_SPEC = uniform_disorder(0.1, 0.05, seed=5)
+LOCKSTEP_CASES = {
+    "deterministic-w1": (Objective(n=15), 0.5, 0.8, 400),
+    "deterministic-w3": (Objective(n=15, window=3), 0.5, 0.8, 400),
+    "quantile-w1": (Objective(n=11, metric="quantile", samples=12, disorder=QUANTILE_SPEC),
+                    0.5, 0.8, 15),
+    "quantile-w3": (Objective(n=11, window=3, metric="quantile", samples=12,
+                              disorder=QUANTILE_SPEC), 0.5, 0.8, 15),
+    # starts that end after 35, 35, 31, 223, 127 and 35 evaluations
+    "uneven": (Objective(n=11), 0.3, 0.2, 400),
+}
+
+
+@pytest.mark.parametrize("restarts", range(6))
+@pytest.mark.parametrize("case", LOCKSTEP_CASES)
+def test_lockstep_search_equals_the_sequential_loop(case, restarts):
+    obj, x0, y0, max_iter = LOCKSTEP_CASES[case]
+    got = outcome(optimize_apollaro(obj, x0, y0, restarts=restarts, max_iter=max_iter))
+    assert got == sequential_optimize(obj, x0, y0, restarts, max_iter)
+
+
+def test_uneven_case_has_uneven_starts():
+    asked = []
+    sequential_optimize(*LOCKSTEP_CASES["uneven"][:3], 5, 400, asked)
+    assert [len(points) for points in asked] == [35, 35, 31, 223, 127, 35]
+
+
+def worker_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+def record_thread_starts(monkeypatch, before) -> list:
+    """The number of worker threads alive just after each thread start."""
+    started, real_start = [], threading.Thread.start
+
+    def start(thread):
+        real_start(thread)
+        started.append(len(worker_threads(before)))
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def test_lockstep_workers_are_bounded_and_joined(monkeypatch):
+    before = set(threading.enumerate())
+    started, seen = record_thread_starts(monkeypatch, before), []
+    real_evaluate = optimize._evaluate_points
+
+    def evaluate(obj, xs, ys):
+        seen.append(len(worker_threads(before)))
+        return real_evaluate(obj, xs, ys)
+
+    monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
+    obj, x0, y0, max_iter = LOCKSTEP_CASES["uneven"]
+    optimize_apollaro(obj, x0, y0, restarts=0, max_iter=max_iter)
+    assert started == [] and set(seen) == {0}
+
+    monkeypatch.setattr(optimize, "W", 2)
+    seen.clear()
+    result = optimize_apollaro(obj, x0, y0, restarts=4, max_iter=max_iter)
+    assert outcome(result) == sequential_optimize(obj, x0, y0, 4, max_iter)
+    assert started and max(started) <= 2 and max(seen) <= 2
+    assert worker_threads(before) == []
+
+
+@pytest.mark.parametrize("failures, fifth_start_begins", [
+    ({0: 5}, False), ({3: 40}, False), ({1: 30, 3: 2}, False), ({2: 85, 4: 1}, True)])
+def test_lockstep_raises_the_sequential_loops_exception(failures, fifth_start_begins,
+                                                         monkeypatch):
+    # start -> index of its point that fails.  The starts end after 88, 81, 90, 79 and 76
+    # points, and with W = 4 the fifth begins when the fourth ends.  The lowest failed
+    # start's exception wins, also where a higher start fails first in time.
+    obj, x0, y0, max_iter = LOCKSTEP_CASES["deterministic-w1"]
+    asked = []
+    sequential_optimize(obj, x0, y0, 4, max_iter, asked)
+    assert [len(points) for points in asked] == [88, 81, 90, 79, 76]
+    bad = {asked[s][k]: (s, k) for s, k in failures.items()}
+    scored, widths, real = set(), [], optimize._evaluate_points
+
+    def evaluate(obj, xs, ys):  # raises on a round holding a bad point, naming the point
+        for x, y in zip(xs, ys):
+            if (x, y) in bad:
+                widths.append(len(xs))
+                raise ValueError(f"no score at {bad[(x, y)]}")
+        scored.update(zip(xs, ys))
+        return real(obj, xs, ys)
+
+    monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
+    with pytest.raises(ValueError) as want:
+        sequential_optimize(obj, x0, y0, 4, max_iter)
+    scored.clear()
+    widths.clear()
+    started = record_thread_starts(monkeypatch, set(threading.enumerate()))
+    with pytest.raises(ValueError) as got:
+        optimize_apollaro(obj, x0, y0, restarts=4, max_iter=max_iter)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    lowest = min(failures)
+    assert str(got.value) == f"no score at {(lowest, failures[lowest])}"
+    # the stacked rounds that raised held other starts' points too, and every start below
+    # the failed one still got each of its values and ran to its end
+    assert max(widths) > 1
+    assert all(point in scored for points in asked[:lowest] for point in points)
+    assert all(point in scored for point in asked[lowest][:failures[lowest]])
+    # no start begins after a start below it failed: the fifth would be a fourth worker
+    assert (asked[4][0] in scored) == fifth_start_begins
+    assert len(started) == 3 + fifth_start_begins
+
+
+def test_lockstep_under_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching threads every few bytecodes
+    before = set(threading.enumerate())
+    monkeypatch.setattr(optimize, "W", 6)
+    obj, x0, y0, max_iter = LOCKSTEP_CASES["uneven"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = outcome(optimize_apollaro(obj, x0, y0, restarts=7, max_iter=max_iter))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == sequential_optimize(obj, x0, y0, 7, max_iter)
+    assert worker_threads(before) == []
+
+
+def test_interrupted_lockstep_joins_its_workers(monkeypatch):
+    before = set(threading.enumerate())
+    real, calls = optimize._evaluate_points, []
+
+    def evaluate(obj, xs, ys):
+        calls.append(len(xs))
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return real(obj, xs, ys)
+
+    monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
+    with pytest.raises(KeyboardInterrupt):
+        optimize_apollaro(Objective(n=15), 0.5, 0.8, restarts=3)
+    assert calls[-1] == 4
+    assert worker_threads(before) == []
+
+
+@pytest.mark.parametrize("obj", [Objective(n=21), Objective(n=21, window=3),
+                                 Objective(n=21, window=3, metric="quantile", samples=40,
+                                           disorder=uniform_disorder(0.1, 0.05, seed=3))],
+                         ids=["deterministic-w1", "deterministic-w3", "quantile-w3"])
+def test_stacked_points_are_each_scored_exactly(obj):
+    # every round width up to W, with floor points (no arrival peak) among peaked ones
+    points = [(0.5, 0.8), (1e-6, 0.4), (0.43, 0.73), (0.6, 1e-6), (1.1, 0.9)]
+    alone = [np.array([evaluate_objective(obj, x, y)]) for x, y in points]
+    assert [a[0] == 0.5 for a in alone] == [False, True, False, True, False]
+    for width in range(1, optimize.W + 1):
+        for first in range(len(points) - width + 1):
+            xs, ys = zip(*points[first:first + width])
+            stacked = _evaluate_points(obj, xs, ys)
+            for value, want in zip(stacked, alone[first:first + width]):
+                assert np.array([value]).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
