@@ -141,7 +141,7 @@ def _lockstep(count: int, search, score) -> list:
 
     results, failed = [None] * count, {}
     asks = queue.SimpleQueue()  # (i, "ask", point) and (i, "end", outcome) from the workers
-    replies, workers, round_ = {}, {}, []  # worker i's answers; its thread; (i, point) asked
+    replies, workers = {}, {}  # worker i's queue of answers, and its thread
     begun = 0
 
     def work(i, reply):
@@ -175,27 +175,28 @@ def _lockstep(count: int, search, score) -> list:
     def serve(own=None, point=None):
         """Gather one ask from every worker in flight, add the caller's own search `own` and its
         point, score the round, answer the workers and return the answer to `own`."""
-        while len(round_) < len(workers):
+        asked = []  # (start, point)
+        while len(asked) < len(workers):
             i, kind, payload = asks.get()
             if kind == "end":
                 workers.pop(i).join()
+                del replies[i]
                 settle(i, payload)
                 begin_workers(own is not None)
             elif failed and i > min(failed):
                 replies[i].put(_Cancelled())
             else:
-                round_.append((i, payload))
+                asked.append((i, payload))
         if own is not None:
-            round_.append((own, point))
-        round_.sort()  # by start: no two asks share one
-        values = score(round_) if round_ else []
+            asked.append((own, point))
+        asked.sort()  # by start: no two asks share one
+        values = score(asked) if asked else []
         mine = None
-        for (i, _), value in zip(round_, values):
+        for (i, _), value in zip(asked, values):
             if i == own:
                 mine = value
             else:
                 replies[i].put(value)
-        round_.clear()
         return mine
 
     try:

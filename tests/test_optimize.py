@@ -173,36 +173,49 @@ def test_optimizer_rejects_max_iter_below_one(monkeypatch):
 # lockstep search against the sequential loop
 # ---------------------------------------------------------------------------
 
-def sequential_optimize(obj, x0, y0, restarts, max_iter, asked=None):
-    """The sequential oracle: each start through scipy's Nelder-Mead in turn, every point
-    through evaluate_objective.  `asked`, if given, collects each start's raw points."""
-    trace = []
-
-    def negated(p, points):
-        points.append((p[0], p[1]))
-        value = evaluate_objective(obj, p[0], p[1])
-        trace.append((_fold_into_box(float(p[0])), _fold_into_box(float(p[1])), value))
-        return -value
-
+def sequential_starts(obj, x0, y0, restarts, max_iter, asked=None):
+    """The sequential oracle's loop: each start through scipy's Nelder-Mead in turn, every
+    point through evaluate_objective.  Returns each start's (scipy result, trace); `asked`,
+    if given, collects each start's raw points."""
     rng = np.random.default_rng(obj.disorder.master_seed if obj.disorder else 0)
     starts = [np.array([x0, y0])]
     for _ in range(restarts):
         starts.append(np.array([_fold_into_box(x0 + rng.uniform(-0.15, 0.15)),
                                 _fold_into_box(y0 + rng.uniform(-0.15, 0.15))]))
-    best = None
+    runs = []
     for start in starts:
-        points = []
+        points, trace = [], []
         if asked is not None:
             asked.append(points)
-        res = minimize(negated, start, args=(points,), method="Nelder-Mead",
+
+        def negated(p):
+            points.append((p[0], p[1]))
+            value = evaluate_objective(obj, p[0], p[1])
+            trace.append((_fold_into_box(float(p[0])), _fold_into_box(float(p[1])), value))
+            return -value
+
+        res = minimize(negated, start, method="Nelder-Mead",
                        options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
                                 "maxiter": max_iter, "maxfev": 4 * max_iter})
+        runs.append((res, trace))
+    return runs
+
+
+def sequential_outcome(obj, runs):
+    """What the sequential loop returns after `runs`: the first best start, re-evaluated."""
+    best = None
+    for res, _ in runs:
         if best is None or res.fun < best.fun:
             best = res
+    trace = [entry for _, start_trace in runs for entry in start_trace]
     x, y = _fold_into_box(float(best.x[0])), _fold_into_box(float(best.x[1]))
     hit = (x <= BOX_LO + SIMPLEX_TOL or x >= BOX_HI - SIMPLEX_TOL
            or y <= BOX_LO + SIMPLEX_TOL or y >= BOX_HI - SIMPLEX_TOL)
     return x, y, evaluate_objective(obj, x, y), len(trace), hit, trace
+
+
+def sequential_optimize(obj, x0, y0, restarts, max_iter, asked=None):
+    return sequential_outcome(obj, sequential_starts(obj, x0, y0, restarts, max_iter, asked))
 
 
 def outcome(result):
@@ -223,18 +236,16 @@ LOCKSTEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("restarts", range(6))
 @pytest.mark.parametrize("case", LOCKSTEP_CASES)
-def test_lockstep_search_equals_the_sequential_loop(case, restarts):
+def test_lockstep_search_equals_the_sequential_loop(case):
+    # the starts of fewer restarts are the first of five restarts' starts
     obj, x0, y0, max_iter = LOCKSTEP_CASES[case]
-    got = outcome(optimize_apollaro(obj, x0, y0, restarts=restarts, max_iter=max_iter))
-    assert got == sequential_optimize(obj, x0, y0, restarts, max_iter)
-
-
-def test_uneven_case_has_uneven_starts():
-    asked = []
-    sequential_optimize(*LOCKSTEP_CASES["uneven"][:3], 5, 400, asked)
-    assert [len(points) for points in asked] == [35, 35, 31, 223, 127, 35]
+    runs = sequential_starts(obj, x0, y0, 5, max_iter)
+    if case == "uneven":
+        assert [res.nfev for res, _ in runs] == [35, 35, 31, 223, 127, 35]
+    for restarts in range(6):
+        got = outcome(optimize_apollaro(obj, x0, y0, restarts=restarts, max_iter=max_iter))
+        assert got == sequential_outcome(obj, runs[:restarts + 1]), restarts
 
 
 def worker_threads(before):
