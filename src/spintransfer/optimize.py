@@ -129,13 +129,14 @@ def _lockstep(count: int, search, score) -> list:
     """Run search(i, ask) for i in range(count), at most W at a time; return the results in order.
 
     ask(point) blocks until every search in flight has asked.  The caller's thread then calls
-    score(asked) on the round's (start, point) pairs, in start order, for a value or an
-    exception per point, and each ask returns its value or raises its exception.  The
-    caller's thread runs one search itself and worker threads run the others, so a lone
-    search starts no thread, and a later search begins when an earlier one ends.  A failed
-    search ends every search above it, and none begins after it; its exception is raised
-    once every search below it has ended, unless one of those failed too, when the lowest
-    one's is.  If the caller's thread is interrupted, every worker is released and joined.
+    score(asked) on the round's (start, point) pairs, in start order, for a value per point.
+    If that raises, each pair is scored alone, so each ask returns its own value or raises
+    its own exception.  The caller's thread runs one search itself and worker threads run
+    the others, so a lone search starts no thread, and a later search begins when an
+    earlier one ends.  A failed search ends every search above it, and none begins after
+    it; its exception is raised once every search below it has ended, unless one of those
+    failed too, when the lowest one's is.  If the caller's thread is interrupted, every
+    worker is released and joined.
     """
     import queue  # deferred: only a search uses it
 
@@ -172,6 +173,21 @@ def _lockstep(count: int, search, score) -> list:
             workers[begun].start()
             begun += 1
 
+    def score_round(asked):
+        """score(asked), or each pair scored alone if that raises: a value or an exception each."""
+        try:
+            return score(asked)
+        except Exception as exc:
+            if len(asked) == 1:
+                return [exc]
+        values = []
+        for pair in asked:
+            try:
+                values.extend(score([pair]))
+            except Exception as exc:
+                values.append(exc)
+        return values
+
     def serve(own=None, point=None):
         """Gather one ask from every worker in flight, add the caller's own search `own` and its
         point, score the round, answer the workers and return the answer to `own`."""
@@ -190,7 +206,7 @@ def _lockstep(count: int, search, score) -> list:
         if own is not None:
             asked.append((own, point))
         asked.sort()  # by start: no two asks share one
-        values = score(asked) if asked else []
+        values = score_round(asked) if asked else []
         mine = None
         for (i, _), value in zip(asked, values):
             if i == own:
@@ -272,18 +288,9 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
 
     def score(asked):
         xs, ys = [p[0] for _, p in asked], [p[1] for _, p in asked]
-        try:
-            values = _evaluate_points(obj, xs, ys).tolist()
-        except Exception:  # score the round one point at a time
-            values = []
-            for x, y in zip(xs, ys):
-                try:
-                    values.append(evaluate_objective(obj, x, y))
-                except Exception as exc:
-                    values.append(exc)
+        values = _evaluate_points(obj, xs, ys).tolist()
         for (i, _), x, y, value in zip(asked, xs, ys, values):
-            if not isinstance(value, Exception):
-                traces[i].append((_fold_into_box(x), _fold_into_box(y), value))
+            traces[i].append((_fold_into_box(x), _fold_into_box(y), value))
         return values
 
     best = None

@@ -286,13 +286,23 @@ def test_lockstep_workers_are_bounded_and_joined(monkeypatch):
     assert worker_threads(before) == []
 
 
-@pytest.mark.parametrize("failures, fifth_start_begins", [
-    ({0: 5}, False), ({3: 40}, False), ({1: 30, 3: 2}, False), ({2: 85, 4: 1}, True)])
-def test_lockstep_raises_the_sequential_loops_exception(failures, fifth_start_begins,
-                                                         monkeypatch):
-    # start -> index of its point that fails.  The starts end after 88, 81, 90, 79 and 76
-    # points, and with W = 4 the fifth begins when the fourth ends.  The lowest failed
-    # start's exception wins, also where a higher start fails first in time.
+@pytest.mark.parametrize("w, failures, begun, cancelled, threads", [
+    (4, {0: 5}, 4, {1, 2, 3}, 3),
+    (4, {3: 40}, 4, set(), 3),
+    (4, {1: 30, 3: 2}, 4, {2}, 3),
+    (4, {2: 85, 4: 1}, 5, set(), 4),
+    (2, {2: 20}, 4, {3}, 2),
+])
+def test_lockstep_raises_the_sequential_loops_exception(w, failures, begun, cancelled,
+                                                         threads, monkeypatch):
+    # `failures` maps a start to the index of its point that fails.  The five starts end
+    # after 88, 81, 90, 79 and 76 points, and the caller's thread runs start 0.  With
+    # W = 4, starts 1-3 begin on workers and start 4 when start 3 ends.  With W = 2, start
+    # 1 begins on a worker, start 2 on another when it ends, and the caller runs start 3
+    # once start 0 ends.  The lowest failed start's exception wins, also where a higher
+    # start fails first in time; no start begins after a failure, and each start above
+    # the failed one that had not ended is stopped (`cancelled`).
+    monkeypatch.setattr(optimize, "W", w)
     obj, x0, y0, max_iter = LOCKSTEP_CASES["deterministic-w1"]
     asked = []
     sequential_optimize(obj, x0, y0, 4, max_iter, asked)
@@ -324,24 +334,38 @@ def test_lockstep_raises_the_sequential_loops_exception(failures, fifth_start_be
     assert max(widths) > 1
     assert all(point in scored for points in asked[:lowest] for point in points)
     assert all(point in scored for point in asked[lowest][:failures[lowest]])
-    # no start begins after a start below it failed: the fifth would be a fourth worker
-    assert (asked[4][0] in scored) == fifth_start_begins
-    assert len(started) == 3 + fifth_start_begins
+    assert [points[0] in scored for points in asked] == [s < begun for s in range(5)]
+    assert len(started) == threads
+    for s in cancelled:
+        assert 0 < sum(point in scored for point in asked[s]) < len(asked[s])
 
 
 def test_lockstep_under_frequent_thread_switches(monkeypatch):
-    # more workers than cores, switching threads every few bytecodes
+    # more workers than cores, switching threads every few bytecodes; every round is
+    # scored in start order
     before = set(threading.enumerate())
-    monkeypatch.setattr(optimize, "W", 6)
     obj, x0, y0, max_iter = LOCKSTEP_CASES["uneven"]
+    asked = []
+    want = sequential_optimize(obj, x0, y0, 7, max_iter, asked)
+    start_of = {point: s for s, points in enumerate(asked) for point in points}
+    rounds, real = [], optimize._evaluate_points
+
+    def evaluate(obj, xs, ys):
+        rounds.append([start_of.get(point) for point in zip(xs, ys)])
+        return real(obj, xs, ys)
+
+    monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
+    monkeypatch.setattr(optimize, "W", 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = outcome(optimize_apollaro(obj, x0, y0, restarts=7, max_iter=max_iter))
     finally:
         sys.setswitchinterval(interval)
-    assert got == sequential_optimize(obj, x0, y0, 7, max_iter)
+    assert got == want
     assert worker_threads(before) == []
+    assert max(map(len, rounds)) == 6
+    assert all(starts == sorted(starts) for starts in rounds[:-1])  # the last: the re-evaluation
 
 
 def test_interrupted_lockstep_joins_its_workers(monkeypatch):
