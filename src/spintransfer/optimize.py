@@ -154,7 +154,7 @@ def _lockstep(count: int, search, score) -> list:
             return value
         try:
             outcome = search(i, ask)
-        except BaseException as exc:
+        except BaseException as exc:  # raised by the caller if start i is the lowest failed
             outcome = exc
         asks.put((i, "end", outcome))
 
