@@ -35,7 +35,9 @@ for c in \
     "optimize --landscape --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out land3d.csv" \
     "optimize --landscape --delta 0.1 --window 3 --x-axis 0.4:0.5:0.1 --y-axis 0.000001:0.800001:0.4 --out landfloor.csv" \
     "optimize --n 31 --window 1 --restarts 3 --trace --out optt.json" \
-    "optimize --n 31 --window 3 --delta 0.1 --samples 50 --restarts 2 --trace --out optq.json"
+    "optimize --n 31 --window 3 --delta 0.1 --samples 50 --restarts 2 --trace --out optq.json" \
+    "optimize --n 31 --restarts 0 --trace --out opt0.json" \
+    "optimize --n 31 --restarts 6 --trace --out opt6.json"
 do
     # shellcheck disable=SC2086  # each command is split into its arguments on purpose
     PYTHONPATH="$src" python -m spintransfer $c

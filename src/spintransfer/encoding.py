@@ -87,7 +87,7 @@ def _check_lambdas(lambdas: Sequence[float]) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if lam.size == 0:
         raise ValueError("need at least one singular value")
-    if (lam < -1e-15).any() or (lam > 1.0 + 1e-10).any():
+    if not ((lam >= -1e-15) & (lam <= 1.0 + 1e-10)).all():  # written so that NaN fails it
         raise ValueError("singular values must lie in [0, 1]")
     return np.minimum(np.maximum(lam, 0.0), 1.0)  # np.clip, without its call overhead
 

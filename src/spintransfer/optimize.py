@@ -8,10 +8,11 @@ random numbers), which makes the objective deterministic and lets a simplex
 search make progress despite the sampling.  evaluate_objective is the one-point
 case of _evaluate_points, which objective_landscape calls once per x value:
 one stacked spectrum solve, then one stacked score or one _score_cells ensemble.
-optimize_apollaro runs up to W starts' Nelder-Mead searches in lockstep
-(_lockstep) and scores each round of their points with one _evaluate_points
-call, in the caller's thread; each search's path, and so the result, is the
-one it takes alone.
+optimize_apollaro runs up to W starts' Nelder-Mead searches in lockstep, in
+one thread: each search is a generator (_nelder_mead, scipy's algorithm step
+for step) that yields its points, and _lockstep scores each round of their
+points with one _evaluate_points call.  Each search's path, and so the
+result, is the one it takes alone.
 
 first_order_response gives dF/d(eps) of the end-to-end transfer
 probability F = |<N|U(t0)|1>|^2 under a chain perturbation, exactly, from
@@ -22,7 +23,6 @@ zero to first order; imperfect chains generically are not.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +37,8 @@ BOX_LO = 1e-6
 BOX_HI = 1.2
 # Nelder-Mead's xatol, and how close to the box edge an optimum counts as a boundary hit.
 SIMPLEX_TOL = 1e-4
-# How many optimizer starts search at once, in lockstep: one on the caller's thread, the
-# rest on worker threads.
+# How many optimizer starts search at once, in lockstep: each round of their points is
+# scored as one stack.
 W = 4
 
 
@@ -121,57 +121,70 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
     return values
 
 
-class _Cancelled(Exception):
-    """Ends a search whose result no longer counts: a lower start failed, or the caller left."""
-
-
-def _lockstep(count: int, search, score) -> list:
-    """Run search(i, ask) for i in range(count), at most W at a time; return the results in order.
-
-    ask(point) blocks until every search in flight has asked.  The caller's thread then calls
-    score(asked) on the round's (start, point) pairs, in start order, for a value per point.
-    If that raises, each pair is scored alone, so each ask returns its own value or raises
-    its own exception.  The caller's thread runs one search itself and worker threads run
-    the others, so a lone search starts no thread, and a later search begins when an
-    earlier one ends.  A failed search ends every search above it, and none begins after
-    it; its exception is raised once every search below it has ended, unless one of those
-    failed too, when the lowest one's is.  If the caller's thread is interrupted, every
-    worker is released and joined.
+def _nelder_mead(start, max_iter: int):
+    """scipy 1.17's Nelder-Mead (adaptive=False, no bounds) on 2 parameters, step for step, as
+    a generator: it yields each point, is sent that point's value and returns (x, fun).
+    xatol is SIMPLEX_TOL and fatol 1e-12.
     """
-    import queue  # deferred: only a search uses it
+    sim = np.array([start] * 3, dtype=float)
+    # starts lie in [BOX_LO, BOX_HI], so scipy's branch for a zero coordinate (zdelt) never runs
+    sim[1, 0] *= 1 + 0.05
+    sim[2, 1] *= 1 + 0.05
+    fsim = np.full(3, np.inf)
+    for k in range(3):
+        fsim[k] = yield sim[k]
+    for _ in range(2):  # as scipy: twice, since argsort is not stable and may reorder ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    # no maxfev test: at most 4 points an iteration, so 3 + 4 (max_iter - 1) < 4 max_iter in all
+    while iterations < max_iter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= SIMPLEX_TOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            break
+        xbar = (sim[0] + sim[1]) / 2
+        xr = 2 * xbar - sim[-1]
+        fxr = yield xr
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = yield xc
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = yield xc
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in (1, 2):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = yield sim[j]
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
 
-    results, failed = [None] * count, {}
-    asks = queue.SimpleQueue()  # (i, "ask", point) and (i, "end", outcome) from the workers
-    replies, workers = {}, {}  # worker i's queue of answers, and its thread
-    begun = 0
 
-    def work(i, reply):
-        def ask(point):
-            asks.put((i, "ask", point))
-            value = reply.get()
-            if isinstance(value, BaseException):
-                raise value
-            return value
-        try:
-            outcome = search(i, ask)
-        except BaseException as exc:  # raised by the caller if start i is the lowest failed
-            outcome = exc
-        asks.put((i, "end", outcome))
+def _lockstep(searches, score) -> list:
+    """Run the generators `searches` (each a _nelder_mead), at most W at a time; return what
+    each returns, in order.
 
-    def settle(i, outcome):
-        if not isinstance(outcome, BaseException):
-            results[i] = outcome
-        elif not isinstance(outcome, _Cancelled):
-            failed[i] = outcome
-
-    def begin_workers(in_caller):
-        nonlocal begun
-        while not failed and begun < count and len(workers) + in_caller < W:
-            replies[begun] = queue.SimpleQueue()
-            workers[begun] = threading.Thread(target=work, args=(begun, replies[begun]),
-                                              daemon=True, name=f"apollaro-start-{begun}")
-            workers[begun].start()
-            begun += 1
+    Each round, score(asked) is called on the (start, point) pairs of every search in flight,
+    in start order, for a value per point, and each search is sent its value.  If that
+    raises, each pair is scored alone, so each search gets its own value or exception.  A
+    later search begins when an earlier one ends.  A search whose point raises has failed:
+    every search above it is dropped and none begins after it; its exception is raised once
+    every search below it has ended, unless one of those failed too, when the lowest one's is.
+    """
+    results, failed = [None] * len(searches), {}
+    pending, begun = {}, 0  # each search in flight's next point, by start
 
     def score_round(asked):
         """score(asked), or each pair scored alone if that raises: a value or an exception each."""
@@ -188,58 +201,25 @@ def _lockstep(count: int, search, score) -> list:
                 values.append(exc)
         return values
 
-    def serve(own=None, point=None):
-        """Gather one ask from every worker in flight, add the caller's own search `own` and its
-        point, score the round, answer the workers and return the answer to `own`."""
-        asked = []  # (start, point)
-        while len(asked) < len(workers):
-            i, kind, payload = asks.get()
-            if kind == "end":
-                workers.pop(i).join()
-                del replies[i]
-                settle(i, payload)
-                begin_workers(own is not None)
-            elif failed and i > min(failed):
-                replies[i].put(_Cancelled())
-            else:
-                asked.append((i, payload))
-        if own is not None:
-            asked.append((own, point))
-        asked.sort()  # by start: no two asks share one
-        values = score_round(asked) if asked else []
-        mine = None
-        for (i, _), value in zip(asked, values):
-            if i == own:
-                mine = value
-            else:
-                replies[i].put(value)
-        return mine
-
-    try:
-        while begun < count and not failed:
-            own, begun = begun, begun + 1
-            begin_workers(True)
-
-            def ask(point, own=own):
-                value = serve(own, point)
-                if isinstance(value, BaseException):
-                    raise value
-                if failed and own > min(failed):
-                    raise _Cancelled()
-                return value
-
+    while True:
+        while not failed and begun < len(searches) and len(pending) < W:
+            pending[begun] = next(searches[begun])
+            begun += 1
+        if not pending:
+            break
+        asked = sorted(pending.items())  # by start: no two share one
+        for (i, _), value in zip(asked, score_round(asked)):
+            if isinstance(value, Exception):
+                failed[i] = value
+                del pending[i]
+                continue
             try:
-                outcome = search(own, ask)
-            except Exception as exc:
-                outcome = exc
-            settle(own, outcome)
-        while workers:
-            serve()
-    finally:  # normally no worker is left; if the caller was interrupted, release each one
-        for i in workers:
-            replies[i].put(_Cancelled())
-        for thread in workers.values():
-            thread.join()
+                pending[i] = searches[i].send(value)
+            except StopIteration as end:
+                results[i] = end.value
+                del pending[i]
+        if failed:
+            pending = {i: point for i, point in pending.items() if i < min(failed)}
     if failed:
         raise failed[min(failed)]
     return results
@@ -255,9 +235,9 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
     seed the whole search is deterministic, so objective_value always equals a
     re-evaluation at the returned point.
 
-    Up to W starts search in lockstep (_lockstep): each runs scipy's own
-    Nelder-Mead, and once every search in flight has asked for a point, the
-    caller's thread scores the round with one _evaluate_points call.  A point's
+    Up to W starts search in lockstep (_lockstep): each is a _nelder_mead
+    generator, which takes scipy's Nelder-Mead path step for step, and each
+    round of their points is scored with one _evaluate_points call.  A point's
     value does not depend on its round, so every search takes the path it would
     take alone, and trace, evaluations and result are those of the starts run
     one after another; so is the exception raised when a start fails (the
@@ -270,7 +250,6 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    from scipy.optimize import minimize  # deferred: the only caller, ~0.2 s to import
 
     rng = np.random.default_rng(obj.disorder.master_seed if obj.disorder else 0)
     starts = [np.array([x0, y0])]
@@ -281,25 +260,18 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
         ]))
     traces: list[list[tuple[float, float, float]]] = [[] for _ in starts]
 
-    def search(i, ask):
-        return minimize(lambda p: -ask(p.tolist()), starts[i], method="Nelder-Mead",
-                        options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
-                                 "maxiter": max_iter, "maxfev": 4 * max_iter})
-
-    def score(asked):
-        xs, ys = [p[0] for _, p in asked], [p[1] for _, p in asked]
+    def score(asked):  # the searches minimize, so each is sent its point's negated value
+        xs, ys = [float(p[0]) for _, p in asked], [float(p[1]) for _, p in asked]
         values = _evaluate_points(obj, xs, ys).tolist()
         for (i, _), x, y, value in zip(asked, xs, ys, values):
             traces[i].append((_fold_into_box(x), _fold_into_box(y), value))
-        return values
+        return [-value for value in values]
 
-    best = None
-    for res in _lockstep(len(starts), search, score):
-        if best is None or res.fun < best.fun:
-            best = res
+    searches = [_nelder_mead(start, max_iter) for start in starts]
+    best_x, _ = min(_lockstep(searches, score), key=lambda result: result[1])  # first on a tie
     trace = [entry for start_trace in traces for entry in start_trace]
-    x_best = _fold_into_box(float(best.x[0]))
-    y_best = _fold_into_box(float(best.x[1]))
+    x_best = _fold_into_box(float(best_x[0]))
+    y_best = _fold_into_box(float(best_x[1]))
     hit_boundary = (x_best <= BOX_LO + SIMPLEX_TOL or x_best >= BOX_HI - SIMPLEX_TOL
                     or y_best <= BOX_LO + SIMPLEX_TOL or y_best >= BOX_HI - SIMPLEX_TOL)
     return OptimizationResult(

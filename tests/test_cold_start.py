@@ -1,10 +1,10 @@
 """Cold-start guard: what a fresh interpreter loads, and that deferred imports still work.
 
-scipy.optimize is imported only by optimize_apollaro and scipy.special only
-by normal disorder draws, so importing the package or running a uniform
-sweep loads neither.  Each check runs in its own fresh interpreter, since
-this test process has already loaded both.  The interpreters start together:
-each spends about 0.7 s importing numpy and scipy.linalg.
+The package never imports scipy.optimize, and imports scipy.special only for
+normal disorder draws, so importing the package, running a uniform sweep or
+running the optimizer loads neither.  Each check runs in its own fresh
+interpreter, since this test process has already loaded both.  The interpreters
+start together: each spends about 0.7 s importing numpy and scipy.linalg.
 """
 
 import json
@@ -46,7 +46,7 @@ CHECKS = {
     "optimizer": "from spintransfer import Objective, optimize_apollaro\n"
                  f"r = {OPTIMIZE}\n"
                  "print(json.dumps([r.x.hex(), r.y.hex(), r.objective_value.hex(),\n"
-                 "                  r.evaluations]))",
+                 f"                  r.evaluations, {LOADED}]))",
 }
 
 
@@ -89,5 +89,6 @@ def test_normal_draw_in_a_fresh_process_is_bit_identical(fresh):
 def test_short_optimizer_run_in_a_fresh_process(fresh):
     result = eval(OPTIMIZE)
     assert result.evaluations > 0 and np.isfinite(result.objective_value)
+    # bit-identical, and neither package loaded
     assert fresh("optimizer") == [result.x.hex(), result.y.hex(),
-                                  result.objective_value.hex(), result.evaluations]
+                                  result.objective_value.hex(), result.evaluations, []]

@@ -131,6 +131,8 @@ def test_fidelity_single_reference_points():
         fidelity_single(1.5)
     with pytest.raises(ValueError):
         fidelity_single(-0.1)
+    with pytest.raises(ValueError):
+        fidelity_single(np.nan)
 
 
 def test_fidelity_multi_reference_points():
@@ -157,6 +159,8 @@ def test_best_excitation_count_cases():
     assert n_opt == 1 and f_opt == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         best_excitation_count([0.3, 0.5])
+    with pytest.raises(ValueError):
+        best_excitation_count([0.9, np.nan, 0.1])
 
 
 def test_best_excitation_count_prefers_multi_when_it_wins():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import sys
 import threading
 
@@ -265,43 +266,44 @@ def record_thread_starts(monkeypatch, before) -> list:
 
 
 def test_lockstep_workers_are_bounded_and_joined(monkeypatch):
+    # at most W searches in flight, all run in the caller's thread
     before = set(threading.enumerate())
-    started, seen = record_thread_starts(monkeypatch, before), []
+    started, widths = record_thread_starts(monkeypatch, before), []
     real_evaluate = optimize._evaluate_points
 
     def evaluate(obj, xs, ys):
-        seen.append(len(worker_threads(before)))
+        widths.append(len(xs))
         return real_evaluate(obj, xs, ys)
 
     monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
     obj, x0, y0, max_iter = LOCKSTEP_CASES["uneven"]
     optimize_apollaro(obj, x0, y0, restarts=0, max_iter=max_iter)
-    assert started == [] and set(seen) == {0}
+    assert set(widths) == {1}
 
     monkeypatch.setattr(optimize, "W", 2)
-    seen.clear()
+    widths.clear()
     result = optimize_apollaro(obj, x0, y0, restarts=4, max_iter=max_iter)
     assert outcome(result) == sequential_optimize(obj, x0, y0, 4, max_iter)
-    assert started and max(started) <= 2 and max(seen) <= 2
-    assert worker_threads(before) == []
+    assert max(widths) == 2
+    assert started == [] and worker_threads(before) == []
 
 
-@pytest.mark.parametrize("w, failures, begun, cancelled, threads", [
-    (4, {0: 5}, 4, {1, 2, 3}, 3),
-    (4, {3: 40}, 4, set(), 3),
-    (4, {1: 30, 3: 2}, 4, {2}, 3),
-    (4, {2: 85, 4: 1}, 5, set(), 4),
-    (2, {2: 20}, 4, {3}, 2),
+@pytest.mark.parametrize("w, failures, begun, cancelled", [
+    (4, {0: 5}, 4, {1, 2, 3}),
+    (4, {3: 40}, 4, set()),
+    (4, {1: 30, 3: 2}, 4, {2}),
+    (4, {2: 85, 4: 1}, 5, set()),
+    (2, {2: 20}, 4, {3}),
 ])
 def test_lockstep_raises_the_sequential_loops_exception(w, failures, begun, cancelled,
-                                                         threads, monkeypatch):
+                                                         monkeypatch):
     # `failures` maps a start to the index of its point that fails.  The five starts end
-    # after 88, 81, 90, 79 and 76 points, and the caller's thread runs start 0.  With
-    # W = 4, starts 1-3 begin on workers and start 4 when start 3 ends.  With W = 2, start
-    # 1 begins on a worker, start 2 on another when it ends, and the caller runs start 3
-    # once start 0 ends.  The lowest failed start's exception wins, also where a higher
-    # start fails first in time; no start begins after a failure, and each start above
-    # the failed one that had not ended is stopped (`cancelled`).
+    # after 88, 81, 90, 79 and 76 points.  With W = 4, starts 0-3 begin together and start
+    # 4 when start 3 ends.  With W = 2, starts 0 and 1 begin together, start 2 when start
+    # 1 ends, and start 3 when start 0 ends.  The lowest failed start's exception wins,
+    # also where a higher start fails first in time; no start begins after a failure, and
+    # each start above the failed one that had not ended is stopped (`cancelled`).  No
+    # thread starts.
     monkeypatch.setattr(optimize, "W", w)
     obj, x0, y0, max_iter = LOCKSTEP_CASES["deterministic-w1"]
     asked = []
@@ -335,14 +337,13 @@ def test_lockstep_raises_the_sequential_loops_exception(w, failures, begun, canc
     assert all(point in scored for points in asked[:lowest] for point in points)
     assert all(point in scored for point in asked[lowest][:failures[lowest]])
     assert [points[0] in scored for points in asked] == [s < begun for s in range(5)]
-    assert len(started) == threads
+    assert started == []
     for s in cancelled:
         assert 0 < sum(point in scored for point in asked[s]) < len(asked[s])
 
 
 def test_lockstep_under_frequent_thread_switches(monkeypatch):
-    # more workers than cores, switching threads every few bytecodes; every round is
-    # scored in start order
+    # more searches in flight than the default W: every round is scored in start order
     before = set(threading.enumerate())
     obj, x0, y0, max_iter = LOCKSTEP_CASES["uneven"]
     asked = []
@@ -356,12 +357,7 @@ def test_lockstep_under_frequent_thread_switches(monkeypatch):
 
     monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
     monkeypatch.setattr(optimize, "W", 6)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = outcome(optimize_apollaro(obj, x0, y0, restarts=7, max_iter=max_iter))
-    finally:
-        sys.setswitchinterval(interval)
+    got = outcome(optimize_apollaro(obj, x0, y0, restarts=7, max_iter=max_iter))
     assert got == want
     assert worker_threads(before) == []
     assert max(map(len, rounds)) == 6
@@ -383,6 +379,60 @@ def test_interrupted_lockstep_joins_its_workers(monkeypatch):
         optimize_apollaro(Objective(n=15), 0.5, 0.8, restarts=3)
     assert calls[-1] == 4
     assert worker_threads(before) == []
+
+
+SYNTHETIC = {
+    "bowl": lambda p: float(np.sum(p ** 2)),
+    "valley": lambda p: abs(p[0]) + 1e3 * abs(p[1] - 1),
+    "ripple": lambda p: float(np.sin(7 * p[0]) * np.cos(5 * p[1])),
+    "flat": lambda p: 0.0,
+    "steps": lambda p: -float(np.floor(10 * p[0])),
+}
+# a statement of each of _nelder_mead's optional steps
+BRANCHES = {"expansion": "xe = 3 * xbar", "outside contraction": "xc = 1.5 * xbar",
+            "inside contraction": "xc = 0.5 * xbar", "shrink": "sim[j] = sim[0]"}
+
+
+def test_nelder_mead_generator_takes_scipys_path():
+    # scipy is the oracle: the same points, x, fun and number of points, on functions that
+    # between them take every branch; scipy never stops on maxfev, which the generator omits
+    source, first = inspect.getsourcelines(optimize._nelder_mead)
+    branch_line = {name: first + next(k for k, line in enumerate(source) if text in line)
+                   for name, text in BRANCHES.items()}
+    ran = set()
+
+    def trace(frame, event, arg):  # records the lines the generator runs
+        if frame.f_code is optimize._nelder_mead.__code__:
+            ran.add(frame.f_lineno)
+            return trace
+        return None
+
+    for f in SYNTHETIC.values():
+        # on "steps", the last start's search meets an expansion that ties its reflection
+        for start in [(0.5, 0.8), (-0.7, 0.3), (1e-6, 1.2), (-1.78, -1.43)]:
+            for max_iter in (1, 2, 3, 4, 7, 50, 400):
+                asked = []
+                res = minimize(lambda p: (asked.append(p.tobytes()), f(p))[1], start,
+                               method="Nelder-Mead",
+                               options={"xatol": SIMPLEX_TOL, "fatol": 1e-12,
+                                        "maxiter": max_iter, "maxfev": 4 * max_iter})
+                search, points = optimize._nelder_mead(np.array(start), max_iter), []
+                previous = sys.gettrace()
+                sys.settrace(trace)
+                try:
+                    point = next(search)
+                    while True:
+                        points.append(point.tobytes())
+                        point = search.send(f(point))
+                except StopIteration as end:
+                    x, fun = end.value
+                finally:
+                    sys.settrace(previous)
+                assert res.status != 1
+                assert points == asked and len(points) == res.nfev
+                assert x.tobytes() == res.x.tobytes()
+                assert np.array(fun).tobytes() == np.array(res.fun).tobytes()
+    assert {name for name, line in branch_line.items() if line in ran} == set(BRANCHES)
 
 
 @pytest.mark.parametrize("obj", [Objective(n=21), Objective(n=21, window=3),
