@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Compare two checkouts on one benchmark workload in alternated pairs of runs.
 
-    scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed0 K
+    scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed0 K \
+        [--json PATH]
 
 PARENT and CHANGE are checkout roots.  Pair i (0-based) runs each checkout's
 own bench/run.py on workload W with seed K + i for S seconds, the parent first
@@ -11,6 +12,12 @@ change/parent ratio of the medians, their difference next to the parent's
 quartile distance, and in how many pairs the change was better and in how
 many the two read the same (a tie counts for neither side).  It exits 1 if
 any run exits nonzero or reports "correct": false, and prints no table then.
+
+With --json, the same table is also written to PATH as the entry for W under
+"workloads", next to the entries already there for other workloads: per
+metric each side's quartiles and values, the ratio, the median gap, the
+parent's quartile distance, wins and ties; and the seeds, each side's commit
+and source digest, and the library versions, as bench/run.py reports them.
 """
 
 import argparse
@@ -29,6 +36,7 @@ def parse_args():
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
+    p.add_argument("--json", type=Path, help="record the table in this JSON file")
     args = p.parse_args()
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -39,20 +47,24 @@ def parse_args():
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The end-to-end metric values of one bench/run.py run, or None if it failed."""
+    """The end-to-end metric values and the settings of one bench/run.py run, or None if
+    it failed."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", repr(seconds)],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else {}
+        settings = next((json.loads(line[len("settings "):]) for line in lines
+                         if line.startswith("settings ")), {})
     except json.JSONDecodeError:
-        result = {}
+        result = settings = {}
     if proc.returncode or not result.get("correct"):
         sys.stderr.write(f"{root} seed {seed}: exit {proc.returncode}, "
                          f"correct {result.get('correct')}\n{proc.stderr}")
         return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {"values": {name: m["value"] for name, m in result["metrics"].items()},
+            "settings": settings}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -71,9 +83,9 @@ def main() -> int:
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            values = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            failed |= values is None
-            runs[side].append(values)
+            run = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            failed |= run is None
+            runs[side].append(run)
         print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) done",
               file=sys.stderr, flush=True)
     if failed:
@@ -83,10 +95,11 @@ def main() -> int:
           f"{args.seed0}..{args.seed0 + args.pairs - 1}")
     print(f"{'metric':<14} {'parent q1/med/q3':<32} {'change q1/med/q3':<32} "
           f"{'ratio':>7} {'med gap':>10} {'parent IQR':>10} {'wins':>7} {'ties':>7}")
+    table = {}
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
+        parent = [r["values"][name] for r in runs["parent"]]
+        change = [r["values"][name] for r in runs["change"]]
         p, c = quartiles(parent), quartiles(change)
         wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
         ties = sum(b == a for a, b in zip(parent, change))
@@ -94,7 +107,30 @@ def main() -> int:
         print(f"{name:<14} {'/'.join(f'{v:.6g}' for v in p):<32} "
               f"{'/'.join(f'{v:.6g}' for v in c):<32} {ratio:7.4f} {c[1] - p[1]:10.4g} "
               f"{p[2] - p[0]:10.4g} {wins:>4}/{args.pairs} {ties:>4}/{args.pairs}")
+        table[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "parent": dict(zip(("q1", "median", "q3"), p), values=parent),
+            "change": dict(zip(("q1", "median", "q3"), c), values=change),
+            "ratio": ratio if p[1] else None, "median_gap": c[1] - p[1], "parent_iqr": p[2] - p[0],
+            "wins": wins, "ties": ties}
+    if args.json:
+        write_record(args, runs, table)
     return 0
+
+
+def write_record(args, runs, table) -> None:
+    """Put this workload's table into the JSON record at args.json, keeping other entries."""
+    record = json.loads(args.json.read_text()) if args.json.exists() else {}
+    sides = {side: {key: runs[side][0]["settings"].get(key)
+                    for key in ("git_commit", "source_sha256")} for side in runs}
+    settings = runs["change"][0]["settings"]
+    versions = {key: settings.get(key) for key in ("python", "numpy", "scipy", "openblas")}
+    record.setdefault("workloads", {})[args.workload] = {
+        "pairs": args.pairs, "seconds": args.seconds,
+        "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
+        "order": "parent first in even pairs (0-based), change first in odd ones",
+        **sides, "versions": versions, "nproc": settings.get("nproc"), "metrics": table}
+    args.json.write_text(json.dumps(record, indent=2) + "\n")
 
 
 if __name__ == "__main__":

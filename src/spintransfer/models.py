@@ -18,9 +18,13 @@ First peak
 Chains without a perfect-transfer time are extracted at the first arrival
 peak of |f(t)| = |<N|U(t)|1>| = |sum_k w_k e^{-i lam_k t}|, with lam and
 w_k = v_k(1) v_k(N) from one spectral.end_spectrum solve.  The search scans
-the grid t = k step in chunks, factoring each phase as
-e^{-i lam (t_s + j step)} = e^{-i lam t_s} e^{-i lam j step}: one table of
-the in-chunk offsets j per search, one length-N exponential per chunk.  It
+the grid t = k step in chunks from the chain's light cone: with alpha at
+least half the spectral width, no Chebyshev term T_k((H - beta) / alpha) with
+k < N - 1 joins site 1 to site N, so |f(t)| <= sum_{k >= N-1} 2 |J_k(alpha t)|,
+at most _AMP_THRESHOLD / 2 up to the alpha t where Kapteyn's bound says so
+(spectral._tail_thresholds): no grid point there can be a peak.  A chunk's
+phases at t_s + (c F + f) step are e^{-i lam t_s} times two tables built once
+per search, so it costs a coarse x N and a (coarse x N) @ (N x F) product.  It
 stops at the first grid-local maximum and refines it by safeguarded Newton
 steps on |f|^2, so the result depends only on which grid point wins.
 """
@@ -33,7 +37,7 @@ import numpy as np
 
 from .chain import Chain, NumericalFailure
 from .encoding import fidelity_single
-from .spectral import _end_weights, eigendecompose
+from .spectral import _end_weights, _tail_thresholds, eigendecompose
 
 # Relative tolerances: the spread of eigenvalue gaps that still counts as equally spaced;
 # the inverse problem's round-trip spectrum error and coupling mirror asymmetry; the mirror
@@ -62,11 +66,17 @@ def apollaro_chain(n: int, x: float, y: float) -> Chain:
         raise ValueError("apollaro chain needs n >= 5 so the four tuned couplings are distinct")
     if not (0 < x <= 1.2 and 0 < y <= 1.2):
         raise ValueError("x and y must lie in (0, 1.2]")
-    couplings = np.ones(n - 1)
-    couplings[0] = couplings[-1] = x
-    couplings[1] = couplings[-2] = y
-    return Chain(n=n, couplings=couplings, fields=np.zeros(n),
+    return Chain(n=n, couplings=_apollaro_couplings(n, [x], [y])[0], fields=np.zeros(n),
                  label=f"apollaro-{n}-x{x:g}-y{y:g}")
+
+
+def _apollaro_couplings(n: int, xs, ys) -> np.ndarray:
+    """(len(xs), n - 1) couplings: row r is uniform with the two outermost bonds at each
+    end set to xs[r] and ys[r], unchecked."""
+    couplings = np.ones((len(xs), n - 1))
+    couplings[:, 0] = couplings[:, -1] = xs
+    couplings[:, 1] = couplings[:, -2] = ys
+    return couplings
 
 
 def pst_chain(n: int) -> Chain:
@@ -204,19 +214,21 @@ def first_peak_time(chain: Chain, search_hint: float | None = None) -> tuple[flo
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
 
-def _phase_offsets(lam: np.ndarray, step: float, rows: int) -> np.ndarray:
-    """Rows e^{-i lam j step}, j = 0 .. rows-1, as a coarse x fine outer product.
+def _scan_factors(lam: np.ndarray, step: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, fine): the phases e^{-i lam j step} of the offsets j = c F + f < rows are
+    coarse[c] * fine[f], F = isqrt(rows - 1) + 1, from about 2 sqrt(rows) N exponentials."""
+    count = math.isqrt(rows - 1) + 1
+    fine = np.exp(-1j * (np.arange(count) * step)[:, None] * lam)
+    coarse = np.exp(-1j * (np.arange(-(-rows // count)) * (count * step))[:, None] * lam)
+    return coarse, fine
 
-    Offset j = j_c fine + j_f splits into e^{-i lam j_c fine step} times
-    e^{-i lam j_f step}, so the table costs about 2 sqrt(rows) N exponentials
-    instead of rows N.
-    """
-    fine = math.isqrt(rows - 1) + 1
-    coarse = -(-rows // fine)
-    fine_phases = np.exp(-1j * np.outer(np.arange(fine) * step, lam))
-    coarse_phases = np.exp(-1j * np.outer(np.arange(coarse) * (fine * step), lam))
-    table = coarse_phases[:, None, :] * fine_phases[None, :, :]
-    return table.reshape(coarse * fine, lam.size)[:rows]
+
+def _cone_start(lam: np.ndarray, ts: np.ndarray) -> int:
+    """One grid point before the first of ts past the light cone (module docstring): no
+    point up to it can be a peak, since there |f| <= _AMP_THRESHOLD / 2."""
+    alpha = 0.5 * float(lam[-1] - lam[0]) * (1.0 + 1e-12)  # at least half the width
+    reach = _tail_thresholds(_AMP_THRESHOLD / 2, lam.size - 1)[-1]
+    return int(np.searchsorted(alpha * ts, reach, side="right")) - 1
 
 
 def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float) -> float:
@@ -226,12 +238,13 @@ def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float) -> float:
         raise ValueError(f"the first-peak scan's step {_PEAK_STEP!r} is too long for this "
                          f"chain: step * max|E| = {phase:.6g} is not below 2^52")
     ts = np.arange(0.0, 2.0 * search_hint + _PEAK_STEP, _PEAK_STEP)
-    offsets = _phase_offsets(lam, _PEAK_STEP, min(_SCAN_ROWS + 2, ts.size))
+    coarse, fine = _scan_factors(lam, _PEAK_STEP, min(_SCAN_ROWS + 2, ts.size))
     # Chunk c tests grid points start+1 .. start+_SCAN_ROWS against their
     # neighbours, so consecutive chunks overlap by two points.
-    for start in range(0, ts.size - 2, _SCAN_ROWS):
+    for start in range(_cone_start(lam, ts), ts.size - 2, _SCAN_ROWS):
         seg = ts[start:start + _SCAN_ROWS + 2]
-        mags = np.abs(offsets[:seg.size] @ (w * np.exp(-1j * lam * seg[0])))
+        amps = (coarse * (w * np.exp(-1j * lam * seg[0]))) @ fine.T
+        mags = np.abs(amps).ravel()[:seg.size]
         mid = mags[1:-1]
         peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > _AMP_THRESHOLD))
         if peaks.size:

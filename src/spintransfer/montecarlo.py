@@ -53,7 +53,6 @@ reductions happen in index order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,8 +61,8 @@ from .chain import FORMAT_VERSION, Chain, NumericalFailure, write_json
 from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
 from .encoding import _check_unitary, fidelity_single
 from .models import _first_peak, auto_transfer_time
-from .spectral import (_end_weights, eigendecompose, end_spectrum, end_windows,
-                       window_amplitudes)
+from .spectral import (_end_weights, _tail_thresholds, eigendecompose, end_spectrum,
+                       end_windows, window_amplitudes)
 
 
 @dataclass
@@ -414,34 +413,6 @@ def _gershgorin(fields: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray, 
     lo, hi = (fields - radius).min(axis=1), (fields + radius).max(axis=1)
     half = 0.5 * (hi - lo)
     return 0.5 * (hi + lo), np.where(half > 0, np.maximum(half, 1e-300), half)
-
-
-def _log_tail(k: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Log of a bound on sum_{j >= k} 2 |J_j(z)|, for 0 <= z < k.
-
-    Kapteyn's inequality (DLMF section 10.14) bounds |J_j(z)| by e^phi(j), with
-    phi(j) = j (s - a), cosh a = j / z and s = tanh a; phi is concave in j with slope -a,
-    so the sum is at most 2 e^phi(k) / (1 - e^-a).
-    """
-    with np.errstate(divide="ignore"):  # z = 0: a = inf, the bound is 0
-        x = z / k
-        s = np.sqrt((1.0 - x) * (1.0 + x))
-        a = np.log1p(s) - np.log(x)
-        return np.log(2.0) + k * (s - a) - np.log(-np.expm1(-a))
-
-
-@functools.cache
-def _tail_thresholds(tail: float, size: int) -> np.ndarray:
-    """z_K for K = 1..size: the largest z at which the terms from K on sum to at most tail
-    by _log_tail.  Each entry is bisected on its own, so a longer table starts the same."""
-    k = np.arange(1, size + 1, dtype=float)
-    lo, hi = np.zeros(size), k.copy()
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        held = _log_tail(k, mid) <= np.log(tail)
-        lo, hi = np.where(held, mid, lo), np.where(held, hi, mid)
-    lo.flags.writeable = False
-    return lo
 
 
 def _term_counts(z: np.ndarray, tail: float, limit: int | None = None) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import Chain, NumericalFailure
 from .disorder import DisorderSpec
-from .models import _first_peak, apollaro_chain, default_peak_hint
+from .models import _apollaro_couplings, _first_peak, default_peak_hint
 from .montecarlo import TransferPolicy, _check_ensemble_args, _score_cells, _score_spectrum
 from .spectral import _end_weights, eigendecompose
 
@@ -95,27 +95,32 @@ def evaluate_objective(obj: Objective, x: float, y: float) -> float:
 
 def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
     """The objective at each point (xs[i], ys[i]), folded into the box: one stacked solve, a
-    first-peak search per point, then one stacked score or one ensemble of the points."""
-    chains = [apollaro_chain(obj.n, _fold_into_box(float(x)), _fold_into_box(float(y)))
-              for x, y in zip(xs, ys)]
-    couplings = np.array([c.couplings for c in chains]).reshape(len(chains), obj.n - 1)
-    fields = np.zeros((len(chains), obj.n))
+    first-peak search per point, then one stacked score or one ensemble of the points.
+    ValueError, before any solve, where a coordinate is not finite (no fold takes it in)."""
+    for name, values in (("x", xs), ("y", ys)):
+        bad = [float(v) for v in values if not np.isfinite(v)]
+        if bad:
+            raise ValueError(f"objective point {name} must be finite, got {bad[0]!r}")
+    couplings = _apollaro_couplings(obj.n, [_fold_into_box(float(x)) for x in xs],
+                                    [_fold_into_box(float(y)) for y in ys])
+    fields = np.zeros((len(couplings), obj.n))
     lam, w, spectrum = _end_weights(fields, couplings)
-    values, peaks = np.full(len(chains), 0.5), {}
-    for r in range(len(chains)):
+    values, peaks = np.full(len(couplings), 0.5), {}
+    for r in range(len(couplings)):
         try:
             peaks[r] = _first_peak(lam[r], w[r], default_peak_hint(obj.n))
         except NumericalFailure:  # no arrival in the search window (extreme end couplings):
             pass  # the point keeps the fidelity floor instead of aborting the search
     # where every point has a peak (the one-point objective's case), rows copies nothing
-    rows = slice(None) if len(peaks) == len(chains) else list(peaks)
+    rows = slice(None) if len(peaks) == len(couplings) else list(peaks)
     if peaks and obj.metric == "deterministic":
         values[rows] = _score_spectrum(couplings[rows], fields[rows],
                                        tuple(part[rows] for part in spectrum),
                                        obj.window, obj.window, np.array(list(peaks.values())))
     elif peaks:
-        cells = [(chains[r], obj.disorder, TransferPolicy(obj.window, obj.window, t)
-                  .resolve_time(chains[r])) for r, t in peaks.items()]
+        bases = {r: Chain(n=obj.n, couplings=couplings[r], fields=fields[r]) for r in peaks}
+        cells = [(bases[r], obj.disorder, TransferPolicy(obj.window, obj.window, t)
+                  .resolve_time(bases[r])) for r, t in peaks.items()]
         fids = _score_cells(cells, TransferPolicy(obj.window, obj.window), obj.samples)
         values[rows] = np.quantile(fids, obj.quantile, axis=1, method="linear")
     return values

@@ -20,6 +20,7 @@ take; eigendecompose stays the reference for every amplitude.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,3 +149,31 @@ def _end_weights(fields: np.ndarray, couplings: np.ndarray
         eig = eigendecompose(Chain(n=fields.shape[1], couplings=couplings[r], fields=fields[r]))
         lam[r], w[r] = eig.eigenvalues, eig.eigenvectors[-1] * eig.eigenvectors[0]
     return lam, w, spectrum
+
+
+def _log_tail(k: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Log of a bound on sum_{j >= k} 2 |J_j(z)|, for 0 <= z < k.
+
+    Kapteyn's inequality (DLMF section 10.14) bounds |J_j(z)| by e^phi(j), with
+    phi(j) = j (s - a), cosh a = j / z and s = tanh a; phi is concave in j with slope -a,
+    so the sum is at most 2 e^phi(k) / (1 - e^-a).
+    """
+    with np.errstate(divide="ignore"):  # z = 0: a = inf, the bound is 0
+        x = z / k
+        s = np.sqrt((1.0 - x) * (1.0 + x))
+        a = np.log1p(s) - np.log(x)
+        return np.log(2.0) + k * (s - a) - np.log(-np.expm1(-a))
+
+
+@functools.cache
+def _tail_thresholds(tail: float, size: int) -> np.ndarray:
+    """z_K for K = 1..size: the largest z at which the terms from K on sum to at most tail
+    by _log_tail.  Each entry is bisected on its own, so a longer table starts the same."""
+    k = np.arange(1, size + 1, dtype=float)
+    lo, hi = np.zeros(size), k.copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        held = _log_tail(k, mid) <= np.log(tail)
+        lo, hi = np.where(held, mid, lo), np.where(held, hi, mid)
+    lo.flags.writeable = False
+    return lo

@@ -83,6 +83,21 @@ def test_fold_into_box():
         assert 0 < _fold_into_box(v) <= 1.2
 
 
+@pytest.mark.parametrize("coordinate", ["x", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_objective_point_is_refused_before_any_solve(coordinate, value,
+                                                                monkeypatch):
+    # the fold turns +-inf into NaN, and no finite value leaves the box
+    def no_solve(*args, **kwargs):
+        raise AssertionError("chain solved for a non-finite point")
+
+    monkeypatch.setattr(optimize, "_end_weights", no_solve)
+    point = {"x": 0.5, "y": 0.5, coordinate: value}
+    with pytest.raises(ValueError, match=f"objective point {coordinate} must be finite, "
+                                         f"got {value!r}"):
+        evaluate_objective(Objective(n=21), point["x"], point["y"])
+
+
 def test_landscape_single_cell_matches_objective():
     obj = Objective(n=21, window=1)
     grid = objective_landscape(obj, [0.5], [0.8])

@@ -1,5 +1,6 @@
-"""The chunked, offset-table first-peak scan against the whole-grid scan it replaced,
-and its Newton refinement against an independent root of g' = d|f|^2/dt."""
+"""The chunked first-peak scan, which starts at the light cone and factors each chunk's
+phases, against the whole-grid scan it replaced; the light cone against eigenvector
+amplitudes; and the Newton refinement against an independent root of g' = d|f|^2/dt."""
 
 import math
 
@@ -9,8 +10,9 @@ from scipy.optimize import brentq
 
 from spintransfer import (Chain, NumericalFailure, Objective, apollaro_chain,
                           auto_transfer_time, eigendecompose, fidelity_single, first_peak_time,
-                          normal_disorder, optimize_apollaro, pst_transfer_time,
-                          sample_disordered_chain, uniform_chain)
+                          normal_disorder, optimize_apollaro, pst_chain, pst_transfer_time,
+                          quadratic_chain, sample_disordered_chain, uniform_chain,
+                          uniform_disorder)
 from spintransfer import models, optimize, spectral
 from spintransfer.models import _golden_section_max, _refine_peak, default_peak_hint
 from spintransfer.optimize import BOX_HI, BOX_LO
@@ -78,16 +80,17 @@ def test_chunk_boundaries_do_not_move_the_peak(rows, monkeypatch):
     chain = apollaro_chain(51, 0.4322, 0.7338)
     want = dense_first_peak_time(chain)
     monkeypatch.setattr(models, "_SCAN_ROWS", rows)
-    phase_offsets = models._phase_offsets
-    table_rows = []
+    scan_factors = models._scan_factors
+    offsets = []
 
-    def recording_offsets(lam, step, count):
-        table_rows.append(count)
-        return phase_offsets(lam, step, count)
+    def recording_factors(lam, step, count):
+        coarse, fine = scan_factors(lam, step, count)
+        offsets.append(len(coarse) * len(fine))
+        return coarse, fine
 
-    monkeypatch.setattr(models, "_phase_offsets", recording_offsets)
+    monkeypatch.setattr(models, "_scan_factors", recording_factors)
     assert first_peak_time(chain) == want
-    assert table_rows == [rows + 2]
+    assert len(offsets) == 1 and offsets[0] >= rows + 2  # built once, covering every chunk
 
 
 def test_chain_without_peak_still_raises():
@@ -135,6 +138,52 @@ def test_offset_table_scan_at_other_steps_and_hints(step, hint_scale, monkeypatc
         hint = hint_scale * default_peak_hint(chain.n)
         want = outcome(dense_first_peak_time, chain, search_hint=hint, step=step)
         assert outcome(first_peak_time, chain, search_hint=hint) == want
+
+
+def light_cone_chains():
+    """The hard regimes the light-cone start is checked on, with the box grids at N = 51 and
+    201 last: test_offset_table_scan_on_the_apollaro_box_grid compares them with the dense
+    scan already."""
+    yield from box_grid(11, 9)
+    for sigma in (0.05, 0.1, 0.3, 1.0):
+        spec = normal_disorder(sigma, sigma, seed=53)
+        for n in (51, 201):
+            for i in range(3):
+                yield sample_disordered_chain(uniform_chain(n), spec, i)
+    for n in (8, 12, 21, 51):
+        for i in range(3):  # couplings that cross zero, and strong fields
+            yield sample_disordered_chain(pst_chain(n), uniform_disorder(1.5, 0.0, seed=59), i)
+            yield sample_disordered_chain(uniform_chain(n), normal_disorder(0.0, 2.0, seed=61), i)
+    for n in (8, 12, 21):
+        yield from (pst_chain(n), uniform_chain(n), quadratic_chain(n))
+    for scale in (1000.0, 0.1):
+        for n in (11, 51):
+            yield Chain(n=n, couplings=np.full(n - 1, scale), fields=np.zeros(n))
+    for n in (51, 201):
+        yield from box_grid(n, 9)
+
+
+def test_light_cone_skips_only_points_that_cannot_be_peaks():
+    # the largest |f| up to a scan's start is 4.6e-4 on these chains, and 39% of grid points
+    # are skipped
+    skipped = scanned = 0
+    for k, chain in enumerate(light_cone_chains()):
+        lam, w, _ = spectral._end_weights(chain.fields[None], chain.couplings[None])
+        ts = np.arange(0.0, 2.0 * default_peak_hint(chain.n) + 0.05, 0.05)
+        start = models._cone_start(lam[0], ts)
+        eig = eigendecompose(chain)
+        inside = np.exp(-1j * np.outer(ts[:start + 1], eig.eigenvalues)) @ (
+            eig.eigenvectors[-1] * eig.eigenvectors[0])
+        assert np.abs(inside).max() <= models._AMP_THRESHOLD / 2, chain.label
+        if k < 142:  # the chains before the two box grids
+            assert outcome(first_peak_time, chain) == outcome(dense_first_peak_time, chain)
+        skipped, scanned = skipped + start, scanned + ts.size
+    assert k + 1 == 304 and skipped > 0.35 * scanned
+    # where the scan starts on the 4a optimum and the uniform chain: the bound is not vacuous
+    for chain, want in ((apollaro_chain(51, 0.4322, 0.7338), 376), (uniform_chain(201), 1786)):
+        lam, _ = models._chain_weights(chain)
+        ts = np.arange(0.0, 2.0 * default_peak_hint(chain.n) + 0.05, 0.05)
+        assert models._cone_start(lam, ts) == want
 
 
 def test_tuning_run_matches_the_dense_scan(monkeypatch):
