@@ -6,8 +6,12 @@ uniform in (0, 1), and normal variates go through the inverse CDF.  There is
 no sequential generator state, so samples can be drawn in any order and in
 any batch, and always come out bit-identical.
 
-draw_realizations draws a whole range of sample indices at once: one
-broadcast hash over (sample, site) gives one row of couplings and one row of
+A draw has two halves.  standard_variates hashes whole ranges of sample
+indices at once, one broadcast hash over (sample, site, kind), and turns each
+uniform into the zero-mean unit variate of its distribution (2u - 1 or the
+normal inverse CDF); apply_variates scales them by one spec's parameters onto
+a base chain.  Specs that share a seed can share the first half.
+draw_realizations runs both for one spec: one row of couplings and one row of
 fields per realization.  sample_disordered_chain is row 0 of that same draw,
 so a chain drawn alone equals its row in any batch bit for bit.
 
@@ -82,10 +86,15 @@ class Distribution:
     def draw(self, u: np.ndarray) -> np.ndarray:
         if self.param == 0.0:
             return np.zeros_like(u)
-        if self.kind == "uniform":
-            return self.param * (2.0 * u - 1.0)
-        from scipy.special import ndtri  # deferred: only normal draws pay its import
-        return self.param * ndtri(u)
+        return self.param * _standard(self.kind, u)
+
+
+def _standard(kind: str, u: np.ndarray) -> np.ndarray:
+    """The zero-mean, unit-parameter variate of each uniform u of a kind of distribution."""
+    if kind == "uniform":
+        return 2.0 * u - 1.0
+    from scipy.special import ndtri  # deferred: only normal draws pay its import
+    return ndtri(u)
 
 
 @dataclass
@@ -109,6 +118,16 @@ class DisorderSpec:
         if self.field_dist is None:
             self.field_dist = Distribution("uniform", 0.0)
         self.master_seed = int(self.master_seed)
+
+    @property
+    def draws(self) -> dict[int, Distribution]:
+        """The distribution of each parameter kind the spec perturbs (_KIND_COUPLING,
+        _KIND_FIELD), couplings first; empty where it draws nothing (every mode none or every
+        width 0)."""
+        return {kind: dist for kind, mode, dist in
+                ((_KIND_COUPLING, self.coupling_mode, self.coupling_dist),
+                 (_KIND_FIELD, self.field_mode, self.field_dist))
+                if mode != "none" and dist.param > 0}
 
 
 def zero_disorder(seed: int = 0) -> DisorderSpec:
@@ -137,6 +156,55 @@ def uniform_disorder(delta_j: float, delta_b: float, seed: int,
                            seed, coupling_mode)
 
 
+def standard_variates(seed: int, ranges: list[tuple[int, int]], n: int,
+                      draws) -> dict[tuple[int, str], np.ndarray]:
+    """Standard variates of the realizations in ranges, (start, stop) sample index ranges, on
+    sites 0..n-1 (a coupling reads sites 0..n-2).
+
+    draws holds (kind, Distribution) pairs (DisorderSpec.draws items).  The result maps each
+    (kind, distribution kind) among them to an array with one row per index, the ranges in
+    order; one broadcast hash serves every kind and range, and each pair's variate is
+    computed once however many draws share it.  ValueError, before any hash, where a range
+    is empty or starts below 0 (an index is taken modulo 2^64, so -1 would read 2^64 - 1).
+    """
+    for start, stop in ranges:
+        if start < 0:
+            raise ValueError(f"sample indices must be >= 0, got {start}")
+        if stop <= start:
+            raise ValueError("need at least one sample index")
+    wanted = dict.fromkeys((kind, dist.kind) for kind, dist in draws)
+    if not wanted:
+        return {}
+    kinds = sorted({kind for kind, _ in wanted})
+    indices = np.concatenate([np.uint64(start & _MASK) + np.arange(stop - start, dtype=np.uint64)
+                              for start, stop in ranges])[:, None]
+    u = _counter_uniform(seed, indices, np.arange(n, dtype=np.uint64),
+                         np.array(kinds, dtype=np.uint64)[:, None, None])
+    return {(kind, dist): _standard(dist, u[kinds.index(kind)]) for kind, dist in wanted}
+
+
+def apply_variates(base: Chain, spec: DisorderSpec, variates: dict,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (count x n-1) and fields (count x n) of base perturbed by spec's draws, with
+    the standard variates of count realizations (standard_variates rows, in order)."""
+    couplings = fields = None
+    # a draw past the double range is left inf or NaN, for the scorer to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, dist in spec.draws.items():
+            z = variates[kind, dist.kind]
+            if kind == _KIND_FIELD:
+                fields = base.fields + dist.param * z
+                continue
+            d = dist.param * z[:, :-1]
+            couplings = (base.couplings + d if spec.coupling_mode == "additive"
+                         else base.couplings * (1.0 + d))
+    if couplings is None:
+        couplings = np.repeat(base.couplings[None], count, axis=0)
+    if fields is None:
+        fields = np.repeat(base.fields[None], count, axis=0)
+    return couplings, fields
+
+
 def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
                       stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (M x n-1) and fields (M x n) of realizations start..stop-1.
@@ -144,28 +212,11 @@ def draw_realizations(base: Chain, spec: DisorderSpec, start: int,
     Row r is the realization with sample index start + r.  Perturbed
     couplings may cross zero or change sign; they are passed through
     unclamped, since large-disorder regimes need exactly that behaviour.
+    ValueError where the range is empty or start is below 0.
     """
-    if stop <= start:
-        raise ValueError("need at least one sample index")
-    count = stop - start
-    indices = (np.uint64(start & _MASK) + np.arange(count, dtype=np.uint64))[:, None]
-    couplings = np.repeat(base.couplings[None], count, axis=0)
-    fields = np.repeat(base.fields[None], count, axis=0)
-    on_couplings = spec.coupling_mode != "none" and spec.coupling_dist.param > 0
-    on_fields = spec.field_mode != "none" and spec.field_dist.param > 0
-    # one hash over sites 0..n-1 for both kinds; couplings use sites 0..n-2
-    kinds = [_KIND_COUPLING] * on_couplings + [_KIND_FIELD] * on_fields
-    u = _counter_uniform(spec.master_seed, indices, np.arange(base.n, dtype=np.uint64),
-                         np.array(kinds)[:, None, None])
-    # a draw past the double range is left inf or NaN, for the scorer to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        if on_couplings:
-            d = spec.coupling_dist.draw(u[0, :, :-1])
-            couplings = (couplings + d if spec.coupling_mode == "additive"
-                         else couplings * (1.0 + d))
-        if on_fields:
-            fields = fields + spec.field_dist.draw(u[-1])
-    return couplings, fields
+    variates = standard_variates(spec.master_seed, [(start, stop)], base.n,
+                                 spec.draws.items())
+    return apply_variates(base, spec, variates, stop - start)
 
 
 def sample_disordered_chain(base: Chain, spec: DisorderSpec, sample_index: int) -> Chain:

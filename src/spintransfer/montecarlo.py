@@ -5,13 +5,18 @@ A run draws M disordered realizations of a base chain (sample indices
 extraction time (the run's time, or each realization's own first peak).
 _score_cells is the one driver from a draw to a score: its cells are (base
 chain, disorder spec, resolved time) triples, monte_carlo one cell, sweep one
-base under many specs and the quantile tuning objective many bases.  Each
-cell draws its indices 0..M-1 by one broadcast hash (draw_realizations), and
-the cells x M rows are scored in near-equal chunks sized by their stacks
-(_chunk_rows: about 2^16 elements an (N + 2)-site array), a chunk may span
-cells, in one thread (a pool measured slower; monte_carlo's threads argument
-runs nothing).  Two block producers feed one tail (top singular value,
-unitarity guard, fidelity):
+base under many specs and the quantile tuning objective many bases.  It plans
+the cells by what they draw: a cell whose spec draws nothing is one row,
+broadcast to its M entries, and the field-free cells (no field on the base or
+in the draws) are chunked apart from the rest, so that their chunks take the
+one-sublattice loop below.  Each group's rows are scored in near-equal chunks
+sized by their stacks (_chunk_rows: about 2^16 elements an (N + 2)-site
+array, twice that for field-free rows), a chunk may span cells, in one thread
+(a pool measured slower; monte_carlo's threads argument runs nothing).  The
+parts of a chunk that share a seed are hashed once, over the union of their
+sample indices (disorder.standard_variates), and each part scales those
+variates by its own spec (disorder.apply_variates).  Two block producers feed
+one tail (top singular value, unitarity guard, fidelity):
 
 - The spectral producer, _score_spectrum, computes no eigenvectors.  Each
   chain gets its eigenvalues and end weights w_k = v_k(1) v_k(N) from
@@ -54,11 +59,13 @@ reductions happen in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .chain import FORMAT_VERSION, Chain, NumericalFailure, write_json
-from .disorder import DisorderSpec, Distribution, draw_realizations, errors_disorder
+from .disorder import (_KIND_FIELD, DisorderSpec, Distribution, apply_variates, errors_disorder,
+                       standard_variates)
 from .encoding import _check_unitary, fidelity_single
 from .models import _first_peak, auto_transfer_time
 from .spectral import (_end_weights, _tail_thresholds, eigendecompose, end_spectrum,
@@ -208,11 +215,15 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     return _score_rows(*drawn, policy, np.full(1, time))[0]
 
 
-def _draw_checked(base: Chain, spec: DisorderSpec, time: float, start: int,
-                  stop: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_checked(base: Chain, spec: DisorderSpec, time: float, start: int, stop: int,
+                  variates: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Couplings and fields of the realizations start..stop-1, refused (_check_phase)
-    before any of them is scored."""
-    couplings, fields = draw_realizations(base, spec, start, stop)
+    before any of them is scored.  variates are their standard variates (standard_variates),
+    drawn here where None."""
+    if variates is None:
+        variates = standard_variates(spec.master_seed, [(start, stop)], base.n,
+                                     spec.draws.items())
+    couplings, fields = apply_variates(base, spec, variates, stop - start)
     _check_phase(couplings, fields, time, start)
     return couplings, fields
 
@@ -244,21 +255,71 @@ def _score_cells(cells: list[tuple[Chain, DisorderSpec, float]], policy: Transfe
     """(len(cells), samples) fidelities: row c holds realizations 0..samples-1 of the cell
     (base, spec, time) = cells[c], scored at its resolved time.  Every base has the same n.
 
-    The flattened (cell, sample) range is scored in _chunks of at most _chunk_rows rows, in
-    index order, so a chunk may hold the end of one cell and the start of the next.  Each
-    cell's part of a chunk is drawn and checked, in cell order, before any row of the chunk
-    is scored.  A row scores the same in any chunk.
+    The cells are planned by what they draw.  A cell whose spec draws nothing is one row,
+    realization 0, broadcast to its samples.  The field-free cells (base fields all zero and
+    no field draws) are scored first, then the rest, each group in cell order as one
+    flattened (cell, row) range in _chunks, so a chunk may hold the end of one cell and the
+    start of the next.  A fielded chunk holds at most _chunk_rows rows and a field-free one
+    twice that, since _sum_bipartite_terms steps stacks half as tall.  Each cell's part of a
+    chunk is drawn and checked, in order, before any row of the chunk is scored (_draw_parts),
+    so a run whose cells hold refused realizations raises the first refusal in this order:
+    a field-free cell's before a fielded cell's, whatever their order in cells.  A cell that
+    draws nothing is never refused, since resolve_time checked its base at its time.  A row
+    scores the same in any chunk.
     """
-    fids = np.empty(len(cells) * samples)
+    fids = np.empty((len(cells), samples))
     rows = _chunk_rows(cells[0][0].n, policy.window_in, policy.window_out)
-    for lo, hi in _chunks(fids.size, rows):
-        parts = [(*cells[c], max(lo - c * samples, 0), min(hi - c * samples, samples))
-                 for c in range(lo // samples, (hi - 1) // samples + 1)]
-        drawn = [(*_draw_checked(base, spec, time, start, stop), np.full(stop - start, time))
-                 for base, spec, time, start, stop in parts]
-        couplings, fields, times = (np.concatenate(stack) for stack in zip(*drawn))
-        fids[lo:hi] = _score_rows(couplings, fields, policy, times)
-    return fids.reshape(len(cells), samples)
+    field_free = [not base.fields.any() and _KIND_FIELD not in spec.draws
+                  for base, spec, _ in cells]
+    for free, budget in ((True, 2 * rows), (False, rows)):
+        group = [c for c in range(len(cells)) if field_free[c] == free]
+        sizes = [samples if cells[c][1].draws else 1 for c in group]
+        ends = list(accumulate(sizes))
+        flat = np.empty(sum(sizes))
+        for lo, hi in _chunks(flat.size, budget):
+            parts = [(*cells[c], max(lo - end + size, 0), min(hi - end + size, size))
+                     for c, size, end in zip(group, sizes, ends) if lo < end and end - size < hi]
+            couplings, fields, times = _draw_parts(parts)
+            flat[lo:hi] = _score_rows(couplings, fields, policy, times)
+        for c, size, end in zip(group, sizes, ends):
+            fids[c] = flat[end - size:end]  # a one-row cell is broadcast
+    return fids
+
+
+def _draw_parts(parts: list[tuple[Chain, DisorderSpec, float, int, int]]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked couplings, fields and times of the realizations start..stop-1 of each part
+    (base, spec, time, start, stop) of one chunk, each part drawn and checked (_draw_checked)
+    in order.  The parts that share a seed take their standard variates from one
+    standard_variates call over the union of their index ranges."""
+    shared = {}
+    for seed in dict.fromkeys(spec.master_seed for _, spec, *_ in parts if spec.draws):
+        mine = [(spec, start, stop) for _, spec, _, start, stop in parts
+                if spec.master_seed == seed and spec.draws]
+        union = []  # disjoint ranges, in index order
+        for start, stop in sorted((start, stop) for _, start, stop in mine):
+            if union and start <= union[-1][1]:
+                union[-1][1] = max(union[-1][1], stop)
+            else:
+                union.append([start, stop])
+        variates = standard_variates(seed, union, parts[0][0].n,
+                                     [draw for spec, *_ in mine for draw in spec.draws.items()])
+        shared[seed] = union, variates
+    drawn = []
+    for base, spec, time, start, stop in parts:
+        variates = {}
+        if spec.draws:
+            union, variates = shared[spec.master_seed]
+            at = 0  # the row of index start in the union's ranges, concatenated
+            for lo, hi in union:
+                if start < hi:
+                    at += start - lo
+                    break
+                at += hi - lo
+            variates = {key: z[at:at + stop - start] for key, z in variates.items()}
+        drawn.append((*_draw_checked(base, spec, time, start, stop, variates),
+                      np.full(stop - start, time)))
+    return tuple(np.concatenate(stack) for stack in zip(*drawn))
 
 
 def _summarize(fids: np.ndarray, quantile: float, seed: int) -> FidelityStats:

@@ -421,10 +421,13 @@ def test_sweep_rejects_argument_ranges_before_sampling(bad, tmp_path, capsys, mo
     def no_draw(*args):
         raise AssertionError("sampling started before the argument check")
 
-    monkeypatch.setattr(montecarlo, "draw_realizations", no_draw)
+    monkeypatch.setattr(montecarlo, "standard_variates", no_draw)  # every ensemble draw
     out = tmp_path / "x.csv"
-    assert run(["sweep", "--model", "uniform", "--n", "11", "--j-axis", "0.1",
-                "--b-axis", "0.1", "--samples", "4", "--out", str(out)] + bad) == 2
+    argv = ["sweep", "--model", "uniform", "--n", "11", "--j-axis", "0.1", "--b-axis", "0.1",
+            "--samples", "4", "--out", str(out)]
+    with pytest.raises(AssertionError, match="sampling started"):  # positive control
+        run(argv)
+    assert run(argv + bad) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     if bad[0] == "--threads":

@@ -16,7 +16,7 @@ from spintransfer import (DisorderSpec, Distribution, NumericalFailure, Transfer
                           apollaro_chain, first_peak_time, monte_carlo, normal_disorder,
                           pst_chain, sample_disordered_chain, sample_fidelity, uniform_chain,
                           uniform_disorder, zero_disorder)
-from spintransfer import montecarlo, spectral
+from spintransfer import disorder, montecarlo, spectral
 from spintransfer.disorder import _counter_uniform, draw_realizations
 
 SPECS = {
@@ -80,6 +80,25 @@ def test_batched_draws_wrap_sample_indices_like_single_draws():
 def test_empty_index_range_is_rejected():
     with pytest.raises(ValueError):
         draw_realizations(uniform_chain(5), normal_disorder(0.1, 0.1, seed=1), 3, 3)
+
+
+@pytest.mark.parametrize("spec", [normal_disorder(0.1, 0.1, seed=1), zero_disorder(seed=1)],
+                         ids=["drawn", "disorder_free"])
+def test_negative_sample_indices_are_refused_before_any_hash(spec, monkeypatch):
+    # an index is hashed modulo 2^64: -1 used to read as index 2^64 - 1
+    def no_hash(*args):
+        raise AssertionError("hashed a negative sample index")
+
+    monkeypatch.setattr(disorder, "_counter_uniform", no_hash)
+    base = uniform_chain(7)
+    if spec.draws:  # positive control: index 0 reaches the hash
+        with pytest.raises(AssertionError, match="hashed"):
+            draw_realizations(base, spec, 0, 2)
+    for call in (lambda: draw_realizations(base, spec, -1, 2),
+                 lambda: sample_disordered_chain(base, spec, -1),
+                 lambda: sample_fidelity(base, spec, -1, TransferPolicy(1, 1))):
+        with pytest.raises(ValueError, match="sample indices must be >= 0, got -1"):
+            call()
 
 
 def ensemble_elements(monkeypatch, base, spec, policy, samples, threads=1):
@@ -161,9 +180,9 @@ def test_monte_carlo_chunks_hold_at_most_the_derived_rows(base, window, samples,
     ranges, handed = [], []
     draw_checked = montecarlo._draw_checked
 
-    def recording_range(b, s, time, start, stop):
+    def recording_range(b, s, time, start, stop, variates=None):
         ranges.append((start, stop))
-        return draw_checked(b, s, time, start, stop)
+        return draw_checked(b, s, time, start, stop, variates)
 
     def recording(producer):
         def call(couplings, fields, *args):
@@ -351,8 +370,16 @@ def test_run_arguments_are_checked_before_any_draw(kwargs, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew samples before checking the arguments")
 
-    monkeypatch.setattr(montecarlo, "draw_realizations", no_draw)
+    # every draw of an ensemble or a sample goes through this one name
+    monkeypatch.setattr(montecarlo, "standard_variates", no_draw)
     base, spec, policy = CASES["w1"]  # n = 21: window_out 22 is n + 1
+    # positive control: with valid arguments each entry point reaches the patched draw
+    axes = montecarlo.SweepAxis("sigma_J", [0.1]), montecarlo.SweepAxis("sigma_B", [0.1])
+    for valid in (lambda: sample_fidelity(base, spec, 0, policy),
+                  lambda: monte_carlo(base, spec, policy, samples=4),
+                  lambda: montecarlo.sweep(base, *axes, policy, samples=4)):
+        with pytest.raises(AssertionError, match="drew samples"):
+            valid()
     kwargs = dict(kwargs)
     fields = {name: kwargs.pop(name) for name in ("window_in", "window_out", "time")
               if name in kwargs}
@@ -368,6 +395,4 @@ def test_run_arguments_are_checked_before_any_draw(kwargs, monkeypatch):
     if "threads" in kwargs:
         return  # monte_carlo alone still takes a thread count
     with pytest.raises(ValueError):
-        montecarlo.sweep(base, montecarlo.SweepAxis("sigma_J", [0.1]),
-                         montecarlo.SweepAxis("sigma_B", [0.1]), policy,
-                         **{"samples": 4, **kwargs})
+        montecarlo.sweep(base, *axes, policy, **{"samples": 4, **kwargs})

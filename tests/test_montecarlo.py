@@ -191,6 +191,53 @@ def test_sweep_single_cell():
     assert grid.descriptor["n"] == 11
 
 
+def record_chunks(monkeypatch) -> list[dict]:
+    """Record each _score_rows call of a run: per row whether it has a field, and the
+    _chebyshev_tops loops the call ran."""
+    chunks = []
+    score_rows = montecarlo._score_rows
+
+    def recording(couplings, fields, *args):
+        chunks.append({"fielded": fields.any(axis=1).tolist(), "loops": []})
+        return score_rows(couplings, fields, *args)
+
+    monkeypatch.setattr(montecarlo, "_score_rows", recording)
+    for name in ("_sum_terms", "_sum_bipartite_terms"):
+        def loop(*args, original=getattr(montecarlo, name), name=name):
+            chunks[-1]["loops"].append(name)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, name, loop)
+    return chunks
+
+
+@pytest.mark.parametrize("spec", [zero_disorder(seed=3), normal_disorder(0.0, 0.0, seed=3),
+                                  errors_disorder(Distribution("normal", 0.0),
+                                                  Distribution("uniform", 0.0), seed=3,
+                                                  coupling_mode="multiplicative")],
+                         ids=["none_modes", "zero_widths", "multiplicative_zero"])
+def test_a_disorder_free_cell_is_scored_as_one_row(spec, monkeypatch):
+    base, policy = pst_chain(21), TransferPolicy(3, 3)
+    one = sample_fidelity(base, spec, 0, policy)
+    chunks = record_chunks(monkeypatch)
+    stats = monte_carlo(base, spec, policy, samples=50)
+    assert [len(chunk["fielded"]) for chunk in chunks] == [1]
+    assert chunks[0]["loops"] == ["_sum_bipartite_terms"]
+    # the summary is taken over the row broadcast to every sample
+    assert stats == montecarlo._summarize(np.full(50, one), 0.75, 3)
+
+
+def test_a_field_free_refusal_is_raised_before_a_fielded_one():
+    # the field-free group is scored first, whatever the order of the cells
+    base = uniform_chain(11)
+    fielded = (base, uniform_disorder(0.0, 1e200, seed=1), 5.0)
+    field_free = (base, uniform_disorder(1e200, 0.0, seed=1), 6.0)
+    for cells, time in (([fielded], 5.0), ([field_free], 6.0), ([fielded, field_free], 6.0)):
+        with pytest.raises(ValueError, match=f"window time {time} is too long for disordered "
+                                             f"realization 0"):
+            montecarlo._score_cells(cells, TransferPolicy(1, 1), 4)
+
+
 # (base, policy, coupling axis, field axis, coupling mode, samples, quantile, rows per chunk
 # or None for the derived budget)
 SWEEP_GRIDS = {
@@ -207,7 +254,30 @@ SWEEP_GRIDS = {
                    "additive", 1, 0.75, None),
     "small_stack": (uniform_chain(21), TransferPolicy(3, 2), SweepAxis("sigma_J", [0.0, 0.1, 0.2]),
                     SweepAxis("sigma_B", [0.0, 0.1, 0.2]), "additive", 3, 0.5, 8),
+    # a disorder-free cell, field-free and fielded cells, each group over several chunks
+    "mixed_kinds": (apollaro_chain(15, 0.5, 0.8), TransferPolicy(2, 3),
+                    SweepAxis("sigma_J", [0.0, 0.1, 0.2, 0.3]), SweepAxis("delta_B", [0.0, 0.1]),
+                    "multiplicative", 5, 0.75, 4),
+    "mixed_kinds_peak": (uniform_chain(15), TransferPolicy(2, 2, per_sample_peak=True),
+                         SweepAxis("delta_J", [0.0, 0.1, 0.2, 0.3]),
+                         SweepAxis("sigma_B", [0.0, 0.05]), "multiplicative", 5, 0.9, 4),
 }
+
+
+def planned_chunks(j_axis, b_axis, samples, rows):
+    """(field-free, rows, cells spanned, starts inside a cell) of each chunk _score_cells
+    plans on a grid over a base without fields: the field-free (sigma_B = 0) cells first, then
+    the rest, each group in cell order; a cell that draws nothing is one row, and a field-free
+    chunk takes twice the rows."""
+    plan = []
+    for free in (True, False):
+        sizes = [1 if jval == bval == 0 else samples
+                 for jval in j_axis.values for bval in b_axis.values if (bval == 0) == free]
+        ends = np.cumsum(sizes)
+        for lo, hi in montecarlo._chunks(sum(sizes), rows * (1 + free)):
+            spanned = int(np.count_nonzero((lo < ends) & (ends - sizes < hi)))
+            plan.append((free, hi - lo, spanned, lo not in (0, *ends)))
+    return plan
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_GRIDS))
@@ -222,13 +292,25 @@ def test_sweep_cells_equal_monte_carlo_on_each_cell(case, monkeypatch):
     if rows is not None:
         size = max(policy.window_in, policy.window_out)
         monkeypatch.setattr(montecarlo, "_STACK", rows * (base.n + 2) * size)
-        chunks = montecarlo._chunks(j_axis.values.size * b_axis.values.size * samples,
-                                    montecarlo._chunk_rows(base.n, policy.window_in,
-                                                           policy.window_out))
-        assert any(lo % samples for lo, _ in chunks)  # a chunk starts inside a cell
-        assert any((hi - 1) // samples - lo // samples >= 2 for lo, hi in chunks)  # 3 cells
+    plan = planned_chunks(j_axis, b_axis, samples,
+                          montecarlo._chunk_rows(base.n, policy.window_in, policy.window_out))
+    if case == "small_stack":  # one field-free chunk of 1 + 3 + 3 rows, three of 6 after it
+        assert plan == [(True, 7, 3, False)] + [(False, 6, 2, False)] * 3
+    elif case.startswith("mixed_kinds"):
+        for free in (True, False):
+            group = [chunk for chunk in plan if chunk[0] == free]
+            assert len(group) >= 2 and any(chunk[3] for chunk in group)  # starts inside a cell
+        assert plan[0][2] == 3  # the disorder-free cell and two field-free ones
+    chunks = record_chunks(monkeypatch)
     grid = sweep(base, j_axis, b_axis, policy, coupling_mode=mode, samples=samples,
                  quantile=quantile, seed=7)
+    assert [len(chunk["fielded"]) for chunk in chunks] == [size for _, size, *_ in plan]
+    for chunk, (free, *_) in zip(chunks, plan):
+        assert chunk["fielded"] == [not free] * len(chunk["fielded"])  # no mixed chunk
+        if policy.per_sample_peak:  # only rows with no peak of their own take a loop
+            assert set(chunk["loops"]) <= {"_sum_bipartite_terms" if free else "_sum_terms"}
+        else:
+            assert chunk["loops"] == ["_sum_bipartite_terms" if free else "_sum_terms"]
     assert grid.descriptor["time"] == time
     assert grid.cells == want  # field for field, bit for bit
 

@@ -204,9 +204,11 @@ def test_benchmark_pst_sweep_propagates_all_but_declined_rows(seed, want, tmp_pa
             "--seed", str(seed), "--out", str(tmp_path / "pst.csv")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert rows == {"chebyshev": 900 - want, "spectral": want}
-    # each of its four 225-row chunks holds a cell with fields: none takes the field-free loop
-    assert calls == {"bipartite": 0, "full": 4}
+    # the disorder-free cell is one row, so 801 rows are scored
+    assert rows == {"chebyshev": 801 - want, "spectral": want}
+    # the three sigma_B = 0 cells (201 rows) are one field-free chunk, which takes the
+    # field-free loop, and the six others three chunks of 200 rows
+    assert calls == {"bipartite": 1, "full": 3}
 
 
 def test_mixed_chunks_score_each_row_as_a_one_row_call(monkeypatch):
