@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spintransfer import (Chain, FidelityStats, NumericalFailure, SweepAxis, TransferPolicy,
-                          apollaro_chain, auto_transfer_time, grid_to_csv, monte_carlo, normal_disorder,
-                          pst_chain, pst_transfer_time, sample_fidelity, selection_probability,
-                          sweep, uniform_chain, uniform_disorder, zero_disorder)
+from spintransfer import (Chain, DisorderSpec, FidelityStats, NumericalFailure, SweepAxis,
+                          TransferPolicy, apollaro_chain, auto_transfer_time, grid_to_csv,
+                          monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
+                          sample_fidelity, selection_probability, sweep, uniform_chain,
+                          uniform_disorder, zero_disorder)
 from spintransfer import montecarlo
 from spintransfer.disorder import Distribution, draw_realizations, errors_disorder
 from spintransfer.models import first_peak_time
@@ -211,10 +212,11 @@ def record_chunks(monkeypatch) -> list[dict]:
     return chunks
 
 
-@pytest.mark.parametrize("spec", [zero_disorder(seed=3), normal_disorder(0.0, 0.0, seed=3),
-                                  errors_disorder(Distribution("normal", 0.0),
-                                                  Distribution("uniform", 0.0), seed=3,
-                                                  coupling_mode="multiplicative")],
+@pytest.mark.parametrize("spec", [zero_disorder(seed=3),
+                                  DisorderSpec("additive", "additive", Distribution("normal", 0.0),
+                                               Distribution("uniform", 0.0), master_seed=3),
+                                  DisorderSpec("multiplicative", "none",
+                                               Distribution("uniform", 0.0), master_seed=3)],
                          ids=["none_modes", "zero_widths", "multiplicative_zero"])
 def test_a_disorder_free_cell_is_scored_as_one_row(spec, monkeypatch):
     base, policy = pst_chain(21), TransferPolicy(3, 3)
