@@ -10,8 +10,12 @@ in even pairs and the change first in odd ones.  For each end-to-end metric of
 the change's BENCHMARK.json it prints each side's median and quartiles, the
 change/parent ratio of the medians, their difference next to the parent's
 quartile distance, and in how many pairs the change was better and in how
-many the two read the same (a tie counts for neither side).  It exits 1 if
-any run exits nonzero or reports "correct": false, and prints no table then.
+many the two read the same (a tie counts for neither side).  The header names
+each side's source digest (its first 12 hex digits) and its git commit, or
+"no git" for a checkout without one (a `git archive` export).  It exits 1,
+and prints no table, if any run exits nonzero or reports "correct": false,
+or if the runs of one side report different source digests (its checkout
+changed during the pairs).
 
 With --json, the same table is also written to PATH as the entry for W under
 "workloads", next to the entries already there for other workloads: per
@@ -91,8 +95,20 @@ def main() -> int:
     if failed:
         print("error: a run failed; no table", file=sys.stderr)
         return 1
+    sides = {}
+    for side, side_runs in runs.items():
+        digests = {r["settings"].get("source_sha256") for r in side_runs}
+        if len(digests) > 1:
+            print(f"error: the {side} runs report {len(digests)} source digests: "
+                  f"{', '.join(sorted(map(str, digests)))}; no table", file=sys.stderr)
+            return 1
+        sides[side] = {key: side_runs[0]["settings"].get(key)
+                       for key in ("git_commit", "source_sha256")}
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds "
           f"{args.seed0}..{args.seed0 + args.pairs - 1}")
+    for side, ids in sides.items():
+        print(f"  {side}: source {str(ids['source_sha256'])[:12]}, "
+              f"commit {ids['git_commit'] or 'no git'}")
     print(f"{'metric':<14} {'parent q1/med/q3':<32} {'change q1/med/q3':<32} "
           f"{'ratio':>7} {'med gap':>10} {'parent IQR':>10} {'wins':>7} {'ties':>7}")
     table = {}
@@ -114,15 +130,13 @@ def main() -> int:
             "ratio": ratio if p[1] else None, "median_gap": c[1] - p[1], "parent_iqr": p[2] - p[0],
             "wins": wins, "ties": ties}
     if args.json:
-        write_record(args, runs, table)
+        write_record(args, runs, sides, table)
     return 0
 
 
-def write_record(args, runs, table) -> None:
+def write_record(args, runs, sides, table) -> None:
     """Put this workload's table into the JSON record at args.json, keeping other entries."""
     record = json.loads(args.json.read_text()) if args.json.exists() else {}
-    sides = {side: {key: runs[side][0]["settings"].get(key)
-                    for key in ("git_commit", "source_sha256")} for side in runs}
     settings = runs["change"][0]["settings"]
     versions = {key: settings.get(key) for key in ("python", "numpy", "scipy", "openblas")}
     record.setdefault("workloads", {})[args.workload] = {

@@ -236,9 +236,12 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
 
     Candidates outside the box are reflected back in.  On top of the run from
     (x0, y0), `restarts` perturbed starting simplices are tried and the best
-    result is kept (the first in start order on a tie).  With a fixed master
-    seed the whole search is deterministic, so objective_value always equals a
-    re-evaluation at the returned point.
+    result is kept (the first in start order on a tie).  objective_value is the
+    value the winning search scored at its best point, and no point is scored
+    again.  It equals a re-evaluation at the returned point bit for bit: with a
+    fixed master seed the objective is deterministic, a point's value does not
+    depend on its round, and _fold_into_box is idempotent, so the returned
+    (folded) point folds onto the point that was scored.
 
     Up to W starts search in lockstep (_lockstep): each is a _nelder_mead
     generator, which takes scipy's Nelder-Mead path step for step, and each
@@ -273,17 +276,15 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
         return [-value for value in values]
 
     searches = [_nelder_mead(start, max_iter) for start in starts]
-    best_x, _ = min(_lockstep(searches, score), key=lambda result: result[1])  # first on a tie
+    # the first best on a tie; fun is the value the search was sent for best_x
+    best_x, fun = min(_lockstep(searches, score), key=lambda result: result[1])
     trace = [entry for start_trace in traces for entry in start_trace]
     x_best = _fold_into_box(float(best_x[0]))
     y_best = _fold_into_box(float(best_x[1]))
     hit_boundary = (x_best <= BOX_LO + SIMPLEX_TOL or x_best >= BOX_HI - SIMPLEX_TOL
                     or y_best <= BOX_LO + SIMPLEX_TOL or y_best >= BOX_HI - SIMPLEX_TOL)
-    return OptimizationResult(
-        x=x_best, y=y_best,
-        objective_value=evaluate_objective(obj, x_best, y_best),
-        evaluations=len(trace), trace=trace, hit_boundary=hit_boundary,
-    )
+    return OptimizationResult(x=x_best, y=y_best, objective_value=-float(fun),
+                              evaluations=len(trace), trace=trace, hit_boundary=hit_boundary)
 
 
 def objective_landscape(obj: Objective, x_values, y_values) -> np.ndarray:

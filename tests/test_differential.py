@@ -14,22 +14,11 @@ _chebyshev_tops propagates one sublattice a step.  For each of the two:
 The examples are derandomized with a fixed budget, so every run checks the same chains.
 """
 
-import contextlib
-import warnings
-
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spintransfer import Chain, eigendecompose, full_propagator, montecarlo
-
-# hypothesis imports libcst to print a patch for a failing example, and libcst's import
-# raises a DeprecationWarning, which this suite turns into an error inside pytest's report
-# hook (an INTERNALERROR that ends the session).  Loading it here, with that warning
-# silenced, keeps a failure an ordinary failure.
-with warnings.catch_warnings(), contextlib.suppress(ImportError):
-    warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
 
 WEAK = (1e-4, 1e-8, 1e-12)
 
@@ -75,9 +64,10 @@ def stacks(draw):
 
 
 def check_stack(couplings, fields, window_in, window_out, times):
-    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
-                                     montecarlo._TAIL)
-    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
+    bound = montecarlo._gershgorin(fields, couplings)
+    counts = montecarlo._term_counts(bound[1] * times, montecarlo._TAIL)
+    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts,
+                                     bound)
     admitted = montecarlo._growth(couplings, fields, window_in, window_out) <= montecarlo._GROWTH
     assert np.isnan(top[~admitted]).all()
     for r in np.flatnonzero(admitted):
@@ -110,17 +100,18 @@ def test_every_window_pair_up_to_8_on_hard_chains():
     fields = np.array([np.zeros(n), rng.uniform(-0.3, 0.3, n), rng.uniform(-6.0, 6.0, n),
                        rng.uniform(-1.0, 1.0, n)])
     times = np.array([17.9, 36.0, 5.3, 0.0])
-    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
-                                     montecarlo._TAIL)
+    centre, half = montecarlo._gershgorin(fields, couplings)
+    counts = montecarlo._term_counts(half * times, montecarlo._TAIL)
     for window_in in range(1, 9):
         for window_out in range(1, 9):
             top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times,
-                                             counts)
+                                             counts, (centre, half))
             growth = montecarlo._growth(couplings, fields, window_in, window_out)
             for r in range(times.size):
-                alone = montecarlo._chebyshev_tops(couplings[r:r + 1], fields[r:r + 1],
-                                                   window_in, window_out, times[r:r + 1],
-                                                   counts[r:r + 1])
+                one = slice(r, r + 1)
+                alone = montecarlo._chebyshev_tops(couplings[one], fields[one], window_in,
+                                                   window_out, times[one], counts[one],
+                                                   (centre[one], half[one]))
                 assert alone.tobytes() == top[r:r + 1].tobytes()
                 if growth[r] <= montecarlo._GROWTH:
                     want = oracle_top(couplings[r], fields[r], window_in, window_out, times[r])

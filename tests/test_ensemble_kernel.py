@@ -13,9 +13,9 @@ from _helpers import (assert_matches_oracle, counted_eigendecompose, fallbacks_o
                       fallbacks_on_mirror_chain, fallbacks_on_weak_bond_chain, oracle_fidelity,
                       score_chain, score_rows)
 from spintransfer import (DisorderSpec, Distribution, NumericalFailure, TransferPolicy,
-                          apollaro_chain, first_peak_time, monte_carlo, normal_disorder,
-                          pst_chain, sample_disordered_chain, sample_fidelity, uniform_chain,
-                          uniform_disorder, zero_disorder)
+                          apollaro_chain, fidelity_single, first_peak_time, monte_carlo,
+                          normal_disorder, pst_chain, pst_transfer_time, sample_disordered_chain,
+                          sample_fidelity, uniform_chain, uniform_disorder, zero_disorder)
 from spintransfer import disorder, montecarlo, spectral
 from spintransfer.disorder import _counter_uniform, draw_realizations
 
@@ -360,6 +360,114 @@ def test_window_guard_raises_on_a_block_beyond_unitary(monkeypatch):
         monkeypatch.setattr(montecarlo, "end_spectrum", weights)
         with pytest.raises(ValueError, match="window block has singular value"):
             score_chain(uniform_chain(n), window, window, t)
+
+
+# ---------------------------------------------------------------------------
+# top singular values from the Gram matrix, against np.linalg.svd
+# ---------------------------------------------------------------------------
+
+def svd_top(blocks):
+    return np.linalg.svd(blocks, compute_uv=False)[:, 0]
+
+
+def unitary_slices(rng, rows, cols, count):
+    """count blocks of norm <= 1: the top-left rows x cols of random 8 x 8 unitaries."""
+    z = rng.normal(size=(count, 8, 8)) + 1j * rng.normal(size=(count, 8, 8))
+    return np.linalg.qr(z)[0][:, :rows, :cols]
+
+
+@pytest.mark.parametrize("rows", range(1, 6))
+@pytest.mark.parametrize("cols", range(1, 6))
+def test_top_singular_value_matches_the_svd_on_every_block_shape(rows, cols):
+    # the Gram matrix is B^H B for rows >= cols and B B^H otherwise: both orientations
+    rng = np.random.default_rng(10 * rows + cols)
+    scaled = rng.normal(size=(20, rows, cols)) + 1j * rng.normal(size=(20, rows, cols))
+    scaled /= svd_top(scaled)[:, None, None] * rng.uniform(1.0, 4.0, size=(20, 1, 1))
+    blocks = np.concatenate([unitary_slices(rng, rows, cols, 20), scaled])
+    top = montecarlo._top_singular(blocks)
+    assert np.abs(top - svd_top(blocks)).max() <= 1e-15
+    for r in range(blocks.shape[0]):  # a block scores the same in any stack
+        assert montecarlo._top_singular(blocks[r:r + 1]).tobytes() == top[r:r + 1].tobytes()
+
+
+@pytest.mark.parametrize("window", [3, 5])
+def test_top_singular_value_matches_the_svd_on_near_unitary_blocks(window):
+    # PST N=51 at its transfer time: every singular value of the window block, and of its
+    # slices one site short on either side, is within 1e-9 of 1, where the Gram matrix is
+    # closest to the identity
+    chain = pst_chain(51)
+    eig, time = spectral.eigendecompose(chain), pst_transfer_time(chain)
+    for window_in, window_out in ((window, window), (window, window - 1), (window - 1, window)):
+        block = spectral.window_amplitudes(eig, window_in, window_out, time)[None]
+        assert np.abs(np.linalg.svd(block, compute_uv=False) - 1.0).max() <= 1e-9
+        assert abs(montecarlo._top_singular(block) - svd_top(block))[0] <= 1e-15
+
+
+def test_top_singular_value_of_zero_and_rank_one_blocks():
+    rng = np.random.default_rng(12)
+    for rows, cols in ((1, 1), (1, 4), (3, 3), (5, 2), (4, 5)):
+        zero = np.zeros((3, rows, cols), dtype=complex)
+        assert (montecarlo._top_singular(zero) == 0.0).all()
+        u = rng.normal(size=(6, rows)) + 1j * rng.normal(size=(6, rows))
+        v = rng.normal(size=(6, cols)) + 1j * rng.normal(size=(6, cols))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v *= rng.uniform(0.0, 1.0, size=(6, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        blocks = u[:, :, None] * v[:, None, :].conj()
+        assert np.abs(montecarlo._top_singular(blocks) - svd_top(blocks)).max() <= 1e-15
+
+
+def test_top_singular_value_is_nan_where_a_block_is_not_finite_or_not_ok():
+    rng = np.random.default_rng(13)
+    for rows, cols in ((1, 1), (3, 3), (2, 5)):
+        blocks = unitary_slices(rng, rows, cols, 6)
+        blocks[1, 0, -1] = np.nan
+        blocks[2, -1, 0] = np.inf
+        blocks[3, 0, 0] = complex(0.0, -np.inf)
+        ok = np.array([True, True, True, True, False, True])
+        top = montecarlo._top_singular(blocks, ok)
+        assert np.isnan(top[1:5]).all()
+        assert top[[0, 5]].tobytes() == montecarlo._top_singular(blocks[[0, 5]]).tobytes()
+        assert np.isnan(montecarlo._top_singular(blocks, np.zeros(6, dtype=bool))).all()
+        assert montecarlo._top_singular(blocks[:0]).shape == (0,)
+
+
+def test_top_singular_value_below_the_gram_matrix_range_scores_as_the_svd():
+    # entries of 1e-160 square to 1e-320, where the Gram matrix is subnormal or zero: the
+    # top singular value loses its digits, and the fidelity, which sees none of them, its none
+    rng = np.random.default_rng(14)
+    for rows, cols in ((1, 1), (3, 3), (5, 5), (2, 4), (4, 1)):
+        blocks = unitary_slices(rng, rows, cols, 10) * 1e-160
+        top = montecarlo._top_singular(blocks)
+        assert np.isfinite(top).all()
+        assert fidelity_single(top).tobytes() == fidelity_single(svd_top(blocks)).tobytes()
+
+
+def test_top_singular_value_of_a_block_whose_gram_matrix_overflows():
+    # a finite block beyond 1e154 is no window block (the guard refuses it), but its top
+    # singular value is still that of the SVD, with no warning
+    rng = np.random.default_rng(15)
+    blocks = unitary_slices(rng, 3, 3, 4)
+    blocks[[1, 3]] *= 1e200
+    top = montecarlo._top_singular(blocks)
+    assert np.abs(top - svd_top(blocks)).max() <= 1e-15 * np.abs(svd_top(blocks)).max()
+    assert top[[0, 2]].tobytes() == montecarlo._top_singular(blocks[[0, 2]]).tobytes()
+
+
+def test_no_scoring_path_takes_an_svd(monkeypatch):
+    # propagated, spectral and eigensystem-fallback rows all reach sigma_1 through
+    # _top_singular's Gram matrix
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a scoring path took an SVD")
+
+    base = uniform_chain(9)
+    couplings, fields = draw_realizations(base, normal_disorder(0.1, 0.1, seed=16), 0, 6)
+    times = np.full(6, 4.0)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for window_in, window_out in ((3, 3), (2, 4), (5, 5)):  # 5 + 5 > 9: the eigensystem
+        propagated = montecarlo._score_fixed_time(couplings, fields, window_in, window_out,
+                                                  times)
+        solved = score_rows(couplings, fields, window_in, window_out, times)
+        assert np.abs(propagated - solved).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"quantile": 1.0}, {"quantile": 0.0},

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from spintransfer import (Chain, Objective, eigendecompose, evaluate_objective,
@@ -83,6 +85,16 @@ def test_fold_into_box():
         assert 0 < _fold_into_box(v) <= 1.2
 
 
+@settings(max_examples=2000, derandomize=True, database=None)
+@given(st.one_of(st.floats(-3.0, 4.0), st.floats(allow_nan=False, allow_infinity=False)))
+def test_fold_into_box_is_idempotent(v):
+    # the optimum's value is the one scored at the raw point, and it is reported at the
+    # folded point: folding that again must land on the same point
+    folded = _fold_into_box(v)
+    assert BOX_LO <= folded <= BOX_HI
+    assert _fold_into_box(folded) == folded
+
+
 @pytest.mark.parametrize("coordinate", ["x", "y"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_objective_point_is_refused_before_any_solve(coordinate, value,
@@ -145,8 +157,26 @@ def test_optimizer_never_degrades_start():
     result = optimize_apollaro(obj, 0.6, 0.9, restarts=1, max_iter=120)
     assert result.objective_value >= start - 1e-12
     assert result.evaluations == len(result.trace)
-    assert result.objective_value == pytest.approx(
-        evaluate_objective(obj, result.x, result.y), abs=1e-14)
+    assert result.objective_value == evaluate_objective(obj, result.x, result.y)
+
+
+def test_quantile_optimum_keeps_the_value_its_search_scored(monkeypatch):
+    # no point is scored twice: the optimum's value is the one its search was sent, and it
+    # equals a re-evaluation at the returned point bit for bit
+    obj = Objective(n=15, window=3, disorder=uniform_disorder(0.1, 0.05, seed=7),
+                    metric="quantile", samples=16)
+    scored, real = [], optimize._evaluate_points
+
+    def counting(obj, xs, ys):
+        scored.append(len(xs))
+        return real(obj, xs, ys)
+
+    monkeypatch.setattr(optimize, "_evaluate_points", counting)
+    result = optimize_apollaro(obj, 0.5, 0.8, restarts=2, max_iter=20)
+    assert sum(scored) == result.evaluations == len(result.trace)
+    monkeypatch.undo()
+    assert result.objective_value == evaluate_objective(obj, result.x, result.y)
+    assert (result.x, result.y, result.objective_value) in result.trace
 
 
 def test_optimizer_is_deterministic():
