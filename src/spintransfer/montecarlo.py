@@ -342,14 +342,12 @@ def _score_fixed_time(couplings: np.ndarray, fields: np.ndarray, window_in: int,
     _PROPAGATE * n and _growth admits it; the other rows are solved and take the spectral
     producer.  Callers check the window sizes and times (resolve_time)."""
     m, n = fields.shape
-    centre, half = _gershgorin(fields, couplings)
-    counts = _term_counts(half * times, _TAIL, _PROPAGATE * n)
+    counts = _term_counts(_gershgorin(fields, couplings)[1] * times, _TAIL, _PROPAGATE * n)
     chebyshev = counts <= _PROPAGATE * n
     top = np.full(m, np.nan)
     if chebyshev.any():
         top[chebyshev] = _chebyshev_tops(couplings[chebyshev], fields[chebyshev], window_in,
-                                         window_out, times[chebyshev], counts[chebyshev],
-                                         (centre[chebyshev], half[chebyshev]))
+                                         window_out, times[chebyshev], counts[chebyshev])
     rest = np.isnan(top)  # past the rule's K, or declined by _growth
     if rest.any():
         c, f = couplings[rest], fields[rest]
@@ -373,8 +371,9 @@ def _top_singular(blocks: np.ndarray, ok=True) -> np.ndarray:
     sigma_1 is sqrt(lambda_max) of the smaller Gram matrix, B^H B or B B^H, from one stacked
     eigvalsh, in about two thirds of the time of the SVD's singular values on 3 x 3 and 5 x 5
     stacks, and within 1e-15 of them on blocks of norm <= 1 (README, "Blocks and scores").
-    A block whose Gram matrix overflows (entries beyond 1e154, no unitary block's) takes the
-    SVD."""
+    A finite block whose Gram matrix overflows (entries beyond 1e154) reads inf, which the
+    unitarity guard refuses: no producer makes one (Chebyshev rows are declined past _GROWTH,
+    spectral and fallback blocks come from orthonormal eigenvectors)."""
     top = np.full(blocks.shape[0], np.nan)
     good = ok & np.isfinite(blocks).all(axis=(1, 2))
     blocks = blocks[good]
@@ -386,10 +385,9 @@ def _top_singular(blocks: np.ndarray, ok=True) -> np.ndarray:
         gram = (adjoint @ blocks if blocks.shape[1] >= blocks.shape[2]
                 else blocks @ adjoint)
     overflow = ~np.isfinite(gram).all(axis=(1, 2))
-    gram[overflow] = 0.0  # eigvalsh would raise; these take the SVD
+    gram[overflow] = 0.0  # eigvalsh would raise on inf or NaN entries
     values = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    if overflow.any():
-        values[overflow] = np.linalg.svd(blocks[overflow], compute_uv=False)[:, 0]
+    values[overflow] = np.inf
     top[good] = values
     return top
 
@@ -568,8 +566,7 @@ def _growth(couplings: np.ndarray, fields: np.ndarray, window_in: int,
 
 
 def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, window_out: int,
-                    times: np.ndarray, counts: np.ndarray,
-                    bound: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                    times: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Top singular value of each row's window block from one propagated column, NaN where
     _growth exceeds _GROWTH.
 
@@ -579,22 +576,20 @@ def _chebyshev_tops(couplings: np.ndarray, fields: np.ndarray, window_in: int, w
     field left after the centring.  U(t) commutes with H', so the other input columns follow
     on the output side, one site fewer each: U e_{i+1} = ((H' - B'_i) U e_i - J'_{i-1}
     U e_{i-1}) / J'_i.  U(t) is symmetric, so a smaller output window is propagated on the
-    mirrored chain.  counts[r] is row r's term count and bound[r] its Gershgorin (centre,
-    half-width), _gershgorin(fields, couplings).
+    mirrored chain.  counts[r] is row r's term count.
     """
     top = np.full(fields.shape[0], np.nan)
     ok = _growth(couplings, fields, window_in, window_out) <= _GROWTH
     if not ok.any():
         return top
-    centre, half = bound
     if not ok.all():
         couplings, fields, times, counts = couplings[ok], fields[ok], times[ok], counts[ok]
-        centre, half = centre[ok], half[ok]
     if window_out < window_in:
         couplings, fields = couplings[:, ::-1], fields[:, ::-1]
         window_in, window_out = window_out, window_in
     m, n = fields.shape
     reach = min(n, window_in + window_out - 1)
+    centre, half = _gershgorin(fields, couplings)
     coef = _chebyshev_coefficients(half * times, counts)
     scale = 2.0 / np.where(half > 0, half, 1.0)  # half 0: H' = 0
     # 2 H' on sites 1..n padded by a zero row at each end; bond[p] joins rows p-1 and p

@@ -36,10 +36,9 @@ def score_chain(chain, window_in, window_out, time) -> float:
 def propagate_rows(couplings, fields, window_in, window_out, times) -> np.ndarray:
     """The Chebyshev producer's fidelity of each row's chain, whichever producer the
     rule would pick, through the kernel's shared tail."""
-    bound = montecarlo._gershgorin(fields, couplings)
-    counts = montecarlo._term_counts(bound[1] * times, montecarlo._TAIL)
-    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts,
-                                     bound)
+    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
+                                     montecarlo._TAIL)
+    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
     return montecarlo._score_tops(top, couplings, fields, window_in, window_out, times)
 
 

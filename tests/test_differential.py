@@ -64,10 +64,9 @@ def stacks(draw):
 
 
 def check_stack(couplings, fields, window_in, window_out, times):
-    bound = montecarlo._gershgorin(fields, couplings)
-    counts = montecarlo._term_counts(bound[1] * times, montecarlo._TAIL)
-    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts,
-                                     bound)
+    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
+                                     montecarlo._TAIL)
+    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
     admitted = montecarlo._growth(couplings, fields, window_in, window_out) <= montecarlo._GROWTH
     assert np.isnan(top[~admitted]).all()
     for r in np.flatnonzero(admitted):
@@ -100,18 +99,17 @@ def test_every_window_pair_up_to_8_on_hard_chains():
     fields = np.array([np.zeros(n), rng.uniform(-0.3, 0.3, n), rng.uniform(-6.0, 6.0, n),
                        rng.uniform(-1.0, 1.0, n)])
     times = np.array([17.9, 36.0, 5.3, 0.0])
-    centre, half = montecarlo._gershgorin(fields, couplings)
-    counts = montecarlo._term_counts(half * times, montecarlo._TAIL)
+    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
+                                     montecarlo._TAIL)
     for window_in in range(1, 9):
         for window_out in range(1, 9):
             top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times,
-                                             counts, (centre, half))
+                                             counts)
             growth = montecarlo._growth(couplings, fields, window_in, window_out)
             for r in range(times.size):
-                one = slice(r, r + 1)
-                alone = montecarlo._chebyshev_tops(couplings[one], fields[one], window_in,
-                                                   window_out, times[one], counts[one],
-                                                   (centre[one], half[one]))
+                alone = montecarlo._chebyshev_tops(couplings[r:r + 1], fields[r:r + 1],
+                                                   window_in, window_out, times[r:r + 1],
+                                                   counts[r:r + 1])
                 assert alone.tobytes() == top[r:r + 1].tobytes()
                 if growth[r] <= montecarlo._GROWTH:
                     want = oracle_top(couplings[r], fields[r], window_in, window_out, times[r])

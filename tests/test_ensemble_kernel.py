@@ -18,6 +18,7 @@ from spintransfer import (DisorderSpec, Distribution, NumericalFailure, Transfer
                           sample_fidelity, uniform_chain, uniform_disorder, zero_disorder)
 from spintransfer import disorder, montecarlo, spectral
 from spintransfer.disorder import _counter_uniform, draw_realizations
+from spintransfer.encoding import _check_unitary
 
 SPECS = {
     "additive_normal": normal_disorder(0.1, 0.05, seed=31),
@@ -442,15 +443,17 @@ def test_top_singular_value_below_the_gram_matrix_range_scores_as_the_svd():
         assert fidelity_single(top).tobytes() == fidelity_single(svd_top(blocks)).tobytes()
 
 
-def test_top_singular_value_of_a_block_whose_gram_matrix_overflows():
-    # a finite block beyond 1e154 is no window block (the guard refuses it), but its top
-    # singular value is still that of the SVD, with no warning
+def test_the_guard_refuses_a_block_whose_gram_matrix_overflows():
+    # a finite block beyond 1e154 is no window block: its top singular value reads inf, with
+    # no warning, and the unitarity guard refuses it; the other blocks score as alone
     rng = np.random.default_rng(15)
     blocks = unitary_slices(rng, 3, 3, 4)
     blocks[[1, 3]] *= 1e200
     top = montecarlo._top_singular(blocks)
-    assert np.abs(top - svd_top(blocks)).max() <= 1e-15 * np.abs(svd_top(blocks)).max()
+    assert np.isposinf(top[[1, 3]]).all()
     assert top[[0, 2]].tobytes() == montecarlo._top_singular(blocks[[0, 2]]).tobytes()
+    with pytest.raises(ValueError, match="singular value inf > 1"):
+        _check_unitary(top)
 
 
 def test_no_scoring_path_takes_an_svd(monkeypatch):
