@@ -2,7 +2,7 @@
 """Compare two checkouts on one benchmark workload in alternated pairs of runs.
 
     scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed0 K \
-        [--json PATH]
+        [--claim METRIC] [--json PATH]
 
 PARENT and CHANGE are checkout roots.  Pair i (0-based) runs each checkout's
 own bench/run.py on workload W with seed K + i for S seconds, the parent first
@@ -10,7 +10,9 @@ in even pairs and the change first in odd ones.  For each end-to-end metric of
 the change's BENCHMARK.json it prints each side's median and quartiles, the
 change/parent ratio of the medians, their difference next to the parent's
 quartile distance, and in how many pairs the change was better and in how
-many the two read the same (a tie counts for neither side).  The header names
+many the two read the same (a tie counts for neither side), and a verdict
+(see verdict below; METRIC of --claim is the metric the change claims to
+improve).  The header names
 each side's source digest (its first 12 hex digits) and its git commit, or
 "no git" for a checkout without one (a `git archive` export).  It exits 1,
 and prints no table, if any run exits nonzero or reports "correct": false,
@@ -20,12 +22,14 @@ changed during the pairs).
 With --json, the same table is also written to PATH as the entry for W under
 "workloads", next to the entries already there for other workloads: per
 metric each side's quartiles and values, the ratio, the median gap, the
-parent's quartile distance, wins and ties; and the seeds, each side's commit
+parent's quartile distance, wins, ties and the verdict; the claimed metric; and
+the seeds, each side's commit
 and source digest, and the library versions, as bench/run.py reports them.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -40,6 +44,8 @@ def parse_args():
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
+    p.add_argument("--claim", metavar="METRIC",
+                   help="the end-to-end metric the change claims to improve")
     p.add_argument("--json", type=Path, help="record the table in this JSON file")
     args = p.parse_args()
     if args.pairs < 1:
@@ -47,6 +53,10 @@ def parse_args():
     for root in (args.parent, args.change):
         if not (root / "bench" / "run.py").is_file():
             p.error(f"{root} has no bench/run.py")
+    names = [m["name"] for m in json.loads((args.change / "BENCHMARK.json").read_text())
+             ["end_to_end"]]
+    if args.claim is not None and args.claim not in names:
+        p.error(f"--claim {args.claim!r} is not an end-to-end metric: {', '.join(names)}")
     return args
 
 
@@ -76,6 +86,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def verdict(metric: dict, parent: list[float], change: list[float], claimed: bool) -> str:
+    """How the change's runs read against the parent's on one metric of BENCHMARK.json.
+
+    A claimed metric reads "gain" where the change was better in at least 9 of every 10
+    pairs and its median is better than the parent's by more than the parent's quartile
+    distance, and "no gain" otherwise.  Any other metric reads "worse" where the change's
+    median is worse than the parent's by more than the metric's relative bound;
+    "unresolved" where either side's quartile distance, relative to its median, is wider
+    than the bound, unless every run of the change reads better than every run of the
+    parent; and "no worse" otherwise.
+    """
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    gap = sign * (c[1] - p[1])  # > 0: the change's median is the better one
+    if claimed:
+        wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+        return "gain" if 10 * wins >= 9 * len(parent) and gap > p[2] - p[0] else "no gain"
+    if gap < -metric["bound"] * abs(p[1]):
+        return "worse"
+    spread = max((q3 - q1) / abs(med) if med else (math.inf if q3 > q1 else 0.0)
+                 for q1, med, q3 in (p, c))
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
+    return "unresolved" if spread > metric["bound"] and not separated else "no worse"
 
 
 def main() -> int:
@@ -110,7 +145,7 @@ def main() -> int:
         print(f"  {side}: source {str(ids['source_sha256'])[:12]}, "
               f"commit {ids['git_commit'] or 'no git'}")
     print(f"{'metric':<14} {'parent q1/med/q3':<32} {'change q1/med/q3':<32} "
-          f"{'ratio':>7} {'med gap':>10} {'parent IQR':>10} {'wins':>7} {'ties':>7}")
+          f"{'ratio':>7} {'med gap':>10} {'parent IQR':>10} {'wins':>7} {'ties':>7}  verdict")
     table = {}
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -120,15 +155,16 @@ def main() -> int:
         wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
         ties = sum(b == a for a, b in zip(parent, change))
         ratio = c[1] / p[1] if p[1] else float("nan")
+        read = verdict(metric, parent, change, name == args.claim)
         print(f"{name:<14} {'/'.join(f'{v:.6g}' for v in p):<32} "
               f"{'/'.join(f'{v:.6g}' for v in c):<32} {ratio:7.4f} {c[1] - p[1]:10.4g} "
-              f"{p[2] - p[0]:10.4g} {wins:>4}/{args.pairs} {ties:>4}/{args.pairs}")
+              f"{p[2] - p[0]:10.4g} {wins:>4}/{args.pairs} {ties:>4}/{args.pairs}  {read}")
         table[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": dict(zip(("q1", "median", "q3"), p), values=parent),
             "change": dict(zip(("q1", "median", "q3"), c), values=change),
             "ratio": ratio if p[1] else None, "median_gap": c[1] - p[1], "parent_iqr": p[2] - p[0],
-            "wins": wins, "ties": ties}
+            "wins": wins, "ties": ties, "verdict": read}
     if args.json:
         write_record(args, runs, sides, table)
     return 0
@@ -143,7 +179,8 @@ def write_record(args, runs, sides, table) -> None:
         "pairs": args.pairs, "seconds": args.seconds,
         "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
         "order": "parent first in even pairs (0-based), change first in odd ones",
-        **sides, "versions": versions, "nproc": settings.get("nproc"), "metrics": table}
+        **sides, "versions": versions, "nproc": settings.get("nproc"), "claim": args.claim,
+        "metrics": table}
     args.json.write_text(json.dumps(record, indent=2) + "\n")
 
 

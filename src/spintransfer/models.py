@@ -17,16 +17,20 @@ First peak
 ----------
 Chains without a perfect-transfer time are extracted at the first arrival
 peak of |f(t)| = |<N|U(t)|1>| = |sum_k w_k e^{-i lam_k t}|, with lam and
-w_k = v_k(1) v_k(N) from one spectral.end_spectrum solve.  The search scans
-the grid t = k step in chunks from the chain's light cone: with alpha at
-least half the spectral width, no Chebyshev term T_k((H - beta) / alpha) with
-k < N - 1 joins site 1 to site N, so |f(t)| <= sum_{k >= N-1} 2 |J_k(alpha t)|,
-at most _AMP_THRESHOLD / 2 up to the alpha t where Kapteyn's bound says so
-(spectral._tail_thresholds): no grid point there can be a peak.  A chunk's
-phases at t_s + (c F + f) step are e^{-i lam t_s} times two tables built once
-per search, so it costs a coarse x N and a (coarse x N) @ (N x F) product.  It
-stops at the first grid-local maximum and refines it by safeguarded Newton
-steps on |f|^2, so the result depends only on which grid point wins.
+w_k = v_k(1) v_k(N) from one spectral.end_spectrum solve.  _first_peaks
+searches a stack of such spectra at once, each row on its own grid t = k step
+through twice its own hint, and gives each row the time its search alone
+finds.  A row starts at its light cone: with alpha at least half the spectral
+width, no Chebyshev term T_k((H - beta) / alpha) with k < N - 1 joins site 1 to
+site N, so |f(t)| <= sum_{k >= N-1} 2 |J_k(alpha t)|, at most _AMP_THRESHOLD / 2
+up to the alpha t where Kapteyn's bound says so (spectral._tail_thresholds): no
+grid point there can be a peak, and the start follows from that reach without
+building the grid.  A chunk's phases at t_s + (c F + f) step are e^{-i lam t_s}
+times two tables per row built once per stack as running products of one row
+of exponentials each, so a step of the search is one stacked (coarse x N) @
+(N x F) product over the rows still searching.  A row stops at its first
+grid-local maximum, which safeguarded Newton steps on |f|^2 refine, so its time
+depends only on which grid point wins.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ def pst_transfer_time(chain: Chain) -> float:
 def _chain_weights(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and end weights of one chain (_end_weights).  ValueError where its
     spectrum is wider than the double range: its eigenvalue gaps overflow, and no time on
-    it carries information (_first_peak refuses such a chain too)."""
+    it carries information (_first_peaks refuses such a chain too)."""
     with np.errstate(over="ignore"):  # the overflowing gaps, refused here
         lam, w, _ = _end_weights(chain.fields[None], chain.couplings[None])
         width = lam[0, -1] - lam[0, 0]
@@ -210,59 +214,109 @@ def first_peak_time(chain: Chain, search_hint: float | None = None) -> tuple[flo
     if not (math.isfinite(search_hint) and search_hint > 0):
         raise ValueError(f"search_hint must be finite and positive, got {search_hint!r}")
     lam, w = _chain_weights(chain)
-    t = _first_peak(lam, w, search_hint)
+    t = _peak_time(lam, w, search_hint)
     return t, fidelity_single(min(abs(w @ np.exp(-1j * lam * t)), 1.0))
 
 
+def _peak_time(lam: np.ndarray, w: np.ndarray, search_hint: float) -> float:
+    """_first_peaks on one spectrum.  NumericalFailure where it has no peak."""
+    t = float(_first_peaks(lam[None], w[None], np.array([search_hint]))[0])
+    if math.isnan(t):
+        raise NumericalFailure("no transfer peak found in the search window")
+    return t
+
+
 def _scan_factors(lam: np.ndarray, step: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coarse, fine): the phases e^{-i lam j step} of the offsets j = c F + f < rows are
-    coarse[c] * fine[f], F = isqrt(rows - 1) + 1, from about 2 sqrt(rows) N exponentials."""
+    """(coarse, fine) for each row of lam: the phases e^{-i lam j step} of the offsets
+    j = c F + f < rows are coarse[:, c] * fine[:, f], F = isqrt(rows - 1) + 1.  Each table is
+    the running product of one row of exponentials per chain."""
     count = math.isqrt(rows - 1) + 1
-    fine = np.exp(-1j * (np.arange(count) * step)[:, None] * lam)
-    coarse = np.exp(-1j * (np.arange(-(-rows // count)) * (count * step))[:, None] * lam)
-    return coarse, fine
+    return (_powers(np.exp(-1j * (count * step) * lam), -(-rows // count)),
+            _powers(np.exp(-1j * step * lam), count))
 
 
-def _cone_start(lam: np.ndarray, ts: np.ndarray) -> int:
-    """One grid point before the first of ts past the light cone (module docstring): no
-    point up to it can be a peak, since there |f| <= _AMP_THRESHOLD / 2."""
-    alpha = 0.5 * float(lam[-1] - lam[0]) * (1.0 + 1e-12)  # at least half the width
-    reach = _tail_thresholds(_AMP_THRESHOLD / 2, lam.size - 1)[-1]
-    return int(np.searchsorted(alpha * ts, reach, side="right")) - 1
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """(len(base), count, N): base ** 0 .. base ** (count - 1) along axis 1, as running products."""
+    table = np.empty((base.shape[0], count, base.shape[1]), dtype=complex)
+    table[:, 0] = 1.0
+    table[:, 1:] = base[:, None]
+    return np.multiply.accumulate(table, axis=1)
 
 
-def _first_peak(lam: np.ndarray, w: np.ndarray, search_hint: float) -> float:
-    # lam ascends, as every solve returns it
-    phase = _PEAK_STEP * float(max(-lam[0], lam[-1]))
-    if phase >= 2.0 ** 52:  # one ulp of the first grid point's phases is a radian or more
+def _cone_starts(lam: np.ndarray, step: float, sizes: np.ndarray) -> np.ndarray:
+    """Per row, one grid point before the first of its points k step, k < sizes, past the light
+    cone (module docstring): no point up to it can be a peak, since there |f| <=
+    _AMP_THRESHOLD / 2.  This is the last k < sizes with alpha (k step) <= reach, with no grid."""
+    alpha = 0.5 * (lam[:, -1] - lam[:, 0]) * (1.0 + 1e-12)  # at least half the width
+    reach = _tail_thresholds(_AMP_THRESHOLD / 2, lam.shape[1] - 1)[-1]
+    with np.errstate(divide="ignore"):  # alpha 0: every point lies inside the cone
+        k = np.floor(np.minimum(reach / (alpha * step), sizes - 1)).astype(np.intp)
+    # the quotient is off from the grid's own products by an ulp or so
+    while (up := (k + 1 < sizes) & (alpha * ((k + 1) * step) <= reach)).any():
+        k += up
+    while (down := alpha * (k * step) > reach).any():
+        k -= down
+    return k
+
+
+def _first_peaks(lam: np.ndarray, w: np.ndarray, hints: np.ndarray) -> np.ndarray:
+    """The first-peak time of each row's spectrum (lam[r], w[r]) on its grid through
+    2 hints[r], NaN where the row has no peak there (module docstring).  ValueError, before
+    any row is searched, for the first row whose grid's phases carry no information."""
+    # lam ascends along each row, as every solve returns it
+    phase = _PEAK_STEP * np.maximum(-lam[:, 0], lam[:, -1])
+    bad = np.flatnonzero(phase >= 2.0 ** 52)
+    if bad.size:  # one ulp of the first grid point's phases is a radian or more
         raise ValueError(f"the first-peak scan's step {_PEAK_STEP!r} is too long for this "
-                         f"chain: step * max|E| = {phase:.6g} is not below 2^52")
-    ts = np.arange(0.0, 2.0 * search_hint + _PEAK_STEP, _PEAK_STEP)
-    coarse, fine = _scan_factors(lam, _PEAK_STEP, min(_SCAN_ROWS + 2, ts.size))
-    # Chunk c tests grid points start+1 .. start+_SCAN_ROWS against their
-    # neighbours, so consecutive chunks overlap by two points.
-    for start in range(_cone_start(lam, ts), ts.size - 2, _SCAN_ROWS):
-        seg = ts[start:start + _SCAN_ROWS + 2]
-        amps = (coarse * (w * np.exp(-1j * lam * seg[0]))) @ fine.T
-        mags = np.abs(amps).ravel()[:seg.size]
-        mid = mags[1:-1]
-        peaks = np.flatnonzero((mid >= mags[:-2]) & (mid >= mags[2:]) & (mid > _AMP_THRESHOLD))
-        if peaks.size:
-            i = start + 1 + int(peaks[0])
-            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1])
-    raise NumericalFailure("no transfer peak found in the search window")
+                         f"chain: step * max|E| = {phase[bad[0]]:.6g} is not below 2^52")
+    times = np.full(len(lam), np.nan)
+    sizes = np.ceil((2.0 * hints + _PEAK_STEP) / _PEAK_STEP)  # np.arange's grid lengths
+    starts = _cone_starts(lam, _PEAK_STEP, sizes)
+    live = np.flatnonzero(starts < sizes - 2)  # rows whose grid holds a point to test
+    if not live.size:
+        return times
+    lam, w, sizes, starts = lam[live], w[live], sizes[live], starts[live]
+    coarse, fine = _scan_factors(lam, _PEAK_STEP, int(min(_SCAN_ROWS + 2, sizes.max())))
+    moments = _moments(lam, w)
+    offsets = np.arange(min(coarse.shape[1] * fine.shape[1], _SCAN_ROWS + 2) - 2)
+    # Each step tests grid points start+1 .. start+_SCAN_ROWS of every row still searching
+    # against their neighbours, so a row's consecutive chunks overlap by two points.
+    while True:
+        shift = w * np.exp(-1j * lam * (starts * _PEAK_STEP)[:, None])
+        amps = (coarse * shift[:, None]) @ fine.transpose(0, 2, 1)
+        mags = np.abs(amps).reshape(live.size, -1)[:, :_SCAN_ROWS + 2]
+        mid = mags[:, 1:-1]
+        peaks = ((mid >= mags[:, :-2]) & (mid >= mags[:, 2:]) & (mid > _AMP_THRESHOLD)
+                 & (offsets < (sizes - starts - 2)[:, None]))  # inside the row's grid
+        found = peaks.any(axis=1)
+        for r in np.flatnonzero(found):
+            i = int(starts[r]) + 1 + int(peaks[r].argmax())
+            times[live[r]] = _refine_peak(lam[r], w[r], (i - 1) * _PEAK_STEP, i * _PEAK_STEP,
+                                          (i + 1) * _PEAK_STEP, moments[r])
+        starts += _SCAN_ROWS
+        keep = ~found & (starts < sizes - 2)
+        if not keep.any():
+            return times
+        if not keep.all():
+            live, lam, w, sizes, starts, coarse, fine, moments = (
+                part[keep] for part in (live, lam, w, sizes, starts, coarse, fine, moments))
 
 
-def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float) -> float:
+def _moments(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[w, -i lam w, -lam^2 w] along axis -2: times e^{-i lam t} they give f, f' and f''."""
+    return np.stack([w, -1j * lam * w, -lam * lam * w], axis=-2)
+
+
+def _refine_peak(lam: np.ndarray, w: np.ndarray, lo: float, t: float, hi: float,
+                 moments: np.ndarray) -> float:
     """Maximum of |f| = |sum_k w_k e^{-i lam_k t}| in [lo, hi] by Newton on g = |f|^2 from t.
 
-    [w, -i lam w, -lam^2 w] @ e^{-i lam t} gives f, f', f'': g' = 2 Re(conj(f) f'),
-    g'' = 2 (|f'|^2 + Re(conj(f) f'')).  Stops once a step is at most _PEAK_TOL or
-    no longer shrinks (the rounding floor); golden-section search on |f| takes
-    over where g'' >= 0 or a step would leave [lo, hi].
+    moments (_moments(lam, w)) @ e^{-i lam t} gives f, f', f'':
+    g' = 2 Re(conj(f) f'), g'' = 2 (|f'|^2 + Re(conj(f) f'')).  Stops once a step is at
+    most _PEAK_TOL or no longer shrinks (the rounding floor); golden-section search on |f|
+    takes over where g'' >= 0 or a step would leave [lo, hi].
     """
     phase = -1j * lam
-    moments = np.stack([w, phase * w, -lam * lam * w])
     t, last = float(t), math.inf
     while True:
         f, df, d2f = (moments @ np.exp(phase * t)).tolist()
@@ -286,7 +340,7 @@ def auto_transfer_time(chain: Chain) -> float:
     try:
         return _pst_time(lam, w)
     except NumericalFailure:
-        return _first_peak(lam, w, default_peak_hint(chain.n))
+        return _peak_time(lam, w, default_peak_hint(chain.n))
 
 
 # ---------------------------------------------------------------------------

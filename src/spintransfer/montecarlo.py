@@ -63,11 +63,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .chain import FORMAT_VERSION, Chain, NumericalFailure, write_json
+from .chain import FORMAT_VERSION, Chain, write_json
 from .disorder import (_KIND_FIELD, DisorderSpec, Distribution, apply_variates, errors_disorder,
                        standard_variates)
 from .encoding import _check_unitary, fidelity_single
-from .models import _first_peak, auto_transfer_time
+from .models import _first_peaks, auto_transfer_time
 from .spectral import (_end_weights, _tail_thresholds, eigendecompose, end_spectrum,
                        end_windows, window_amplitudes)
 
@@ -235,13 +235,9 @@ def _score_rows(couplings: np.ndarray, fields: np.ndarray, policy: TransferPolic
     if not policy.per_sample_peak:
         return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
     lam, w, spectrum = _end_weights(fields, couplings)
-    times = times.copy()
-    lost = np.zeros(times.size, dtype=bool)
-    for r in range(times.size):
-        try:  # times are finite and >= 0 (resolve_time)
-            times[r] = _first_peak(lam[r], w[r], max(float(times[r]), 1.0))
-        except NumericalFailure:  # no peak of its own: keep the resolved time
-            lost[r] = True
+    peaks = _first_peaks(lam, w, np.maximum(times, 1.0))  # times are finite and >= 0
+    lost = np.isnan(peaks)  # no peak of its own: keep the resolved time
+    times = np.where(lost, times, peaks)
     fids = _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
                            times)
     if lost.any():  # scored as a fixed-time run scores them, bit for bit

@@ -7,7 +7,8 @@ objectives reuse one fixed set of disorder draws for every candidate (common
 random numbers), which makes the objective deterministic and lets a simplex
 search make progress despite the sampling.  evaluate_objective is the one-point
 case of _evaluate_points, which objective_landscape calls once per x value:
-one stacked spectrum solve, then one stacked score or one _score_cells ensemble.
+one stacked spectrum solve, one stacked first-peak search, then one stacked score or
+one _score_cells ensemble.
 optimize_apollaro runs up to W starts' Nelder-Mead searches in lockstep, in
 one thread: each search is a generator (_nelder_mead, scipy's algorithm step
 for step) that yields its points, and _lockstep scores each round of their
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Chain, NumericalFailure
+from .chain import Chain
 from .disorder import DisorderSpec
-from .models import _apollaro_couplings, _first_peak, default_peak_hint
+from .models import _apollaro_couplings, _first_peaks, default_peak_hint
 from .montecarlo import TransferPolicy, _check_ensemble_args, _score_cells, _score_spectrum
 from .spectral import _end_weights, eigendecompose
 
@@ -94,9 +95,10 @@ def evaluate_objective(obj: Objective, x: float, y: float) -> float:
 
 
 def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
-    """The objective at each point (xs[i], ys[i]), folded into the box: one stacked solve, a
-    first-peak search per point, then one stacked score or one ensemble of the points.
-    ValueError, before any solve, where a coordinate is not finite (no fold takes it in)."""
+    """The objective at each point (xs[i], ys[i]), folded into the box: one stacked solve, one
+    stacked first-peak search, then one stacked score or one ensemble of the points that have
+    a peak.  ValueError, before any solve, where a coordinate is not finite (no fold takes
+    it in)."""
     for name, values in (("x", xs), ("y", ys)):
         bad = [float(v) for v in values if not np.isfinite(v)]
         if bad:
@@ -105,22 +107,20 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
                                     [_fold_into_box(float(y)) for y in ys])
     fields = np.zeros((len(couplings), obj.n))
     lam, w, spectrum = _end_weights(fields, couplings)
-    values, peaks = np.full(len(couplings), 0.5), {}
-    for r in range(len(couplings)):
-        try:
-            peaks[r] = _first_peak(lam[r], w[r], default_peak_hint(obj.n))
-        except NumericalFailure:  # no arrival in the search window (extreme end couplings):
-            pass  # the point keeps the fidelity floor instead of aborting the search
+    peaks = _first_peaks(lam, w, np.full(len(couplings), default_peak_hint(obj.n)))
+    # a point with no arrival in the search window (extreme end couplings) keeps the fidelity
+    # floor instead of aborting the search
+    values, found = np.full(len(couplings), 0.5), np.flatnonzero(~np.isnan(peaks))
     # where every point has a peak (the one-point objective's case), rows copies nothing
-    rows = slice(None) if len(peaks) == len(couplings) else list(peaks)
-    if peaks and obj.metric == "deterministic":
+    rows = slice(None) if found.size == len(couplings) else found
+    if found.size and obj.metric == "deterministic":
         values[rows] = _score_spectrum(couplings[rows], fields[rows],
                                        tuple(part[rows] for part in spectrum),
-                                       obj.window, obj.window, np.array(list(peaks.values())))
-    elif peaks:
-        bases = {r: Chain(n=obj.n, couplings=couplings[r], fields=fields[r]) for r in peaks}
-        cells = [(bases[r], obj.disorder, TransferPolicy(obj.window, obj.window, t)
-                  .resolve_time(bases[r])) for r, t in peaks.items()]
+                                       obj.window, obj.window, peaks[rows])
+    elif found.size:
+        bases = [Chain(n=obj.n, couplings=couplings[r], fields=fields[r]) for r in found]
+        cells = [(base, obj.disorder, TransferPolicy(obj.window, obj.window, peaks[r])
+                  .resolve_time(base)) for base, r in zip(bases, found)]
         fids = _score_cells(cells, TransferPolicy(obj.window, obj.window), obj.samples)
         values[rows] = np.quantile(fids, obj.quantile, axis=1, method="linear")
     return values

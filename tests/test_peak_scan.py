@@ -1,20 +1,22 @@
-"""The chunked first-peak scan, which starts at the light cone and factors each chunk's
-phases, against the whole-grid scan it replaced; the light cone against eigenvector
-amplitudes; and the Newton refinement against an independent root of g' = d|f|^2/dt."""
+"""The chunked first-peak scan, which starts at the light cone, factors each chunk's
+phases and searches a stack of spectra at once, against the whole-grid scan it replaced,
+row by row; the light cone against eigenvector amplitudes; and the Newton refinement
+against an independent root of g' = d|f|^2/dt."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spintransfer import (Chain, NumericalFailure, Objective, apollaro_chain,
+from spintransfer import (Chain, NumericalFailure, Objective, TransferPolicy, apollaro_chain,
                           auto_transfer_time, eigendecompose, fidelity_single, first_peak_time,
-                          normal_disorder, optimize_apollaro, pst_chain, pst_transfer_time,
-                          quadratic_chain, sample_disordered_chain, uniform_chain,
-                          uniform_disorder)
+                          monte_carlo, normal_disorder, optimize_apollaro, pst_chain,
+                          pst_transfer_time, quadratic_chain, sample_disordered_chain,
+                          uniform_chain, uniform_disorder)
 from spintransfer import models, optimize, spectral
-from spintransfer.models import _golden_section_max, _refine_peak, default_peak_hint
+from spintransfer.models import _golden_section_max, _moments, _refine_peak, default_peak_hint
 from spintransfer.optimize import BOX_HI, BOX_LO
 
 
@@ -23,13 +25,13 @@ def dense_first_peak(lam, w, search_hint, step=0.05, amp_threshold=0.01):
 
     It takes the same spectrum (lam, w) and the same refinement as the
     chunked scan, so the two agree exactly when they pick the same grid point.
-    Returns the refined time, as models._first_peak does.
+    Returns the refined time, as models._first_peaks does for one row.
     """
     ts = np.arange(0.0, 2.0 * search_hint + step, step)
     mags = np.abs(np.exp(-1j * np.outer(ts, lam)) @ w)
     for i in range(1, ts.size - 1):
         if mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1] and mags[i] > amp_threshold:
-            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1])
+            return _refine_peak(lam, w, ts[i - 1], ts[i], ts[i + 1], _moments(lam, w))
     raise NumericalFailure("no transfer peak found in the search window")
 
 
@@ -45,6 +47,24 @@ def scan_peak_time(scan, chain, search_hint=None, **kwargs):
 
 def dense_first_peak_time(chain, **kwargs):
     return scan_peak_time(dense_first_peak, chain, **kwargs)
+
+
+def dense_first_peaks(lam, w, hints):
+    """dense_first_peak row by row, NaN where a row has no peak: models._first_peaks's
+    contract."""
+    times = []
+    for row in zip(lam, w, hints):
+        try:
+            times.append(dense_first_peak(*row))
+        except NumericalFailure:
+            times.append(math.nan)
+    return np.array(times)
+
+
+def stack_weights(chains):
+    """The eigenvalues and end weights of chains of one n, as one stacked solve gives them."""
+    fields = np.stack([chain.fields for chain in chains])
+    return spectral._end_weights(fields, np.stack([chain.couplings for chain in chains]))[:2]
 
 
 def outcome(scan, chain, **kwargs):
@@ -77,20 +97,24 @@ def test_chunked_scan_returns_the_dense_scan_times(n):
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 64])
 def test_chunk_boundaries_do_not_move_the_peak(rows, monkeypatch):
-    chain = apollaro_chain(51, 0.4322, 0.7338)
-    want = dense_first_peak_time(chain)
+    stack = [apollaro_chain(51, 0.4322, 0.7338), uniform_chain(51),
+             sample_disordered_chain(uniform_chain(51), normal_disorder(0.1, 0.1, seed=31), 0)]
+    want = [dense_first_peak_time(chain)[0] for chain in stack]
     monkeypatch.setattr(models, "_SCAN_ROWS", rows)
     scan_factors = models._scan_factors
-    offsets = []
+    shapes = []
 
     def recording_factors(lam, step, count):
         coarse, fine = scan_factors(lam, step, count)
-        offsets.append(len(coarse) * len(fine))
+        shapes.append((coarse.shape, fine.shape))
         return coarse, fine
 
     monkeypatch.setattr(models, "_scan_factors", recording_factors)
-    assert first_peak_time(chain) == want
-    assert len(offsets) == 1 and offsets[0] >= rows + 2  # built once, covering every chunk
+    lam, w = stack_weights(stack)
+    assert models._first_peaks(lam, w, np.full(3, default_peak_hint(51))).tolist() == want
+    # built once per stack, a pair of tables per row, covering every chunk
+    [(coarse, fine)] = shapes
+    assert coarse[0] == fine[0] == 3 and coarse[1] * fine[1] >= rows + 2
 
 
 def test_chain_without_peak_still_raises():
@@ -163,6 +187,14 @@ def light_cone_chains():
         yield from box_grid(n, 9)
 
 
+def grid_cone_start(lam, ts):
+    """The light-cone start as a search over the whole grid ts finds it: one point before the
+    first t with alpha t past the reach."""
+    alpha = 0.5 * float(lam[-1] - lam[0]) * (1.0 + 1e-12)
+    reach = spectral._tail_thresholds(models._AMP_THRESHOLD / 2, lam.size - 1)[-1]
+    return int(np.searchsorted(alpha * ts, reach, side="right")) - 1
+
+
 def test_light_cone_skips_only_points_that_cannot_be_peaks():
     # the largest |f| up to a scan's start is 4.6e-4 on these chains, and 39% of grid points
     # are skipped
@@ -170,7 +202,8 @@ def test_light_cone_skips_only_points_that_cannot_be_peaks():
     for k, chain in enumerate(light_cone_chains()):
         lam, w, _ = spectral._end_weights(chain.fields[None], chain.couplings[None])
         ts = np.arange(0.0, 2.0 * default_peak_hint(chain.n) + 0.05, 0.05)
-        start = models._cone_start(lam[0], ts)
+        start = models._cone_starts(lam, 0.05, np.array([ts.size]))[0]
+        assert start == grid_cone_start(lam[0], ts), chain.label
         eig = eigendecompose(chain)
         inside = np.exp(-1j * np.outer(ts[:start + 1], eig.eigenvalues)) @ (
             eig.eigenvectors[-1] * eig.eigenvectors[0])
@@ -181,23 +214,100 @@ def test_light_cone_skips_only_points_that_cannot_be_peaks():
     assert k + 1 == 304 and skipped > 0.35 * scanned
     # where the scan starts on the 4a optimum and the uniform chain: the bound is not vacuous
     for chain, want in ((apollaro_chain(51, 0.4322, 0.7338), 376), (uniform_chain(201), 1786)):
-        lam, _ = models._chain_weights(chain)
-        ts = np.arange(0.0, 2.0 * default_peak_hint(chain.n) + 0.05, 0.05)
-        assert models._cone_start(lam, ts) == want
+        lam, _ = stack_weights([chain])
+        size = np.arange(0.0, 2.0 * default_peak_hint(chain.n) + 0.05, 0.05).size
+        assert models._cone_starts(lam, 0.05, np.array([size])).tolist() == [want]
+
+
+def test_light_cone_start_is_the_grid_search_start_at_every_length():
+    # without a grid, at each length from none of the points past the cone to all of them
+    lam, _ = stack_weights([apollaro_chain(51, 0.4322, 0.7338)])
+    ts = np.arange(0.0, 30.0, 0.05)
+    sizes = np.arange(1, ts.size + 1)
+    want = [grid_cone_start(lam[0], ts[:size]) for size in sizes]
+    assert models._cone_starts(np.repeat(lam, sizes.size, axis=0), 0.05, sizes).tolist() == want
 
 
 def test_tuning_run_matches_the_dense_scan(monkeypatch):
     obj = Objective(n=51, window=1)
     result = optimize_apollaro(obj, 0.5, 0.8, restarts=1, max_iter=12)
-    dense_calls = []
+    dense_rows = []
 
-    def counting_dense_first_peak(*args):
-        dense_calls.append(args[0])
-        return dense_first_peak(*args)
+    def counting_dense_first_peaks(lam, w, hints):
+        dense_rows.append(len(lam))
+        return dense_first_peaks(lam, w, hints)
 
-    monkeypatch.setattr(optimize, "_first_peak", counting_dense_first_peak)
+    monkeypatch.setattr(optimize, "_first_peaks", counting_dense_first_peaks)
     assert optimize_apollaro(obj, 0.5, 0.8, restarts=1, max_iter=12) == result
-    assert len(dense_calls) == result.evaluations > 12  # the optimum is not scored again
+    # one search per evaluation; the optimum is not scored again
+    assert sum(dense_rows) == result.evaluations > 12
+    assert len(dense_rows) < result.evaluations  # the starts' points are searched in stacks
+
+
+def mixed_stack():
+    """(chains, hints) of n = 51: rows that peak in a scan's first chunk and in later ones,
+    rows with no peak, a hint of their own per row, and a grid shorter than three points."""
+    uniform = uniform_chain(51)
+    hint = default_peak_hint(51)
+    return [
+        (uniform, hint),  # cone start 376, peak at grid point 547
+        (Chain(n=51, couplings=np.full(50, 100.0), fields=np.zeros(51)), hint),  # 3, then 5
+        (apollaro_chain(51, 0.4322, 0.7338), 100.0),
+        (uniform, 2.0),  # the whole grid lies inside the light cone
+        (sample_disordered_chain(uniform, normal_disorder(0.3, 0.3, seed=47), 0), 1.7 * hint),
+        (apollaro_chain(51, BOX_LO, BOX_LO), hint),  # scanned to the end without a peak
+        (uniform, 0.01),  # two grid points
+        (apollaro_chain(51, 0.25, 0.55), 20.0),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_a_mixed_stack_gives_each_row_its_one_row_time(rows, monkeypatch):
+    chains, hints = zip(*mixed_stack())
+    lam, w = stack_weights(chains)
+    want = dense_first_peaks(lam, w, hints).tolist()
+    assert [math.isnan(t) for t in want] == [False] * 3 + [True, False, True, True, False]
+    monkeypatch.setattr(models, "_SCAN_ROWS", rows)
+    got = models._first_peaks(lam, w, np.array(hints))
+    assert [t.hex() for t in got.tolist()] == [t.hex() for t in want]
+    # a row's time does not depend on the rows beside it
+    reverse = models._first_peaks(lam[::-1], w[::-1], np.array(hints[::-1]))
+    assert [t.hex() for t in reverse.tolist()] == [t.hex() for t in want[::-1]]
+
+
+def test_a_stack_raises_the_first_unresolvable_rows_error():
+    lam, w = np.concatenate([stack_weights([uniform_chain(6)])] * 3, axis=1)
+    for r, coupling in ((1, 1e17), (2, 1e200)):
+        lam[r], w[r] = models._chain_weights(
+            Chain(n=6, couplings=np.full(5, coupling), fields=np.zeros(6)))
+    errors = []
+    for rows in (slice(1, 2), slice(2, 3), slice(None)):
+        with pytest.raises(ValueError, match="first-peak scan's step 0.05 is too long") as error:
+            models._first_peaks(lam[rows], w[rows], np.ones(len(lam[rows])))
+        errors.append(str(error.value))
+    assert errors[2] == errors[0] != errors[1]
+
+
+def test_search_cost_does_not_grow_with_the_hint():
+    chain = uniform_chain(51)
+    want = first_peak_time(chain)
+    tracemalloc.start()
+    try:
+        assert first_peak_time(chain, search_hint=1e5) == want
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the grid through 2e5 would take 32 MB as times alone
+
+
+@pytest.mark.parametrize("n, want", [
+    (51, ("0x1.61016e7104568p-1", "0x1.3e04b19e0225ap-1", "0x1.6d59901db7be0p-1")),
+    (201, ("0x1.15d35dff20386p-1", "0x1.0a50ddbd2d20bp-1", "0x1.19a313f4c402dp-1"))])
+def test_per_sample_peak_statistics_are_pinned(n, want):
+    # recorded from the one-row-at-a-time scan, before the stacked search replaced it
+    stats = monte_carlo(uniform_chain(n), normal_disorder(0.1, 0.1, seed=71),
+                        TransferPolicy(1, 1, per_sample_peak=True), samples=96)
+    assert (stats.mean.hex(), stats.minimum.hex(), stats.quantile_value.hex()) == want
 
 
 @pytest.mark.parametrize("name, value", [
@@ -318,6 +428,6 @@ def test_newton_falls_back_to_golden_section(start, lo, hi, monkeypatch):
     # t = 1.2 the Newton step lands near 1.658, outside [1.0, 1.3]
     lam, w = np.array([-1.0, 1.0]), np.array([0.5, -0.5])
     calls = counted_golden(monkeypatch)
-    got = _refine_peak(lam, w, lo, start, hi)
+    got = _refine_peak(lam, w, lo, start, hi, _moments(lam, w))
     assert calls == [(lo, hi, 1e-8)]
     assert got == _golden_section_max(lambda s: abs(w @ np.exp(-1j * lam * s)), lo, hi, 1e-8)
