@@ -16,6 +16,14 @@ eigenvalues
 (2010)).  end_spectrum computes them for a stack of chains, and _end_weights
 turns them into weights, taking eigendecompose for a row the identity cannot
 take; eigendecompose stays the reference for every amplitude.
+
+A mirror-symmetric chain (J_i = J_{N-i}, B_i = B_{N+1-i}) commutes with the
+reflection, so its spectrum is the union of two tridiagonal spectra of about
+N/2 sites, on vectors even and odd under it.  end_spectrum solves such a row as
+those two sectors, which costs about 0.6x one whole solve.  The test is exact
+equality with the reversed row, one stacked comparison per call, so no
+disordered row takes it; a row whose two sectors give a repeated eigenvalue
+between them is solved whole, as every other row is.
 """
 
 from __future__ import annotations
@@ -110,18 +118,33 @@ def end_spectrum(fields: np.ndarray, couplings: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(lam, log_weights, signs, ok) of the chains with fields[r], couplings[r].
 
-    Eigenvalues ascend (LAPACK dstevd, no vectors).  Weight v_k(1) v_k(N) =
-    signs * exp(log_weights), summed as logarithms: prod J_i alone leaves
-    double range on long chains.  ok[r] is False, and row r's weights are
-    meaningless, where a coupling is zero or an eigenvalue repeats.
+    Eigenvalues ascend (LAPACK dstevd, no vectors).  A row whose couplings and fields
+    each equal their own reverse exactly is mirror-symmetric, and its spectrum is that of
+    two half-size sectors (_mirror_sectors), solved apart and merged; a merged spectrum
+    that is not strictly ascending (eigenvalues of the two sectors that collide in
+    rounding) is solved whole instead, as every other row is.  Weight v_k(1) v_k(N) =
+    signs * exp(log_weights), summed as logarithms: prod J_i alone leaves double range on
+    long chains.  ok[r] is False, and row r's weights are meaningless, where a coupling is
+    zero or an eigenvalue repeats.
     """
     m, n = fields.shape
     lam = np.empty((m, n))
-    for r in range(m):
-        lam[r], _, info = dstevd(fields[r], couplings[r], compute_v=0)
-        if info:  # pragma: no cover - LAPACK failure is pathological
-            raise NumericalFailure(f"tridiagonal eigensolver failed (info={info})")
-    ok = (couplings != 0.0).all(axis=1) & (lam[:, 1:] > lam[:, :-1]).all(axis=1)
+    mirror = ((couplings == couplings[:, ::-1]).all(axis=1)
+              & (fields == fields[:, ::-1]).all(axis=1))
+    if mirror.any():
+        (even, even_off), (odd, odd_off) = _mirror_sectors(fields, couplings)
+    for r, split in enumerate(mirror.tolist()):
+        if split:
+            lam[r, :even.shape[1]] = _eigenvalues(even[r], even_off[r])
+            lam[r, even.shape[1]:] = _eigenvalues(odd[r], odd_off[r])
+            lam[r].sort()
+        else:
+            lam[r] = _eigenvalues(fields[r], couplings[r])
+    ascending = (lam[:, 1:] > lam[:, :-1]).all(axis=1)
+    for r in np.flatnonzero(mirror & ~ascending):  # the two sectors' eigenvalues collide
+        lam[r] = _eigenvalues(fields[r], couplings[r])
+        ascending[r] = (lam[r, 1:] > lam[r, :-1]).all()
+    ok = (couplings != 0.0).all(axis=1) & ascending
     log_gaps = np.empty((m, n))
     step = max(1, (1 << 16) // n ** 2)  # slices of about 2^16 gaps (0.5 MB), or one chain
     with np.errstate(divide="ignore", invalid="ignore"):  # log(0) on rows that are not ok
@@ -133,6 +156,36 @@ def end_spectrum(fields: np.ndarray, couplings: np.ndarray
     # prod_{j != k} (lambda_k - lambda_j) has n-1-k negative factors
     signs = np.sign(couplings).prod(axis=1, keepdims=True) * (-1.0) ** np.arange(n - 1, -1, -1)
     return lam, log_weights, signs, ok
+
+
+def _eigenvalues(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the tridiagonal matrix with this diagonal and off-diagonal
+    (dstevd, no vectors); a one-site matrix's is its diagonal entry."""
+    if diagonal.size == 1:  # dstevd would want an off-diagonal entry all the same
+        return diagonal.copy()
+    lam, _, info = dstevd(diagonal, offdiagonal, compute_v=0)
+    if info:  # pragma: no cover - LAPACK failure is pathological
+        raise NumericalFailure(f"tridiagonal eigensolver failed (info={info})")
+    return lam
+
+
+def _mirror_sectors(fields: np.ndarray, couplings: np.ndarray) -> tuple[tuple, tuple]:
+    """((d, e), (d, e)): the diagonals and off-diagonals of the even and odd sectors of
+    mirror-symmetric chains, whose spectra together are the chain's.
+
+    On vectors with v_i = +-v_{N+1-i} the chain acts on the first half of the sites: for
+    odd N = 2h + 1 the even sector keeps the centre site, joined by sqrt(2) J_h, and the odd
+    sector drops it; for even N = 2h the centre bond adds +-J_h to the last diagonal entry.
+    """
+    h = fields.shape[1] // 2
+    if fields.shape[1] % 2:
+        joined = couplings[:, :h].copy()
+        joined[:, -1] *= math.sqrt(2.0)
+        return (fields[:, :h + 1], joined), (fields[:, :h], couplings[:, :h - 1])
+    plus, minus = fields[:, :h].copy(), fields[:, :h].copy()
+    plus[:, -1] += couplings[:, h - 1]
+    minus[:, -1] -= couplings[:, h - 1]
+    return (plus, couplings[:, :h - 1]), (minus, couplings[:, :h - 1])
 
 
 def _end_weights(fields: np.ndarray, couplings: np.ndarray

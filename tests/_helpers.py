@@ -1,6 +1,7 @@
 """Small constructions shared by the tests, and the table of hard regimes that both
 block producers are checked on against the full propagator."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -48,6 +49,40 @@ def oracle_fidelity(chain, window_in, window_out, t):
     block = u[chain.n - window_out:, :window_in]
     top = np.linalg.svd(block, compute_uv=False)[0]
     return fidelity_single(min(float(top), 1.0))
+
+
+def mp_errors(chain, lam, w) -> tuple[float, float]:
+    """(eigenvalue error, weight error) of the ascending eigenvalues lam and end weights w
+    against the chain's, at 40 digits: the largest |lam_k - lam*_k| over max(1, max |lam*|)
+    and the largest |w_k - w*_k| over max |w*|, with w* = v_k(1) v_k(N)."""
+    import mpmath
+
+    exact_lam, exact_w = _mp_end_spectrum(chain.fields.tobytes(), chain.couplings.tobytes())
+    with mpmath.workdps(40):
+        lam_scale = max(1, max(abs(x) for x in exact_lam))
+        w_scale = max(abs(x) for x in exact_w)
+        return (float(max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(lam, exact_lam))
+                      / lam_scale),
+                float(max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(w, exact_w)) / w_scale))
+
+
+@functools.cache
+def _mp_end_spectrum(fields: bytes, couplings: bytes) -> tuple[list, list]:
+    """The ascending eigenvalues and end weights v_k(1) v_k(N) of the chain with these
+    fields and couplings, from mpmath.eigsy on its dense matrix at 40 digits."""
+    import mpmath
+
+    fields, couplings = np.frombuffer(fields), np.frombuffer(couplings)
+    n = fields.size
+    with mpmath.workdps(40):
+        matrix = mpmath.zeros(n, n)
+        for i in range(n):
+            matrix[i, i] = mpmath.mpf(float(fields[i]))
+        for i in range(n - 1):
+            matrix[i, i + 1] = matrix[i + 1, i] = mpmath.mpf(float(couplings[i]))
+        values, vectors = mpmath.eigsy(matrix)
+        order = sorted(range(n), key=lambda k: values[k])
+        return ([values[k] for k in order], [vectors[0, k] * vectors[n - 1, k] for k in order])
 
 
 def counted_eigendecompose(monkeypatch, module) -> list:

@@ -228,6 +228,26 @@ def test_light_cone_start_is_the_grid_search_start_at_every_length():
     assert models._cone_starts(np.repeat(lam, sizes.size, axis=0), 0.05, sizes).tolist() == want
 
 
+def test_light_cone_start_is_the_grid_search_start_where_the_quotient_is_an_integer():
+    # spectra whose reach / (alpha step) lies within ulps of an integer: there the raised
+    # quotient can sit one point above the start, and the downward test must step back
+    reach = spectral._tail_thresholds(models._AMP_THRESHOLD / 2, 50)[-1]
+    ts = np.arange(0.0, 60.0, 0.05)
+    lam = []
+    for k in (1, 7, 376, 1000):
+        edge = reach / (k * 0.05) / (1.0 + 1e-12)  # alpha (k step) = reach, up to rounding
+        for _ in range(5):
+            edge = np.nextafter(edge, 0.0)
+        for _ in range(10):
+            lam.append(np.linspace(-edge, edge, 51))
+            edge = np.nextafter(edge, np.inf)
+    lam = np.array(lam)
+    want = [grid_cone_start(row, ts) for row in lam]
+    alpha = 0.5 * (lam[:, -1] - lam[:, 0]) * (1.0 + 1e-12)
+    assert (np.floor(reach * (1.0 + 2.0 ** -48) / (alpha * 0.05)) > want).any()
+    assert models._cone_starts(lam, 0.05, np.full(len(lam), ts.size)).tolist() == want
+
+
 def test_tuning_run_matches_the_dense_scan(monkeypatch):
     obj = Objective(n=51, window=1)
     result = optimize_apollaro(obj, 0.5, 0.8, restarts=1, max_iter=12)
