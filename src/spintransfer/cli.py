@@ -27,8 +27,8 @@ from .encoding import (best_excitation_count, fidelity_haselgrove, fidelity_mult
 from .fermion import free_fermion_report
 from .models import (apollaro_chain, pst_chain, quadratic_chain, quadratic_time_bound,
                      uniform_chain)
-from .montecarlo import (SweepAxis, TransferPolicy, save_grid_csv, save_grid_descriptor,
-                         sweep)
+from .montecarlo import (SweepAxis, TransferPolicy, _check_phase, save_grid_csv,
+                         save_grid_descriptor, sweep)
 from .optimize import Objective, objective_landscape, optimize_apollaro
 from .spectral import eigendecompose
 
@@ -200,10 +200,14 @@ def cmd_optimize(args) -> int:
 
 def cmd_oracle(args) -> int:
     chain = _build_chain_from_flags(args)
+    _check_phase(chain.couplings[None], chain.fields[None], args.t)
     report = free_fermion_report(chain, args.k, args.t, tolerance=args.tolerance)
     report["format_version"] = FORMAT_VERSION
     sys.stdout.write(write_json(report, args.out))
-    return 0 if report["passed"] else 3
+    if not report["passed"]:
+        raise NumericalFailure(f"free-fermion deviation {report['max_deviation']:.6g} exceeds "
+                               f"the tolerance {args.tolerance:g}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spintransfer import (Chain, apollaro_chain, eigendecompose, fidelity_single,
-                          full_propagator, montecarlo, normal_disorder, pst_chain,
+                          full_propagator, montecarlo, normal_disorder, pst_chain, spectral,
                           uniform_chain, uniform_disorder)
 from spintransfer.disorder import draw_realizations
 
@@ -37,9 +37,9 @@ def score_chain(chain, window_in, window_out, time) -> float:
 def propagate_rows(couplings, fields, window_in, window_out, times) -> np.ndarray:
     """The Chebyshev producer's fidelity of each row's chain, whichever producer the
     rule would pick, through the kernel's shared tail."""
-    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
-                                     montecarlo._TAIL)
-    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
+    counts = spectral._term_counts(spectral._gershgorin(fields, couplings)[1] * times,
+                                   spectral._TAIL)
+    top = spectral._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
     return montecarlo._score_tops(top, couplings, fields, window_in, window_out, times)
 
 

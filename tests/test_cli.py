@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -656,6 +657,40 @@ def test_oracle_numerical_failure_exit_code(capsys):
     # an impossible tolerance flags the run as a numerical failure (exit 3)
     assert run(["oracle", "--model", "uniform", "--n", "6", "--k", "2",
                 "--t", "1.0", "--tolerance", "1e-20"]) == 3
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"numerical failure: free-fermion deviation \S+ exceeds the "
+                        r"tolerance 1e-20\n", captured.err)
+    assert json.loads(captured.out)["passed"] is False  # the report is still written
+
+
+@pytest.mark.parametrize("time", ["1e300", "-1e300", str(2.0 ** 51)])
+def test_oracle_time_past_the_phase_bound_is_a_usage_error(time, tmp_path, capsys,
+                                                           monkeypatch):
+    # uniform chains have max|E| = 2 on the Gershgorin interval, so |t| must stay below
+    # 2^51; past it, the run exited 3 with a meaningless verdict (0.22 on N=14, k=3)
+    import spintransfer.fermion as fermion
+
+    def no_evolution(*args):
+        raise AssertionError("sector evolved past the phase bound")
+
+    monkeypatch.setattr(fermion, "verify_free_fermion", no_evolution)
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "--n", "14", "--k", "3", f"--t={time}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: window time {float(time)!r} is too long for this "
+                            f"chain: t * max|E| = {2 * abs(float(time)):.6g} is not below 2^52\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time", [float(np.nextafter(2.0 ** 51, 0.0)), -3.7])
+def test_oracle_time_below_the_phase_bound_runs(time, capsys):
+    # one ulp below the bound the free-fermion check still runs (and fails: exit 3); a
+    # negative time runs as any other
+    code = run(["oracle", "--n", "6", "--k", "2", f"--t={time!r}"])
+    captured = capsys.readouterr()
+    assert code == (0 if time < 0 else 3)
+    assert json.loads(captured.out)["t"] == time
 
 
 def test_oracle_negative_tolerance_is_a_usage_error(tmp_path, capsys, monkeypatch):

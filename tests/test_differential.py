@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spintransfer import Chain, eigendecompose, full_propagator, montecarlo
+from spintransfer import Chain, eigendecompose, full_propagator, montecarlo, spectral
 
 WEAK = (1e-4, 1e-8, 1e-12)
 
@@ -64,10 +64,10 @@ def stacks(draw):
 
 
 def check_stack(couplings, fields, window_in, window_out, times):
-    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
-                                     montecarlo._TAIL)
-    top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
-    admitted = montecarlo._growth(couplings, fields, window_in, window_out) <= montecarlo._GROWTH
+    counts = spectral._term_counts(spectral._gershgorin(fields, couplings)[1] * times,
+                                   spectral._TAIL)
+    top = spectral._chebyshev_tops(couplings, fields, window_in, window_out, times, counts)
+    admitted = spectral._growth(couplings, fields, window_in, window_out) <= spectral._GROWTH
     assert np.isnan(top[~admitted]).all()
     for r in np.flatnonzero(admitted):
         want = oracle_top(couplings[r], fields[r], window_in, window_out, times[r])
@@ -99,19 +99,19 @@ def test_every_window_pair_up_to_8_on_hard_chains():
     fields = np.array([np.zeros(n), rng.uniform(-0.3, 0.3, n), rng.uniform(-6.0, 6.0, n),
                        rng.uniform(-1.0, 1.0, n)])
     times = np.array([17.9, 36.0, 5.3, 0.0])
-    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
-                                     montecarlo._TAIL)
+    counts = spectral._term_counts(spectral._gershgorin(fields, couplings)[1] * times,
+                                   spectral._TAIL)
     for window_in in range(1, 9):
         for window_out in range(1, 9):
-            top = montecarlo._chebyshev_tops(couplings, fields, window_in, window_out, times,
-                                             counts)
-            growth = montecarlo._growth(couplings, fields, window_in, window_out)
+            top = spectral._chebyshev_tops(couplings, fields, window_in, window_out, times,
+                                           counts)
+            growth = spectral._growth(couplings, fields, window_in, window_out)
             for r in range(times.size):
-                alone = montecarlo._chebyshev_tops(couplings[r:r + 1], fields[r:r + 1],
-                                                   window_in, window_out, times[r:r + 1],
-                                                   counts[r:r + 1])
+                alone = spectral._chebyshev_tops(couplings[r:r + 1], fields[r:r + 1],
+                                                 window_in, window_out, times[r:r + 1],
+                                                 counts[r:r + 1])
                 assert alone.tobytes() == top[r:r + 1].tobytes()
-                if growth[r] <= montecarlo._GROWTH:
+                if growth[r] <= spectral._GROWTH:
                     want = oracle_top(couplings[r], fields[r], window_in, window_out, times[r])
                     assert abs(top[r] - want) <= 1e-12, (window_in, window_out, r)
                 else:

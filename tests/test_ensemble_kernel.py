@@ -385,10 +385,10 @@ def test_top_singular_value_matches_the_svd_on_every_block_shape(rows, cols):
     scaled = rng.normal(size=(20, rows, cols)) + 1j * rng.normal(size=(20, rows, cols))
     scaled /= svd_top(scaled)[:, None, None] * rng.uniform(1.0, 4.0, size=(20, 1, 1))
     blocks = np.concatenate([unitary_slices(rng, rows, cols, 20), scaled])
-    top = montecarlo._top_singular(blocks)
+    top = spectral._top_singular(blocks)
     assert np.abs(top - svd_top(blocks)).max() <= 1e-15
     for r in range(blocks.shape[0]):  # a block scores the same in any stack
-        assert montecarlo._top_singular(blocks[r:r + 1]).tobytes() == top[r:r + 1].tobytes()
+        assert spectral._top_singular(blocks[r:r + 1]).tobytes() == top[r:r + 1].tobytes()
 
 
 @pytest.mark.parametrize("window", [3, 5])
@@ -401,20 +401,20 @@ def test_top_singular_value_matches_the_svd_on_near_unitary_blocks(window):
     for window_in, window_out in ((window, window), (window, window - 1), (window - 1, window)):
         block = spectral.window_amplitudes(eig, window_in, window_out, time)[None]
         assert np.abs(np.linalg.svd(block, compute_uv=False) - 1.0).max() <= 1e-9
-        assert abs(montecarlo._top_singular(block) - svd_top(block))[0] <= 1e-15
+        assert abs(spectral._top_singular(block) - svd_top(block))[0] <= 1e-15
 
 
 def test_top_singular_value_of_zero_and_rank_one_blocks():
     rng = np.random.default_rng(12)
     for rows, cols in ((1, 1), (1, 4), (3, 3), (5, 2), (4, 5)):
         zero = np.zeros((3, rows, cols), dtype=complex)
-        assert (montecarlo._top_singular(zero) == 0.0).all()
+        assert (spectral._top_singular(zero) == 0.0).all()
         u = rng.normal(size=(6, rows)) + 1j * rng.normal(size=(6, rows))
         v = rng.normal(size=(6, cols)) + 1j * rng.normal(size=(6, cols))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         v *= rng.uniform(0.0, 1.0, size=(6, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
         blocks = u[:, :, None] * v[:, None, :].conj()
-        assert np.abs(montecarlo._top_singular(blocks) - svd_top(blocks)).max() <= 1e-15
+        assert np.abs(spectral._top_singular(blocks) - svd_top(blocks)).max() <= 1e-15
 
 
 def test_top_singular_value_is_nan_where_a_block_is_not_finite_or_not_ok():
@@ -425,11 +425,11 @@ def test_top_singular_value_is_nan_where_a_block_is_not_finite_or_not_ok():
         blocks[2, -1, 0] = np.inf
         blocks[3, 0, 0] = complex(0.0, -np.inf)
         ok = np.array([True, True, True, True, False, True])
-        top = montecarlo._top_singular(blocks, ok)
+        top = spectral._top_singular(blocks, ok)
         assert np.isnan(top[1:5]).all()
-        assert top[[0, 5]].tobytes() == montecarlo._top_singular(blocks[[0, 5]]).tobytes()
-        assert np.isnan(montecarlo._top_singular(blocks, np.zeros(6, dtype=bool))).all()
-        assert montecarlo._top_singular(blocks[:0]).shape == (0,)
+        assert top[[0, 5]].tobytes() == spectral._top_singular(blocks[[0, 5]]).tobytes()
+        assert np.isnan(spectral._top_singular(blocks, np.zeros(6, dtype=bool))).all()
+        assert spectral._top_singular(blocks[:0]).shape == (0,)
 
 
 def test_top_singular_value_below_the_gram_matrix_range_scores_as_the_svd():
@@ -438,7 +438,7 @@ def test_top_singular_value_below_the_gram_matrix_range_scores_as_the_svd():
     rng = np.random.default_rng(14)
     for rows, cols in ((1, 1), (3, 3), (5, 5), (2, 4), (4, 1)):
         blocks = unitary_slices(rng, rows, cols, 10) * 1e-160
-        top = montecarlo._top_singular(blocks)
+        top = spectral._top_singular(blocks)
         assert np.isfinite(top).all()
         assert fidelity_single(top).tobytes() == fidelity_single(svd_top(blocks)).tobytes()
 
@@ -449,9 +449,9 @@ def test_the_guard_refuses_a_block_whose_gram_matrix_overflows():
     rng = np.random.default_rng(15)
     blocks = unitary_slices(rng, 3, 3, 4)
     blocks[[1, 3]] *= 1e200
-    top = montecarlo._top_singular(blocks)
+    top = spectral._top_singular(blocks)
     assert np.isposinf(top[[1, 3]]).all()
-    assert top[[0, 2]].tobytes() == montecarlo._top_singular(blocks[[0, 2]]).tobytes()
+    assert top[[0, 2]].tobytes() == spectral._top_singular(blocks[[0, 2]]).tobytes()
     with pytest.raises(ValueError, match="singular value inf > 1"):
         _check_unitary(top)
 

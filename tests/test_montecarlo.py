@@ -9,7 +9,7 @@ from spintransfer import (Chain, DisorderSpec, FidelityStats, NumericalFailure, 
                           monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
                           sample_fidelity, selection_probability, sweep, uniform_chain,
                           uniform_disorder, zero_disorder)
-from spintransfer import montecarlo
+from spintransfer import montecarlo, spectral
 from spintransfer.disorder import Distribution, draw_realizations, errors_disorder
 from spintransfer.models import first_peak_time
 
@@ -62,7 +62,7 @@ def test_drawn_realizations_past_the_phase_bound_are_refused_before_scoring(monk
     base = uniform_chain(21)
     spec = uniform_disorder(3.0, 0.5, seed=11)
     couplings, fields = draw_realizations(base, spec, 0, 8)
-    centre, half = montecarlo._gershgorin(fields, couplings)
+    centre, half = spectral._gershgorin(fields, couplings)
     reach = np.abs(centre) + half
     worst = int(np.argmax(reach))
     limit = 2.0 ** 52 / reach[worst]
@@ -204,11 +204,11 @@ def record_chunks(monkeypatch) -> list[dict]:
 
     monkeypatch.setattr(montecarlo, "_score_rows", recording)
     for name in ("_sum_terms", "_sum_bipartite_terms"):
-        def loop(*args, original=getattr(montecarlo, name), name=name):
+        def loop(*args, original=getattr(spectral, name), name=name):
             chunks[-1]["loops"].append(name)
             return original(*args)
 
-        monkeypatch.setattr(montecarlo, name, loop)
+        monkeypatch.setattr(spectral, name, loop)
     return chunks
 
 
@@ -336,6 +336,15 @@ def test_sweep_axis_validation():
     with pytest.raises(ValueError):
         sweep(chain, SweepAxis("sigma_B", [0.1]), SweepAxis("sigma_B", [0.1]),
               TransferPolicy(1, 1, time=1.0))
+
+
+def test_sweep_axis_rejects_an_empty_grid():
+    # an empty coupling axis reached _score_cells and raised a bare IndexError (cells[0])
+    with pytest.raises(ValueError, match="sweep axis sigma_J has no values"):
+        sweep(uniform_chain(5), SweepAxis("sigma_J", []), SweepAxis("sigma_B", [0.0]),
+              TransferPolicy(), samples=3)
+    with pytest.raises(ValueError, match="sweep axis delta_B has no values"):
+        SweepAxis("delta_B", np.array([]))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -23,7 +23,7 @@ from spintransfer import (Chain, Objective, TransferPolicy, cli, evaluate_object
                           monte_carlo, normal_disorder, pst_chain, pst_transfer_time,
                           sample_disordered_chain, sample_fidelity, uniform_chain,
                           uniform_disorder)
-from spintransfer import montecarlo
+from spintransfer import montecarlo, spectral
 from spintransfer.disorder import draw_realizations
 from spintransfer.models import auto_transfer_time
 
@@ -31,8 +31,8 @@ from spintransfer.models import auto_transfer_time
 def declined(couplings, fields, window_in, window_out) -> int:
     """Rows whose column recurrence _growth declines: _chebyshev_tops leaves them NaN, and
     the shared tail scores them from the eigensystem."""
-    growth = montecarlo._growth(couplings, fields, window_in, window_out)
-    return int(np.count_nonzero(~(growth <= montecarlo._GROWTH)))
+    growth = spectral._growth(couplings, fields, window_in, window_out)
+    return int(np.count_nonzero(~(growth <= spectral._GROWTH)))
 
 
 def declined_in_ensemble(name, window_in, window_out) -> int:
@@ -111,26 +111,26 @@ def test_propagation_matches_oracle_on_overlapping_windows(window_in, window_out
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-20, 1e-10, 0.3, 1.0, 7.5, 50.0, 260.0, 1000.0])
 def test_coefficients_match_scipy_bessel(z):
-    count = montecarlo._term_counts(np.array([z]), montecarlo._TAIL)
+    count = spectral._term_counts(np.array([z]), spectral._TAIL)
     assert count[0] > z
-    coef = montecarlo._chebyshev_coefficients(np.array([z]), count)[:, 0]
+    coef = spectral._chebyshev_coefficients(np.array([z]), count)[:, 0]
     k = np.arange(count[0])
     want = jv(k, z) * np.where(k == 0, 1.0, 2.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4]
     # jv itself is off by up to 3.7e-14 at z = 1000 (against 40-digit mpmath values)
     assert np.abs(coef - want).max() <= 1e-13
     # what the count drops stays under the stated tail bound
     dropped = 2.0 * np.abs(jv(np.arange(count[0], count[0] + 400), z)).sum()
-    assert dropped <= montecarlo._TAIL
+    assert dropped <= spectral._TAIL
     if count[0] > 1:  # and the count is not padded: one term fewer drops more than 1e-18
         assert 2.0 * np.abs(jv(np.arange(count[0] - 1, count[0] + 400), z)).sum() > 1e-18
 
 
 def test_coefficients_of_a_row_do_not_depend_on_its_neighbours():
     z = np.array([0.0, 3.0, 260.0, 1e-10, 41.5])
-    counts = montecarlo._term_counts(z, montecarlo._TAIL)
-    together = montecarlo._chebyshev_coefficients(z, counts)
+    counts = spectral._term_counts(z, spectral._TAIL)
+    together = spectral._chebyshev_coefficients(z, counts)
     for r in range(z.size):
-        alone = montecarlo._chebyshev_coefficients(z[r:r + 1], counts[r:r + 1])[:, 0]
+        alone = spectral._chebyshev_coefficients(z[r:r + 1], counts[r:r + 1])[:, 0]
         assert together[:counts[r], r].tobytes() == alone.tobytes()
         assert not together[counts[r]:, r].any()
 
@@ -139,7 +139,7 @@ def producers(monkeypatch) -> dict:
     """Count the rows each producer scores; a row _chebyshev_tops declines (NaN) goes on to
     the spectral producer and counts there."""
     rows = {"chebyshev": 0, "spectral": 0}
-    chebyshev, spectral = montecarlo._chebyshev_tops, montecarlo._spectral_tops
+    chebyshev, spectral_tops = montecarlo._chebyshev_tops, montecarlo._spectral_tops
 
     def counting_chebyshev(*args):
         top = chebyshev(*args)
@@ -148,7 +148,7 @@ def producers(monkeypatch) -> dict:
 
     def counting_spectral(couplings, *args):
         rows["spectral"] += couplings.shape[0]
-        return spectral(couplings, *args)
+        return spectral_tops(couplings, *args)
 
     monkeypatch.setattr(montecarlo, "_chebyshev_tops", counting_chebyshev)
     monkeypatch.setattr(montecarlo, "_spectral_tops", counting_spectral)
@@ -160,11 +160,11 @@ def loops(monkeypatch) -> dict:
     step where no row has a field after the centring, both otherwise."""
     calls = {"bipartite": 0, "full": 0}
     for name, key in (("_sum_bipartite_terms", "bipartite"), ("_sum_terms", "full")):
-        def counting(*args, loop=getattr(montecarlo, name), key=key):
+        def counting(*args, loop=getattr(spectral, name), key=key):
             calls[key] += 1
             return loop(*args)
 
-        monkeypatch.setattr(montecarlo, name, counting)
+        monkeypatch.setattr(spectral, name, counting)
     return calls
 
 
@@ -283,8 +283,8 @@ def test_field_free_loop_at_times_its_terms_cannot_reach_the_output(window_in, w
     couplings, fields = draw_realizations(uniform_chain(n), normal_disorder(0.1, 0.0, seed=54),
                                           0, 12)
     times = np.full(12, t)
-    counts = montecarlo._term_counts(montecarlo._gershgorin(fields, couplings)[1] * times,
-                                     montecarlo._TAIL)
+    counts = spectral._term_counts(spectral._gershgorin(fields, couplings)[1] * times,
+                                   spectral._TAIL)
     assert counts.max() < n - (window_in + window_out - 1) - 1
     field = draw_realizations(uniform_chain(n), normal_disorder(0.1, 0.1, seed=55), 0, 1)
     calls = loops(monkeypatch)
