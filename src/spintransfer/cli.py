@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,6 +35,8 @@ from .spectral import eigendecompose
 
 # Points per sweep or landscape axis: a larger grid is a typo, not a run.
 MAX_AXIS_POINTS = 1000
+# The start of a negative value (-1e-3, -.5, -0.1:0.5:0.1); no flag starts so.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _build_chain_from_flags(args) -> object:
@@ -299,9 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with each negative value that follows a long flag joined to it (--t=-1e-3):
+    argparse reads -0.001 as a value but -1e-3 and -0.1:0.5:0.1 as flags."""
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and _NEGATIVE_NUMBER.match(arg)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     if getattr(args, "window", None) is not None:
         args.window_in = args.window_out = args.window
     try:

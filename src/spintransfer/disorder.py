@@ -99,7 +99,8 @@ def _standard(kind: str, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DisorderSpec:
-    """Randomization contract: modes, distributions, and the master seed."""
+    """Randomization contract: modes, distributions, and the master seed (>= 0, as sample
+    indices are)."""
 
     coupling_mode: str = "none"
     field_mode: str = "none"
@@ -118,6 +119,8 @@ class DisorderSpec:
         if self.field_dist is None:
             self.field_dist = Distribution("uniform", 0.0)
         self.master_seed = int(self.master_seed)
+        if self.master_seed < 0:  # a seed is hashed modulo 2^64: -1 would read 2^64 - 1
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
 
     @property
     def draws(self) -> dict[int, Distribution]:

@@ -23,12 +23,12 @@ scored at a fixed time (_score_fixed_time) are propagated where
 K <= _PROPAGATE * N and _growth admits them, and solved otherwise; the rule
 reads the row alone, so a row scores the same in any chunk.
 
-sample_fidelity is a one-row draw scored by the same _score_rows.  The
-summary keeps three numbers: the mean (what you expect on average), the
-minimum (the guarantee), and an upper quantile (what you get if you
-manufacture several chains and keep the best).  Runs are bit-reproducible:
-draws are counter-based, a sample's result does not depend on its chunk, and
-reductions happen in index order.
+sample_fidelity is a one-row part drawn by the same _draw_parts and scored by
+the same _score_rows.  The summary keeps three numbers: the mean (what you
+expect on average), the minimum (the guarantee), and an upper quantile (what
+you get if you manufacture several chains and keep the best).  Runs are
+bit-reproducible: draws are counter-based, a sample's result does not depend on
+its chunk, and reductions happen in index order.
 """
 
 from __future__ import annotations
@@ -189,21 +189,8 @@ def sample_fidelity(base: Chain, spec: DisorderSpec, sample_index: int,
     if time is not None:
         policy = replace(policy, time=time)
     time = policy.resolve_time(base)  # checks windows and time, before any draw
-    drawn = _draw_checked(base, spec, time, sample_index, sample_index + 1)
-    return _score_rows(*drawn, policy, np.full(1, time))[0]
-
-
-def _draw_checked(base: Chain, spec: DisorderSpec, time: float, start: int, stop: int,
-                  variates: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Couplings and fields of the realizations start..stop-1, refused (_check_phase)
-    before any of them is scored.  variates are their standard variates (standard_variates),
-    drawn here where None."""
-    if variates is None:
-        variates = standard_variates(spec.master_seed, [(start, stop)], base.n,
-                                     spec.draws.items())
-    couplings, fields = apply_variates(base, spec, variates, stop - start)
-    _check_phase(couplings, fields, time, start)
-    return couplings, fields
+    couplings, fields, times = _draw_parts([(base, spec, time, sample_index, sample_index + 1)])
+    return _score_rows(couplings, fields, policy, times)[0]
 
 
 def _score_rows(couplings: np.ndarray, fields: np.ndarray, policy: TransferPolicy,
@@ -214,11 +201,13 @@ def _score_rows(couplings: np.ndarray, fields: np.ndarray, policy: TransferPolic
         return _score_fixed_time(couplings, fields, policy.window_in, policy.window_out, times)
     lam, w, spectrum = _end_weights(fields, couplings)
     peaks = _first_peaks(lam, w, np.maximum(times, 1.0))  # times are finite and >= 0
-    lost = np.isnan(peaks)  # no peak of its own: keep the resolved time
-    times = np.where(lost, times, peaks)
-    fids = _score_spectrum(couplings, fields, spectrum, policy.window_in, policy.window_out,
-                           times)
-    if lost.any():  # scored as a fixed-time run scores them, bit for bit
+    fids, lost = np.empty(len(times)), np.isnan(peaks)
+    found = ~lost
+    if found.any():
+        fids[found] = _score_spectrum(couplings[found], fields[found],
+                                      tuple(part[found] for part in spectrum),
+                                      policy.window_in, policy.window_out, peaks[found])
+    if lost.any():  # no peak of its own: the resolved time, scored as a fixed-time run scores it
         fids[lost] = _score_fixed_time(couplings[lost], fields[lost], policy.window_in,
                                        policy.window_out, times[lost])
     return fids
@@ -263,13 +252,14 @@ def _score_cells(cells: list[tuple[Chain, DisorderSpec, float]], policy: Transfe
 def _draw_parts(parts: list[tuple[Chain, DisorderSpec, float, int, int]]
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked couplings, fields and times of the realizations start..stop-1 of each part
-    (base, spec, time, start, stop) of one chunk, each part drawn and checked (_draw_checked)
-    in order.  The parts that share a seed take their standard variates from one
-    standard_variates call over the union of their index ranges."""
+    (base, spec, time, start, stop) of one chunk, each part drawn (apply_variates) and refused
+    (_check_phase) in order, before any row is scored.  The parts that share a seed take their
+    standard variates from one standard_variates call over the union of their index ranges,
+    which refuses a range that starts below 0, also of a part that draws nothing."""
     shared = {}
-    for seed in dict.fromkeys(spec.master_seed for _, spec, *_ in parts if spec.draws):
+    for seed in dict.fromkeys(spec.master_seed for _, spec, *_ in parts):
         mine = [(spec, start, stop) for _, spec, _, start, stop in parts
-                if spec.master_seed == seed and spec.draws]
+                if spec.master_seed == seed]
         union = []  # disjoint ranges, in index order
         for start, stop in sorted((start, stop) for _, start, stop in mine):
             if union and start <= union[-1][1]:
@@ -281,18 +271,14 @@ def _draw_parts(parts: list[tuple[Chain, DisorderSpec, float, int, int]]
         shared[seed] = union, variates
     drawn = []
     for base, spec, time, start, stop in parts:
-        variates = {}
-        if spec.draws:
-            union, variates = shared[spec.master_seed]
-            at = 0  # the row of index start in the union's ranges, concatenated
-            for lo, hi in union:
-                if start < hi:
-                    at += start - lo
-                    break
-                at += hi - lo
-            variates = {key: z[at:at + stop - start] for key, z in variates.items()}
-        drawn.append((*_draw_checked(base, spec, time, start, stop, variates),
-                      np.full(stop - start, time)))
+        union, variates = shared[spec.master_seed]
+        # the row of index start in the union's ranges, concatenated
+        at = sum(min(hi, start) - lo for lo, hi in union if lo < start)
+        couplings, fields = apply_variates(
+            base, spec, {key: z[at:at + stop - start] for key, z in variates.items()},
+            stop - start)
+        _check_phase(couplings, fields, time, start)
+        drawn.append((couplings, fields, np.full(stop - start, time)))
     return tuple(np.concatenate(stack) for stack in zip(*drawn))
 
 

@@ -13,7 +13,8 @@ optimize_apollaro runs up to W starts' Nelder-Mead searches in lockstep, in
 one thread: each search is a generator (_nelder_mead, scipy's algorithm step
 for step) that yields its points, and _lockstep scores each round of their
 points with one _evaluate_points call.  Each search's path, and so the
-result, is the one it takes alone.
+result, is the one it takes alone; a lockstep run that raises is run again one
+start after another, one point per call, which raises what that order raises.
 
 first_order_response gives dF/d(eps) of the end-to-end transfer
 probability F = |<N|U(t0)|1>|^2 under a chain perturbation, exactly, from
@@ -111,18 +112,16 @@ def _evaluate_points(obj: Objective, xs, ys) -> np.ndarray:
     # a point with no arrival in the search window (extreme end couplings) keeps the fidelity
     # floor instead of aborting the search
     values, found = np.full(len(couplings), 0.5), np.flatnonzero(~np.isnan(peaks))
-    # where every point has a peak (the one-point objective's case), rows copies nothing
-    rows = slice(None) if found.size == len(couplings) else found
     if found.size and obj.metric == "deterministic":
-        values[rows] = _score_spectrum(couplings[rows], fields[rows],
-                                       tuple(part[rows] for part in spectrum),
-                                       obj.window, obj.window, peaks[rows])
+        values[found] = _score_spectrum(couplings[found], fields[found],
+                                        tuple(part[found] for part in spectrum),
+                                        obj.window, obj.window, peaks[found])
     elif found.size:
         bases = [Chain(n=obj.n, couplings=couplings[r], fields=fields[r]) for r in found]
         cells = [(base, obj.disorder, TransferPolicy(obj.window, obj.window, peaks[r])
                   .resolve_time(base)) for base, r in zip(bases, found)]
         fids = _score_cells(cells, TransferPolicy(obj.window, obj.window), obj.samples)
-        values[rows] = np.quantile(fids, obj.quantile, axis=1, method="linear")
+        values[found] = np.quantile(fids, obj.quantile, axis=1, method="linear")
     return values
 
 
@@ -181,53 +180,28 @@ def _lockstep(searches, score) -> list:
     """Run the generators `searches` (each a _nelder_mead), at most W at a time; return what
     each returns, in order.
 
-    Each round, score(asked) is called on the (start, point) pairs of every search in flight,
-    in start order, for a value per point, and each search is sent its value.  If that
-    raises, each pair is scored alone, so each search gets its own value or exception.  A
-    later search begins when an earlier one ends.  A search whose point raises has failed:
-    every search above it is dropped and none begins after it; its exception is raised once
-    every search below it has ended, unless one of those failed too, when the lowest one's is.
+    Each round, score(asked) is called on the (index, point) pairs of every search in flight,
+    in index order, for a value per point, and each search is sent its value.  A later search
+    begins when an earlier one ends.  An exception raised by score ends the run.
     """
-    results, failed = [None] * len(searches), {}
-    pending, begun = {}, 0  # each search in flight's next point, by start
+    results, pending, begun = [None] * len(searches), {}, 0  # pending: by index, a next point
 
-    def score_round(asked):
-        """score(asked), or each pair scored alone if that raises: a value or an exception each."""
-        try:
-            return score(asked)
-        except Exception as exc:
-            if len(asked) == 1:
-                return [exc]
-        values = []
-        for pair in asked:
-            try:
-                values.extend(score([pair]))
-            except Exception as exc:
-                values.append(exc)
-        return values
+    def run(i):  # search i's points, then None once it has returned
+        results[i] = yield from searches[i]
+        yield None
 
+    runs = [run(i) for i in range(len(searches))]
     while True:
-        while not failed and begun < len(searches) and len(pending) < W:
-            pending[begun] = next(searches[begun])
+        while begun < len(runs) and len(pending) < W:
+            pending[begun] = next(runs[begun])
             begun += 1
         if not pending:
-            break
-        asked = sorted(pending.items())  # by start: no two share one
-        for (i, _), value in zip(asked, score_round(asked)):
-            if isinstance(value, Exception):
-                failed[i] = value
+            return results
+        asked = sorted(pending.items())  # by index: no two share one
+        for (i, _), value in zip(asked, score(asked)):
+            pending[i] = runs[i].send(value)
+            if pending[i] is None:
                 del pending[i]
-                continue
-            try:
-                pending[i] = searches[i].send(value)
-            except StopIteration as end:
-                results[i] = end.value
-                del pending[i]
-        if failed:
-            pending = {i: point for i, point in pending.items() if i < min(failed)}
-    if failed:
-        raise failed[min(failed)]
-    return results
 
 
 def optimize_apollaro(obj: Objective, x0: float, y0: float,
@@ -248,9 +222,9 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
     round of their points is scored with one _evaluate_points call.  A point's
     value does not depend on its round, so every search takes the path it would
     take alone, and trace, evaluations and result are those of the starts run
-    one after another; so is the exception raised when a start fails (the
-    lowest failed start's).  If a round's stacked call raises, its points are
-    scored one at a time, so each start gets its own value or exception.
+    one after another.  If the lockstep run raises, the starts are run again one
+    after another, one point per call: that run raises what the sequential loop
+    raises, and where only a stacked call failed it returns the sequential result.
     """
     if not (0 < x0 <= BOX_HI and 0 < y0 <= BOX_HI):
         raise ValueError(f"start must lie in (0, {BOX_HI}]^2")
@@ -268,16 +242,24 @@ def optimize_apollaro(obj: Objective, x0: float, y0: float,
         ]))
     traces: list[list[tuple[float, float, float]]] = [[] for _ in starts]
 
-    def score(asked):  # the searches minimize, so each is sent its point's negated value
-        xs, ys = [float(p[0]) for _, p in asked], [float(p[1]) for _, p in asked]
-        values = _evaluate_points(obj, xs, ys).tolist()
-        for (i, _), x, y, value in zip(asked, xs, ys, values):
-            traces[i].append((_fold_into_box(x), _fold_into_box(y), value))
-        return [-value for value in values]
+    def search(indices) -> list:  # the starts `indices` in lockstep, each traced as its own
+        def score(asked):  # the searches minimize, so each is sent its point's negated value
+            xs, ys = [float(p[0]) for _, p in asked], [float(p[1]) for _, p in asked]
+            values = _evaluate_points(obj, xs, ys).tolist()
+            for (i, _), x, y, value in zip(asked, xs, ys, values):
+                traces[indices[i]].append((_fold_into_box(x), _fold_into_box(y), value))
+            return [-value for value in values]
+        return _lockstep([_nelder_mead(starts[s], max_iter) for s in indices], score)
 
-    searches = [_nelder_mead(start, max_iter) for start in starts]
+    try:
+        results = search(range(len(starts)))
+    except Exception:
+        # one start after another: raises what a failed start raises, or returns where only
+        # a stacked call failed
+        traces[:] = [[] for _ in starts]
+        results = [search([s])[0] for s in range(len(starts))]
     # the first best on a tie; fun is the value the search was sent for best_x
-    best_x, fun = min(_lockstep(searches, score), key=lambda result: result[1])
+    best_x, fun = min(results, key=lambda result: result[1])
     trace = [entry for start_trace in traces for entry in start_trace]
     x_best = _fold_into_box(float(best_x[0]))
     y_best = _fold_into_box(float(best_x[1]))

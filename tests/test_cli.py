@@ -567,6 +567,51 @@ def test_optimize_rejects_negative_restarts(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_optimize_rejects_a_start_in_exponent_form(capsys, monkeypatch):
+    # argparse reads -5e-1 as a flag unless it is joined to its own: it exited 2 with
+    # "expected one argument"
+    import spintransfer.optimize as optimize
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("objective evaluated for a start outside the box")
+
+    monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
+    assert run(["optimize", "--n", "11", "--restarts", "0", "--x0", "-5e-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: start must lie in (0, 1.2]^2\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "5", "--samples", "3", "--seed", "-1"],
+    ["optimize", "--n", "11", "--delta", "0.1", "--seed", "-5", "--samples", "5",
+     "--restarts", "0"]], ids=["sweep", "optimize"])
+def test_a_negative_seed_is_a_usage_error(argv, tmp_path, capsys):
+    # sweep drew seed 2^64 - 1 and wrote -1 in its CSV; optimize exited with numpy's message
+    out = tmp_path / "x.out"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    seed = argv[argv.index("--seed") + 1]
+    assert captured.err == f"error: master seed must be >= 0, got {seed}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_failing_optimize_reports_one_line_whatever_the_restarts(capsys):
+    # every start fails at its first point; the lockstep run and the sequential rerun
+    # report the first start's refusal
+    lines = set()
+    for restarts in ("0", "2", "6"):
+        assert run(["optimize", "--n", "11", "--samples", "5", "--delta", "1e300",
+                    "--restarts", restarts]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.add(captured.err)
+    (line,) = lines
+    assert re.fullmatch(r"error: window time \S+ is too long for disordered realization 0: "
+                        r"t \* max\|E\| = \S+ is not below 2\^52\n", line)
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(spintransfer.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "spintransfer", "build", "--model", "pst",
@@ -589,7 +634,7 @@ def test_optimize_landscape_single_cell(tmp_path):
 
 
 @pytest.mark.parametrize("axis", ["--x-axis=1.5", "--x-axis=-0.1:0.1:0.1", "--x-axis=0",
-                                  "--y-axis=1.5"])
+                                  "--y-axis=1.5", "--x-axis -0.1:0.1:0.1"])
 def test_landscape_axis_outside_the_box_is_a_usage_error(axis, tmp_path, capsys, monkeypatch):
     # the objective folds a point outside the box onto another, which the CSV would misname
     import spintransfer.optimize as optimize
@@ -600,7 +645,7 @@ def test_landscape_axis_outside_the_box_is_a_usage_error(axis, tmp_path, capsys,
     monkeypatch.setattr(optimize, "_end_weights", no_evaluation)
     out = tmp_path / "land.csv"
     assert run(["optimize", "--n", "15", "--landscape", "--x-axis", "0.5", "--y-axis", "0.7",
-                axis, "--out", str(out)]) == 2
+                *axis.split(" "), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: landscape ") and "(0, 1.2]" in captured.err
@@ -691,6 +736,16 @@ def test_oracle_time_below_the_phase_bound_runs(time, capsys):
     captured = capsys.readouterr()
     assert code == (0 if time < 0 else 3)
     assert json.loads(captured.out)["t"] == time
+
+
+def test_oracle_negative_time_in_exponent_form_runs(capsys):
+    # argparse reads -1e-3 as a flag unless it is joined to its own: it exited 2 with
+    # "expected one argument"
+    assert run(["oracle", "--n", "6", "--k", "2", "--t=-1e-3"]) == 0
+    joined = capsys.readouterr()
+    assert run(["oracle", "--n", "6", "--k", "2", "--t", "-1e-3"]) == 0
+    assert capsys.readouterr() == joined
+    assert json.loads(joined.out)["t"] == -1e-3
 
 
 def test_oracle_negative_tolerance_is_a_usage_error(tmp_path, capsys, monkeypatch):

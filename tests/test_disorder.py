@@ -29,6 +29,15 @@ def test_non_finite_distribution_parameter_is_rejected(kind, param):
         uniform_disorder(0.0, param, seed=1)
 
 
+def test_negative_master_seed_is_refused():
+    # a seed is hashed modulo 2^64, as a sample index is: -1 read as seed 2^64 - 1
+    for make in (lambda: DisorderSpec(master_seed=-1), lambda: zero_disorder(-1),
+                 lambda: normal_disorder(0.1, 0.1, seed=-1)):
+        with pytest.raises(ValueError, match=r"^master seed must be >= 0, got -1$"):
+            make()
+    assert zero_disorder(0).master_seed == 0
+
+
 def test_zero_disorder_is_identity():
     base = uniform_chain(9)
     out = sample_disordered_chain(base, zero_disorder(seed=7), 3)

@@ -179,11 +179,11 @@ def test_monte_carlo_chunks_hold_at_most_the_derived_rows(base, window, samples,
     rows = montecarlo._chunk_rows(base.n, window, window)
     assert rows == 65536 // ((base.n + 2) * window)
     ranges, handed = [], []
-    draw_checked = montecarlo._draw_checked
+    draw_parts = montecarlo._draw_parts
 
-    def recording_range(b, s, time, start, stop, variates=None):
-        ranges.append((start, stop))
-        return draw_checked(b, s, time, start, stop, variates)
+    def recording_range(parts):
+        ranges.extend((start, stop) for *_, start, stop in parts)
+        return draw_parts(parts)
 
     def recording(producer):
         def call(couplings, fields, *args):
@@ -191,7 +191,7 @@ def test_monte_carlo_chunks_hold_at_most_the_derived_rows(base, window, samples,
             return producer(couplings, fields, *args)
         return call
 
-    monkeypatch.setattr(montecarlo, "_draw_checked", recording_range)
+    monkeypatch.setattr(montecarlo, "_draw_parts", recording_range)
     for name in ("_chebyshev_tops", "_spectral_tops"):
         monkeypatch.setattr(montecarlo, name, recording(getattr(montecarlo, name)))
     monte_carlo(base, normal_disorder(0.1, 0.1, seed=45), TransferPolicy(window, window),
@@ -337,6 +337,25 @@ def test_per_sample_peak_scores_a_row_with_no_peak_at_the_resolved_time(monkeypa
             t_peak = first_peak_time(sample_disordered_chain(base, spec, i), search_hint=hint)[0]
             assert ensemble[i] == score_rows(*draw_realizations(base, spec, i, i + 1), 2, 2,
                                              np.array([t_peak]))[0]
+
+
+def test_per_sample_peak_scores_each_row_once(monkeypatch):
+    # the rows with a peak are scored from the spectrum at it, and only the three rows
+    # with none at the resolved time
+    base = apollaro_chain(31, 0.45, 0.75)
+    spec = normal_disorder(0.2, 0.5, seed=7)
+    policy = TransferPolicy(2, 2, per_sample_peak=True)
+    seen = {"_score_spectrum": [], "_score_fixed_time": []}
+    for name, rows in seen.items():
+        def recording(couplings, *args, real=getattr(montecarlo, name), rows=rows):
+            rows.append(couplings)
+            return real(couplings, *args)
+        monkeypatch.setattr(montecarlo, name, recording)
+    monte_carlo(base, spec, policy, samples=150)
+    couplings, _ = draw_realizations(base, spec, 0, 150)
+    lost = np.isin(np.arange(150), [4, 33, 61])
+    assert np.concatenate(seen["_score_spectrum"]).tobytes() == couplings[~lost].tobytes()
+    assert np.concatenate(seen["_score_fixed_time"]).tobytes() == couplings[lost].tobytes()
 
 
 def inflated_by_four(fields, couplings):

@@ -387,6 +387,26 @@ def test_lockstep_raises_the_sequential_loops_exception(w, failures, begun, canc
         assert 0 < sum(point in scored for point in asked[s]) < len(asked[s])
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_a_failure_only_stacked_calls_hit_returns_the_sequential_result(k, monkeypatch):
+    # from round k on every stacked call raises, while each point scored alone has its
+    # value: the starts are run again one after another, one point per call
+    obj, x0, y0, max_iter = LOCKSTEP_CASES["uneven"]
+    want = sequential_optimize(obj, x0, y0, 4, max_iter)
+    widths, real = [], optimize._evaluate_points
+
+    def evaluate(obj, xs, ys):
+        widths.append(len(xs))
+        if len(xs) > 1 and len(widths) > k:
+            raise MemoryError("stacked call")
+        return real(obj, xs, ys)
+
+    monkeypatch.setattr(optimize, "_evaluate_points", evaluate)
+    assert outcome(optimize_apollaro(obj, x0, y0, restarts=4, max_iter=max_iter)) == want
+    assert widths[:k + 1] == [4] * (k + 1) and set(widths[k + 1:]) == {1}
+    assert len(widths) == k + 1 + want[3]  # the rerun scores every traced point once
+
+
 def test_lockstep_under_frequent_thread_switches(monkeypatch):
     # more searches in flight than the default W: every round is scored in start order
     before = set(threading.enumerate())
@@ -406,7 +426,7 @@ def test_lockstep_under_frequent_thread_switches(monkeypatch):
     assert got == want
     assert worker_threads(before) == []
     assert max(map(len, rounds)) == 6
-    assert all(starts == sorted(starts) for starts in rounds[:-1])  # the last: the re-evaluation
+    assert all(starts == sorted(starts) for starts in rounds)
 
 
 def test_interrupted_lockstep_joins_its_workers(monkeypatch):
